@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench experiments faults-smoke trace-demo metrics-smoke \
-        docs-check lint clean
+        docs-check lint perfbench-test clean
 
 test:            ## tier-1 suite (ROADMAP.md verify command)
 	$(PYTHON) -m pytest -x -q
@@ -37,6 +37,9 @@ docs-check:      ## catalogs <-> docs/{tracing,metrics,lint}.md lock-step check
 
 lint:            ## simlint: determinism/scheduling/plane-contract rules
 	$(PYTHON) -m repro.lint src tests
+
+perfbench-test:  ## the host-time benchmark's own unit tests (perfbench/)
+	$(PYTHON) -m unittest discover -s perfbench
 
 clean:
 	rm -rf .pytest_cache .hypothesis trace.json metrics-a.csv metrics-b.csv

@@ -1,12 +1,16 @@
-"""From-scratch data-processing algorithms.
+"""Data-processing algorithms: the simulation's digest table and the
+from-scratch reference implementations.
 
-These are the functional cores behind both the GPU's offload kernels
-and the HDC Engine's NDP units (paper Table III): data-integrity hashes
-(MD5, SHA-1, SHA-256, CRC32), AES-256 encryption, and a GZIP-style
-LZ77 compressor.  All are implemented from first principles in this
-repository and verified against the Python standard library (hashlib /
-zlib / binascii) in the test suite; the LZ77 container is our own
-(DESIGN.md §6) and round-trips through :func:`lz77_decompress`.
+The simulation computes every integrity digest (MD5, SHA-1, SHA-256,
+CRC32) through :data:`DIGESTS`, a table of the ``hashlib`` / ``zlib``
+functions (:mod:`repro.algos.native`), so the GPU's offload kernels,
+the HDC Engine's NDP units (paper Table III) and the host CPU agree
+bit-for-bit.  The from-scratch implementations here are the reference
+and test oracle: the suite pins every table entry against them, and
+them against the standard library.  AES-256 encryption and the
+GZIP-style LZ77 compressor have no standard-library equivalent, so the
+simulation runs the from-scratch code for those; the LZ77 container is
+our own (DESIGN.md §6) and round-trips through :func:`lz77_decompress`.
 """
 
 from repro.algos.md5 import md5_digest, md5_hexdigest
@@ -15,8 +19,10 @@ from repro.algos.sha256 import sha256_digest, sha256_hexdigest
 from repro.algos.crc32 import crc32, crc32_digest
 from repro.algos.aes import aes256_ctr, expand_key_256
 from repro.algos.lz77 import lz77_compress, lz77_decompress
+from repro.algos.native import DIGESTS
 
 __all__ = [
+    "DIGESTS",
     "aes256_ctr",
     "crc32",
     "crc32_digest",

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.apps.workload import pattern_bytes
 from repro.schemes.base import Scheme
 from repro.units import MIB, SEC
 
@@ -73,7 +74,7 @@ def run_hdfs_balancer(scheme: Scheme, config: HdfsConfig) -> HdfsRun:
     for index in range(config.blocks):
         sender.host.install_file(
             f"hdfs-src-{index}.blk",
-            bytes((i * 17 + index) % 256 for i in range(config.block_size)))
+            pattern_bytes(config.block_size, 17, index))
     for stream in range(config.streams):
         receiver.host.install_file(f"hdfs-dst-{stream}.blk",
                                    bytes(config.block_size))

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.host.costs import CAT
-from repro.apps.workload import Request, RequestKind, WorkloadConfig, requests
+from repro.apps.workload import (Request, RequestKind, WorkloadConfig,
+                                 pattern_bytes, requests)
 from repro.schemes.base import Scheme
 from repro.sim.resources import Store
 from repro.sim.stats import Histogram
@@ -77,8 +78,7 @@ def run_swift(scheme: Scheme, config: SwiftConfig) -> SwiftRun:
     for request in reqs:
         if request.kind is RequestKind.GET and request.size not in get_names:
             name = f"swift-get-{request.size}.dat"
-            server.host.install_file(
-                name, bytes((i * 31) % 256 for i in range(request.size)))
+            server.host.install_file(name, pattern_bytes(request.size, 31))
             get_names[request.size] = name
     put_names: List[str] = []
     for index in range(config.connections):
@@ -145,26 +145,3 @@ def run_swift(scheme: Scheme, config: SwiftConfig) -> SwiftRun:
     stats.duration_ns = sim.now - start
     stats.server_cpu = server.host.cpu.utilization_by_category()
     return stats
-
-
-def run_swift_split(scheme: Scheme, config: SwiftConfig
-                    ) -> tuple[SwiftRun, SwiftRun]:
-    """Run a GET-only and a PUT-only workload (paper Fig 12a's
-    Kernel(GET)/Kernel(PUT) split) on fresh connections."""
-    get_cfg = SwiftConfig(
-        workload=WorkloadConfig(
-            arrival_rate=config.workload.arrival_rate,
-            put_ratio=0.0, max_object=config.workload.max_object,
-            count=config.workload.count, seed=config.workload.seed),
-        connections=config.connections, request_cpu=config.request_cpu,
-        integrity=config.integrity)
-    put_cfg = SwiftConfig(
-        workload=WorkloadConfig(
-            arrival_rate=config.workload.arrival_rate,
-            put_ratio=1.0, max_object=config.workload.max_object,
-            count=config.workload.count, seed=config.workload.seed + 1),
-        connections=config.connections, request_cpu=config.request_cpu,
-        integrity=config.integrity)
-    get_run = run_swift(scheme, get_cfg)
-    put_run = run_swift(scheme, put_cfg)
-    return get_run, put_run

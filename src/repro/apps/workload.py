@@ -23,6 +23,17 @@ from repro.sim.rng import RngHub, dropbox_file_sizes, exponential_interarrivals
 from repro.units import MIB
 
 
+def pattern_bytes(size: int, stride: int, offset: int = 0) -> bytes:
+    """``bytes((i * stride + offset) % 256 for i in range(size))``.
+
+    Built by tiling the pattern's 256-byte period rather than one
+    generator step per byte: Swift objects and HDFS blocks are
+    generated on every run, at up to megabytes each.
+    """
+    period = bytes((i * stride + offset) % 256 for i in range(256))
+    return (period * -(-size // 256))[:size]
+
+
 class RequestKind(enum.Enum):
     GET = "GET"
     PUT = "PUT"

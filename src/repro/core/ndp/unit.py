@@ -5,10 +5,10 @@ algorithm core; an :class:`NdpBank` holds the provisioned instances of
 each function (enough for 10 Gbps aggregate, per the paper's
 provisioning rule) and arbitrates concurrent streams.
 
-Functional results use the shared from-scratch algorithms in
-:mod:`repro.algos`, so an NDP MD5 equals a GPU MD5 equals ``hashlib``.
-Transforming functions (AES-256-CTR, GZIP) rewrite the buffer in place
-and report the output length.
+Digests come from the shared :data:`repro.algos.DIGESTS` table, so an
+NDP MD5 equals a GPU MD5 equals a host CPU MD5.  Transforming functions
+(AES-256-CTR, GZIP) run the from-scratch :mod:`repro.algos` code,
+rewrite the buffer in place and report the output length.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.algos import (aes256_ctr, crc32_digest, lz77_compress, md5_digest,
-                         sha1_digest, sha256_digest)
+from repro.algos import DIGESTS, aes256_ctr, lz77_compress
 from repro.core.ndp.registry import (FUNC_AES256, FUNC_CRC32, FUNC_GZIP,
                                      FUNC_MD5, FUNC_SHA1, FUNC_SHA256,
                                      func_name)
@@ -108,14 +107,9 @@ class NdpUnit:
 
     def _compute(self, data: bytes) -> Tuple[bytes, Optional[bytes]]:
         name = self.spec.name
-        if name == "md5":
-            return md5_digest(data), None
-        if name == "sha1":
-            return sha1_digest(data), None
-        if name == "sha256":
-            return sha256_digest(data), None
-        if name == "crc32":
-            return crc32_digest(data), None
+        digest = DIGESTS.get(name)
+        if digest is not None:
+            return digest(data), None
         if name == "aes256":
             return b"", aes256_ctr(data, _AES_KEY, _AES_NONCE)
         if name == "gzip":

@@ -8,9 +8,10 @@ execution engine with launch overhead, and a fabric-addressable device
 memory window (the GPUDirect/DirectGMA BAR) so that SSDs can P2P-DMA
 into GPU memory in the software-controlled-P2P scheme.
 
-Kernel *results* are computed functionally with the same from-scratch
-algorithm implementations the NDP units use (:mod:`repro.algos`), so a
-GPU-computed MD5 and an NDP-computed MD5 agree bit-for-bit.
+Kernel *results* are computed functionally through the same digest
+table the NDP units use (:data:`repro.algos.DIGESTS`, backed by
+``hashlib`` / ``zlib``), so a GPU-computed MD5 and an NDP-computed MD5
+agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from repro.algos import crc32_digest, md5_digest, sha1_digest, sha256_digest
+from repro.algos import DIGESTS
 from repro.devices.base import PcieDevice
 from repro.errors import DeviceError
 from repro.pcie.link import LINK_GEN2_X16, LinkConfig
@@ -40,10 +41,10 @@ class KernelSpec:
 # Throughputs are single-stream effective rates on a K20m-class part:
 # hashing is latency-bound and far below peak FLOPs; CRC is table lookups.
 _KERNELS: Dict[str, KernelSpec] = {
-    "md5": KernelSpec("md5", md5_digest, gbps(20)),
-    "sha1": KernelSpec("sha1", sha1_digest, gbps(18)),
-    "sha256": KernelSpec("sha256", sha256_digest, gbps(14)),
-    "crc32": KernelSpec("crc32", crc32_digest, gbps(45)),
+    "md5": KernelSpec("md5", DIGESTS["md5"], gbps(20)),
+    "sha1": KernelSpec("sha1", DIGESTS["sha1"], gbps(18)),
+    "sha256": KernelSpec("sha256", DIGESTS["sha256"], gbps(14)),
+    "crc32": KernelSpec("crc32", DIGESTS["crc32"], gbps(45)),
 }
 
 

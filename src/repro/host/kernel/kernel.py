@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.algos import DIGESTS
 from repro.analysis.breakdown import NULL_TRACE
 from repro.devices.nvme.commands import LBA_SIZE
 from repro.errors import ConfigurationError, ProtocolError
@@ -245,16 +246,14 @@ class HostKernel:
     def cpu_checksum(self, kind: str, buf_addr: int, size: int,
                      trace=NULL_TRACE):
         """Process: checksum ``size`` bytes on a CPU core; returns digest."""
-        from repro.algos import crc32_digest, md5_digest
         with trace.span(CAT.HASH):
             yield from self.cpu.run(self.costs.cpu_hash_cost(kind, size),
                                     CAT.HASH)
         data = self.fabric.address_map.read(buf_addr, size)
-        if kind == "md5":
-            return md5_digest(data)
-        if kind == "crc32":
-            return crc32_digest(data)
-        raise ConfigurationError(f"unsupported CPU checksum {kind!r}")
+        digest = DIGESTS.get(kind)
+        if digest is None:
+            raise ConfigurationError(f"unsupported CPU checksum {kind!r}")
+        return digest(data)
 
 
 def _block_align(size: int) -> int:

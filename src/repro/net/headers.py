@@ -9,6 +9,7 @@ host kernel interoperate on actual bytes.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -29,14 +30,21 @@ TCP_FLAG_ACK = 0x10
 
 
 def checksum16(data: bytes) -> int:
-    """RFC 1071 ones-complement 16-bit checksum."""
+    """RFC 1071 ones-complement 16-bit checksum.
+
+    Read as one big-endian integer, the data is the sum of its 16-bit
+    words times powers of 2**16, and 2**16 is 1 mod 0xFFFF, so the
+    ones-complement word sum is that integer mod 0xFFFF.  Zero is the
+    one exception: an end-around-carry sum is 0 only when every word is
+    0; nonzero words summing to a multiple of 0xFFFF give 0xFFFF.
+    """
+    value = int.from_bytes(data, "big")
     if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+        value <<= 8                  # pad the odd byte with a zero
+    total = value % 0xFFFF
+    if total == 0 and value:
+        total = 0xFFFF
+    return 0xFFFF - total
 
 
 def _mac_bytes(mac: str) -> bytes:
@@ -50,6 +58,7 @@ def _mac_str(data: bytes) -> str:
     return ":".join(f"{b:02x}" for b in data)
 
 
+@functools.lru_cache(maxsize=1024)
 def _ip_bytes(ip: str) -> bytes:
     parts = ip.split(".")
     if len(parts) != 4:

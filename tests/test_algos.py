@@ -1,15 +1,19 @@
 """The from-scratch algorithms must match the standard library bit-for-bit
-(and the LZ77 container must round-trip)."""
+(and the LZ77 container must round-trip), and the simulation's digest
+table must match the from-scratch references."""
 
 import binascii
 import hashlib
+import pathlib
+import re
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algos import (aes256_ctr, crc32, crc32_digest, expand_key_256,
+from repro.algos import (DIGESTS, aes256_ctr, crc32, crc32_digest,
+                         expand_key_256,
                          lz77_compress, lz77_decompress, md5_digest,
                          md5_hexdigest, sha1_digest, sha1_hexdigest,
                          sha256_digest, sha256_hexdigest)
@@ -96,6 +100,52 @@ class TestCrc32:
     @given(data=st.binary(max_size=4000))
     def test_matches_zlib_property(self, data):
         assert crc32(data) == zlib.crc32(data)
+
+
+REFERENCE_DIGESTS = {
+    "md5": md5_digest,
+    "sha1": sha1_digest,
+    "sha256": sha256_digest,
+    "crc32": crc32_digest,
+}
+
+# Empty, one byte, both sides of the 55/56-byte padding split and the
+# 64-byte block edge, then multi-block inputs.
+BOUNDARY_LENGTHS = [0, 1, 55, 56, 63, 64, 65, 119, 120, 127, 128, 129,
+                    1000, 4096, 4096 + 7]
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+class TestDigestTable:
+    """``DIGESTS`` is what the simulation runs; the from-scratch code is
+    its oracle."""
+
+    def test_covers_every_reference(self):
+        assert set(DIGESTS) == set(REFERENCE_DIGESTS)
+
+    @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DIGESTS))
+    def test_matches_reference_at_boundaries(self, name, length):
+        data = bytes((i * 31 + 7) % 256 for i in range(length))
+        assert DIGESTS[name](data) == REFERENCE_DIGESTS[name](data)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DIGESTS))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.binary(max_size=2000))
+    def test_matches_reference_property(self, name, data):
+        assert DIGESTS[name](data) == REFERENCE_DIGESTS[name](data)
+
+    def test_crc32_keeps_big_endian_packing(self):
+        assert DIGESTS["crc32"](b"123456789") == bytes.fromhex("cbf43926")
+
+    def test_simulation_imports_no_reference_digest(self):
+        names = re.compile(r"\b(md5|sha1|sha256|crc32)_digest\b")
+        offenders = [str(path.relative_to(SRC))
+                     for package in ("devices", "core", "host")
+                     for path in sorted((SRC / package).rglob("*.py"))
+                     if names.search(path.read_text())]
+        assert offenders == []
 
 
 class TestAes256:

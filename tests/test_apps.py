@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import (HdfsConfig, SwiftConfig, WorkloadConfig,
                         run_hdfs_balancer, run_swift, requests)
-from repro.apps.workload import RequestKind, bytes_by_kind
+from repro.apps.workload import RequestKind, bytes_by_kind, pattern_bytes
 from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
 from repro.units import KIB, MIB
 
@@ -59,6 +59,16 @@ class TestWorkload:
         totals = bytes_by_kind(iter(reqs))
         assert totals[RequestKind.GET] + totals[RequestKind.PUT] == sum(
             r.size for r in reqs)
+
+
+class TestPatternBytes:
+    """Tiled payloads equal the per-byte generator they replace."""
+
+    @pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 256 * KIB])
+    @pytest.mark.parametrize("stride,offset", [(31, 0), (17, 0), (17, 5)])
+    def test_matches_per_byte_generator(self, size, stride, offset):
+        expected = bytes((i * stride + offset) % 256 for i in range(size))
+        assert pattern_bytes(size, stride, offset) == expected
 
 
 SMALL_SWIFT = SwiftConfig(

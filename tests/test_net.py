@@ -1,5 +1,7 @@
 """Tests for headers, frames, LSO segmentation, flows and the wire."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,69 @@ def make_frame(payload=b"hello", seq=1):
     return build_frame(ETH, A.ip, B.ip, tcp, payload)
 
 
+def reference_checksum16(data: bytes) -> int:
+    """RFC 1071 checksum summed word by word with end-around carry."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for (word,) in struct.iter_unpack("!H", data):
+        total += word
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+def _zero_sum_words(words):
+    """``words`` plus one word that makes their sum 0 mod 0xFFFF."""
+    words = list(words)
+    words.append(-sum(words) % 0xFFFF)
+    return struct.pack(f"!{len(words)}H", *words)
+
+
+CHECKSUM_EDGES = [
+    b"",
+    b"\x00",
+    b"\xff",
+    b"\x00" * 2,
+    b"\x00" * 7,
+    b"\x00" * 1500,
+    b"\xff" * 2,
+    b"\xff" * 3,
+    b"\xff" * 1501,
+    b"\x80\x00\x7f\xff",           # words sum to exactly 0xFFFF
+    b"\xff\xfe\x00\x01",           # likewise, through a carry-free sum
+    b"\xff\xff" * 2 + b"\x00\x00",  # 2 * 0xFFFF
+    b"\x00\x01\xff\xfe\x00",       # odd length, sum 0xFFFF
+    b"\xff\xfe\x01",               # odd byte padded to 0x0100
+    _zero_sum_words(range(1, 200, 3)),
+]
+
+
 class TestChecksum:
+    @pytest.mark.parametrize("data", CHECKSUM_EDGES,
+                             ids=range(len(CHECKSUM_EDGES)))
+    def test_matches_word_loop_on_edges(self, data):
+        assert checksum16(data) == reference_checksum16(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=3000))
+    def test_matches_word_loop_property(self, data):
+        assert checksum16(data) == reference_checksum16(data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(words=st.lists(st.integers(0, 0xFFFF), max_size=200),
+           odd_byte=st.one_of(st.none(), st.integers(0, 255)))
+    def test_matches_word_loop_on_zero_sums(self, words, odd_byte):
+        data = _zero_sum_words(words)
+        if odd_byte is not None:
+            data += bytes([odd_byte])
+        assert checksum16(data) == reference_checksum16(data)
+
+    @settings(max_examples=50, deadline=None)
+    @given(fill=st.sampled_from([0x00, 0xFF]), length=st.integers(0, 3000))
+    def test_matches_word_loop_on_uniform_runs(self, fill, length):
+        data = bytes([fill]) * length
+        assert checksum16(data) == reference_checksum16(data)
+
     def test_known_vector(self):
         # RFC 1071 example: checksum of this sequence is 0xddf2.
         data = bytes([0x00, 0x01, 0xF2, 0x03, 0xF4, 0xF5, 0xF6, 0xF7])
@@ -31,7 +95,6 @@ class TestChecksum:
     def test_checksum_of_data_plus_checksum_is_zero(self):
         data = b"some header bytes!"
         csum = checksum16(data)
-        import struct
         assert checksum16(data + struct.pack("!H", csum)) == 0
 
     def test_odd_length_padded(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Type
 
+from repro.apps.workload import pattern_bytes
 from repro.host.costs import CAT
 from repro.schemes import Testbed
 from repro.schemes.base import Scheme, TransferResult
@@ -36,7 +37,7 @@ def measure_send(scheme_cls: Type[Scheme], processing: Optional[str],
     with trace_section(f"{scheme_cls.name}/{processing or 'none'}"):
         tb = Testbed(seed=seed)
         scheme = scheme_cls(tb)
-        data = bytes((i * 7) % 256 for i in range(size))
+        data = pattern_bytes(size, 7)
         for index in range(warmups):
             _run_one(tb, scheme, data, f"warm-{index}.dat", processing)
         return _run_one(tb, scheme, data, "measure.dat", processing)
@@ -78,7 +79,7 @@ def measure_send_cpu(scheme_cls: Type[Scheme], processing: Optional[str],
     with trace_section(f"{scheme_cls.name}/cpu/{processing or 'none'}"):
         tb = Testbed(seed=seed)
         scheme = scheme_cls(tb)
-        data = bytes((i * 7) % 256 for i in range(size))
+        data = pattern_bytes(size, 7)
         _run_one(tb, scheme, data, "warm.dat", processing)
         tb.node0.host.cpu.tracker.reset_window()
         _run_one(tb, scheme, data, "measure.dat", processing)

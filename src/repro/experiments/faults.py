@@ -12,6 +12,7 @@ injection site).
 
 from __future__ import annotations
 
+from repro.apps.workload import pattern_bytes
 from repro.experiments.result import ExperimentResult
 from repro.faults import FaultPlan, FaultRule
 from repro.schemes import ALL_SCHEMES
@@ -39,7 +40,7 @@ def _run_cell(scheme_cls, rate: float) -> dict:
     plan = FaultPlan([FaultRule("flash.read", probability=rate)])
     tb = Testbed(seed=SEED, faults=plan)
     scheme = scheme_cls(tb)
-    data = bytes((i * 7) % 256 for i in range(REQUEST_SIZE))
+    data = pattern_bytes(REQUEST_SIZE, 7)
     latencies = []
     errors = 0
     ok_bytes = 0

@@ -103,11 +103,13 @@ class MemoryRegion:
         return self.base <= addr and addr + length <= self.end
 
     def _offset(self, addr: int, length: int) -> int:
-        if not self.contains(addr, length):
+        # contains(addr, length), restated on the offset.
+        off = addr - self.base
+        if off < 0 or off + length > self.size:
             raise AddressError(
                 f"access [{hex(addr)}, {hex(addr + length)}) outside region "
                 f"{self.name} [{hex(self.base)}, {hex(self.end)})")
-        return addr - self.base
+        return off
 
     def read(self, addr: int, length: int) -> bytes:
         """Functional read of ``length`` bytes at absolute address ``addr``."""
@@ -116,7 +118,7 @@ class MemoryRegion:
             return self.on_mmio_read(off, length)
         if self._sparse:
             return self._backing.read(off, length)
-        return bytes(self._backing[off:off + length])
+        return bytes(memoryview(self._backing)[off:off + length])
 
     def write(self, addr: int, data: bytes) -> None:
         """Functional write of ``data`` at absolute address ``addr``.

@@ -47,6 +47,7 @@ def checksum16(data: bytes) -> int:
     return 0xFFFF - total
 
 
+@functools.lru_cache(maxsize=1024)
 def _mac_bytes(mac: str) -> bytes:
     parts = mac.split(":")
     if len(parts) != 6:
@@ -54,6 +55,7 @@ def _mac_bytes(mac: str) -> bytes:
     return bytes(int(p, 16) for p in parts)
 
 
+@functools.lru_cache(maxsize=1024)
 def _mac_str(data: bytes) -> str:
     return ":".join(f"{b:02x}" for b in data)
 
@@ -66,6 +68,7 @@ def _ip_bytes(ip: str) -> bytes:
     return bytes(int(p) for p in parts)
 
 
+@functools.lru_cache(maxsize=1024)
 def _ip_str(data: bytes) -> str:
     return ".".join(str(b) for b in data)
 
@@ -86,8 +89,10 @@ class EthernetHeader:
     def unpack(cls, data: bytes) -> "EthernetHeader":
         if len(data) < ETH_HLEN:
             raise ProtocolError(f"ethernet header truncated: {len(data)} bytes")
-        (ethertype,) = struct.unpack("!H", data[12:14])
-        return cls(dst_mac=_mac_str(data[0:6]), src_mac=_mac_str(data[6:12]),
+        # "6s" yields hashable bytes for the cached _mac_str, whatever
+        # buffer type ``data`` is.
+        dst, src, ethertype = struct.unpack("!6s6sH", data[:ETH_HLEN])
+        return cls(dst_mac=_mac_str(dst), src_mac=_mac_str(src),
                    ethertype=ethertype)
 
 

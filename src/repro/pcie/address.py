@@ -43,10 +43,13 @@ class AddressMap:
         """
         index = bisect_right(self._bases, addr) - 1
         if index >= 0:
+            # bisect_right already guarantees region.base <= addr, so
+            # only the end needs checking.
             region = self._regions[index]
-            if region.contains(addr, length):
+            end = region.base + region.size
+            if addr + length <= end:
                 return region
-            if region.contains(addr):
+            if addr < end:
                 raise AddressError(
                     f"access [{hex(addr)}, {hex(addr + length)}) straddles the "
                     f"end of region {region.name}")

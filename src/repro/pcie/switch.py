@@ -188,27 +188,34 @@ class Fabric:
         if m_src is not None:
             m_src.inc(size)
             m_dst.inc(size)
-        src_dur = src_link.serialization(size)
-        dst_dur = dst_link.serialization(size)
-        first, second = (src_link.tx, src_dur), (dst_link.rx, dst_dur)
-        if (dst_link.name or "", "rx") < (src_link.name or "", "tx"):
-            first, second = second, first
-        req_a = first[0].request()
-        yield req_a
-        req_b = second[0].request()
-        yield req_b
+        tx = (src_link.tx, src_link.serialization(size), m_src)
+        rx = (dst_link.rx, dst_link.serialization(size), m_dst)
+        # (name, "rx") sorts before (name, "tx"): on equal names rx first.
+        if (dst_link.name or "") <= (src_link.name or ""):
+            first, second = rx, tx
+        else:
+            first, second = tx, rx
+        req_first = first[0].request()
+        yield req_first
+        req_second = second[0].request()
+        yield req_second
         # Release each direction after its own serialization time; the
-        # transfer as a whole completes with the slower one.
-        short, long = sorted((first, second), key=lambda pair: pair[1])
-        held = {first[0]: req_a, second[0]: req_b}
+        # transfer as a whole completes with the slower one.  On equal
+        # durations the first-acquired direction is the short hold.
+        if second[1] < first[1]:
+            short, short_req = second, req_second
+            long, long_req = first, req_first
+        else:
+            short, short_req = first, req_first
+            long, long_req = second, req_second
         yield self.sim.timeout(short[1])
-        short[0].release(held[short[0]])
+        short[0].release(short_req)
         if m_src is not None:
-            (m_src if short[0] is src_link.tx else m_dst).dec(size)
+            short[2].dec(size)
         yield self.sim.timeout(long[1] - short[1])
-        long[0].release(held[long[0]])
+        long[0].release(long_req)
         if m_src is not None:
-            (m_src if long[0] is src_link.tx else m_dst).dec(size)
+            long[2].dec(size)
         if span is not None:
             span.end()
 

@@ -10,10 +10,14 @@ An :class:`Event` is a one-shot occurrence that processes can wait on by
   processes.
 
 Composites :class:`AllOf` / :class:`AnyOf` wait on several events at once.
+
+Every event class declares ``__slots__``: one event is created per
+scheduled occurrence, so an instance ``__dict__`` would be pure overhead.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -32,6 +36,8 @@ class Event:
     scheduled on the simulator's queue; its callbacks run when the kernel
     reaches it.
     """
+
+    __slots__ = ("sim", "eid", "callbacks", "_value", "_exception")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -75,10 +81,11 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError("event already triggered")
         self._value = value
-        self.sim._enqueue(0, self)
+        sim = self.sim
+        heappush(sim._heap, (sim.now, sim._next_sequence(), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -109,22 +116,29 @@ class Event:
 class Timeout(Event):
     """An event that triggers automatically after a fixed delay."""
 
+    __slots__ = ("delay", "_scheduled_value")
+
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim)
         self.delay = delay
         self._scheduled_value = value
-        sim._enqueue(delay, self)
+        heappush(sim._heap, (sim.now + delay, sim._next_sequence(), self))
 
     def _run_callbacks(self) -> None:
         # A timeout only counts as triggered once it actually fires.
         self._value = self._scheduled_value
-        super()._run_callbacks()
+        callbacks, self.callbacks = self.callbacks, None
+        assert callbacks is not None
+        for callback in callbacks:
+            callback(self)
 
 
 class _Condition(Event):
     """Shared machinery for :class:`AllOf` and :class:`AnyOf`."""
+
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
@@ -162,6 +176,8 @@ class AllOf(_Condition):
     Its value is a dict mapping each component event to its value.
     """
 
+    __slots__ = ()
+
     def _check(self) -> bool:
         return all(e.triggered and e.ok for e in self.events)
 
@@ -172,6 +188,8 @@ class AnyOf(_Condition):
     Its value is a dict of the component events that had already
     succeeded at trigger time.
     """
+
+    __slots__ = ()
 
     def _check(self) -> bool:
         if not self.events:

@@ -10,11 +10,18 @@ processes can wait on each other).
 Determinism: events scheduled for the same tick are processed in exact
 scheduling order (a monotonically increasing sequence number breaks heap
 ties), so identical inputs always produce identical traces.
+
+Hot path: :meth:`Event.succeed` and :class:`Timeout` push onto the heap
+themselves rather than through :meth:`Simulator._enqueue`, and both
+counters (schedule sequence, event ids) are bound
+``itertools.count().__next__`` callables.  :meth:`Simulator.run` calls
+:meth:`Simulator.step` exactly once per event.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -31,6 +38,8 @@ class Process(Event):
     or fails with any exception the generator let escape.
     """
 
+    __slots__ = ("_generator", "_span")
+
     def __init__(self, sim: "Simulator", generator: Generator[Event, Any, Any]):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(
@@ -38,7 +47,6 @@ class Process(Event):
                 "did you forget to call the generator function?")
         super().__init__(sim)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         tracer = sim.tracer
         if tracer is None:
             self._span = None
@@ -63,7 +71,6 @@ class Process(Event):
             span.end(failed=True) if failed else span.end()
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         try:
             if event._exception is not None:
                 target = self._generator.throw(event._exception)
@@ -94,8 +101,7 @@ class Process(Event):
             self._finish_span(failed=True)
             self.fail(SimulationError("yielded an event from another simulator"))
             return
-        self._waiting_on = target
-        if target.processed:
+        if target.callbacks is None:
             # Already concluded: resume on a fresh tick to preserve ordering.
             relay = Event(self.sim)
             relay.callbacks.append(self._resume)
@@ -118,8 +124,10 @@ class Simulator:
     def __init__(self):
         self.now: int = 0
         self._heap: list[tuple[int, int, Event]] = []
-        self._sequence: int = 0
-        self._event_count: int = 0
+        # Heap tie-break for same-tick events (0, 1, 2, ...) and the
+        # creation ordinal behind Event.eid (1, 2, 3, ...).
+        self._next_sequence = count().__next__
+        self._next_event_id = count(1).__next__
         self._active: bool = False
         # None unless a repro.trace.TraceSession is installed — every
         # instrumentation site guards on this, so tracing costs one
@@ -136,11 +144,6 @@ class Simulator:
         self.metrics = metrics_for_new_sim(self)
 
     # -- event construction ---------------------------------------------
-
-    def _next_event_id(self) -> int:
-        """Creation ordinal for the next event (run-stable identity)."""
-        self._event_count += 1
-        return self._event_count
 
     def event(self) -> Event:
         """Create a pending event that some model will trigger later."""
@@ -167,8 +170,7 @@ class Simulator:
     def _enqueue(self, delay: int, event: Event) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
-        heapq.heappush(self._heap, (self.now + delay, self._sequence, event))
-        self._sequence += 1
+        heappush(self._heap, (self.now + delay, self._next_sequence(), event))
 
     def peek(self) -> Optional[int]:
         """Time of the next queued event, or None if the queue is empty."""
@@ -178,7 +180,7 @@ class Simulator:
         """Process exactly one event (advancing time to it)."""
         if not self._heap:
             raise SimulationError("step() on an empty event queue")
-        when, _seq, event = heapq.heappop(self._heap)
+        when, _seq, event = heappop(self._heap)
         if when < self.now:
             raise SimulationError("event queue corrupted: time went backwards")
         self.now = when
@@ -200,25 +202,27 @@ class Simulator:
         if self._active:
             raise SimulationError("run() is not reentrant")
         self._active = True
+        heap = self._heap
+        step = self.step
         try:
             if until is None:
-                while self._heap:
-                    self.step()
+                while heap:
+                    step()
                 return None
             if isinstance(until, Event):
-                while not until.processed:
-                    if not self._heap:
+                while until.callbacks is not None:
+                    if not heap:
                         raise SimulationError(
                             "simulation deadlocked: queue drained before the "
                             "awaited event triggered")
-                    self.step()
+                    step()
                 return until.value
             if isinstance(until, int):
                 if until < self.now:
                     raise SimulationError(
                         f"cannot run until {until}: already at {self.now}")
-                while self._heap and self._heap[0][0] <= until:
-                    self.step()
+                while heap and heap[0][0] <= until:
+                    step()
                 self.now = until
                 return None
             raise SimulationError(f"bad 'until' argument: {until!r}")

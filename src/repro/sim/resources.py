@@ -27,6 +27,8 @@ class Request(Event):
     yield req`` releases on exit even if the process body raises.
     """
 
+    __slots__ = ("resource",)
+
     def __init__(self, resource: "Resource"):
         super().__init__(resource.sim)
         self.resource = resource

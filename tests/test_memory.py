@@ -67,6 +67,33 @@ class TestMemoryRegion:
         assert region.contains(100, 50)
         assert not region.contains(100, 51)
 
+    def test_access_bounds_at_both_edges(self):
+        region = MemoryRegion("r", base=100, size=50, port="p")
+        region.write(140, bytes(range(10)))     # ends exactly at the end
+        assert region.read(100, 50)[40:] == bytes(range(10))
+        assert region.read(150, 0) == b""        # zero-length at the end
+        region.write(150, b"")
+        for addr, length in ((141, 10), (150, 1), (99, 1), (99, 0)):
+            with pytest.raises(AddressError, match="outside region r"):
+                region.read(addr, length)
+            with pytest.raises(AddressError, match="outside region r"):
+                region.write(addr, bytes(length))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_read_returns_an_independent_bytes_copy(self, sparse):
+        region = MemoryRegion("r", base=0x1000, size=16 * KIB, port="p",
+                              sparse=sparse)
+        region.write(0x1ffe, b"abcd")           # crosses a 4 KiB page
+        got = region.read(0x1ffe, 4)
+        assert type(got) is bytes
+        region.write(0x1ffe, b"WXYZ")
+        assert got == b"abcd"
+        assert region.read(0x1ffe, 4) == b"WXYZ"
+        # Writes larger and smaller than the earlier read keep working:
+        # no buffer export lingers on the backing store.
+        region.write(0x1000, bytes(16 * KIB))
+        assert region.read(0x1ffe, 4) == bytes(4)
+
     def test_mmio_write_hook_replaces_storage(self):
         region = MemoryRegion("regs", base=0, size=4096, port="dev")
         seen = []

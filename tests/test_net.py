@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, SimulationError
+from repro.net import headers
 from repro.net import (Frame, FlowTable, HEADER_LEN, MTU, TCP_MSS,
                        EthernetHeader, Ipv4Header, TcpEndpoint, TcpFlow,
                        TcpHeader, Wire, build_frame, checksum16, parse_frame,
@@ -141,6 +142,72 @@ class TestHeaders:
     def test_bad_mac_rejected(self):
         with pytest.raises(ProtocolError):
             EthernetHeader(dst_mac="nonsense", src_mac="02:00:00:00:00:01").pack()
+
+
+
+MACS = st.binary(min_size=6, max_size=6).map(
+    lambda raw: ":".join(f"{b:02x}" for b in raw))
+IPS = st.binary(min_size=4, max_size=4).map(
+    lambda raw: ".".join(str(b) for b in raw))
+
+
+def roundtrip_addresses(dst_mac, src_mac, src_ip, dst_ip, payload=b"x"):
+    eth = EthernetHeader(dst_mac=dst_mac, src_mac=src_mac)
+    tcp = TcpHeader(src_port=1, dst_port=2, seq=3)
+    frame = parse_frame(build_frame(eth, src_ip, dst_ip, tcp, payload))
+    assert frame.eth == eth
+    assert (frame.ip.src_ip, frame.ip.dst_ip) == (src_ip, dst_ip)
+    assert frame.payload == payload
+
+
+class TestHeaderCaches:
+    """The MAC/IP text<->bytes helpers are memoized (1024 entries each);
+    results must not depend on what is or was cached."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(MACS, MACS, IPS, IPS),
+                          min_size=20, max_size=60))
+    def test_roundtrip_across_many_addresses(self, pairs):
+        # 60 examples x 20+ pairs x 2 of each: well past 1024 entries.
+        for dst_mac, src_mac, src_ip, dst_ip in pairs:
+            roundtrip_addresses(dst_mac, src_mac, src_ip, dst_ip)
+
+    def test_roundtrip_survives_eviction(self):
+        def addresses(i):
+            return (f"02:00:00:00:{i >> 8:02x}:{i & 0xFF:02x}",
+                    f"06:00:00:00:{i >> 8:02x}:{i & 0xFF:02x}",
+                    f"10.1.{i >> 8}.{i & 0xFF}", f"10.2.{i >> 8}.{i & 0xFF}")
+
+        distinct = 3 * 1024
+        for i in range(distinct):
+            roundtrip_addresses(*addresses(i))
+        for helper in (headers._mac_bytes, headers._mac_str,
+                       headers._ip_bytes, headers._ip_str):
+            assert helper.cache_info().currsize == 1024, helper.__name__
+        for i in (0, 1, distinct // 2, distinct - 1):  # evicted, then live
+            roundtrip_addresses(*addresses(i))
+
+    def test_parse_accepts_any_buffer_type(self):
+        raw = make_frame(b"buffer")
+        for data in (raw, bytearray(raw), memoryview(raw)):
+            frame = parse_frame(data)
+            assert frame.eth == ETH
+            assert bytes(frame.payload) == b"buffer"
+
+    @pytest.mark.parametrize("mac", ["nonsense", "02:00:00:00:00",
+                                     "02:00:00:00:00:01:02", ""])
+    def test_malformed_mac_raises_every_time(self, mac):
+        for _ in range(3):
+            with pytest.raises(ProtocolError, match="bad MAC"):
+                EthernetHeader(dst_mac=mac, src_mac=A.mac).pack()
+
+    @pytest.mark.parametrize("ip", ["10.0.0", "10.0.0.1.2", "nonsense", ""])
+    def test_malformed_ip_raises_every_time(self, ip):
+        for _ in range(3):
+            with pytest.raises(ProtocolError, match="bad IPv4"):
+                Ipv4Header(src_ip=ip, dst_ip=B.ip, total_length=40).pack()
+            with pytest.raises(ProtocolError, match="bad IPv4"):
+                build_frame(ETH, A.ip, ip, TcpHeader(1, 2, 3), b"")
 
 
 class TestFrames:

@@ -8,7 +8,7 @@ from repro.pcie import (AddressMap, Fabric, LINK_GEN2_X4, LINK_GEN2_X8,
                         tlp_efficiency)
 from repro.pcie.transaction import DOORBELL_WRITE_NS
 from repro.sim import Simulator
-from repro.units import KIB, MIB
+from repro.units import KIB, MIB, usec
 
 
 @pytest.fixture
@@ -61,6 +61,40 @@ class TestAddressMap:
         amap.add(MemoryRegion("b", base=100, size=100, port="q"))
         with pytest.raises(AddressError):
             amap.resolve(90, 20)
+
+    @pytest.fixture
+    def edges(self):
+        amap = AddressMap()
+        amap.add(MemoryRegion("a", base=100, size=100, port="p"))
+        amap.add(MemoryRegion("b", base=300, size=100, port="q"))
+        return amap
+
+    def test_access_ending_at_region_end_resolves(self, edges):
+        assert edges.resolve(190, 10).name == "a"
+        assert edges.resolve(100, 100).name == "a"
+        assert edges.resolve(399, 1).name == "b"
+
+    def test_one_byte_past_end_straddles(self, edges):
+        with pytest.raises(AddressError, match="straddles the end of region a"):
+            edges.resolve(190, 11)
+        with pytest.raises(AddressError, match="straddles the end of region b"):
+            edges.resolve(300, 101)
+
+    def test_below_lowest_base_is_unmapped(self, edges):
+        for addr in (0, 99):
+            with pytest.raises(AddressError, match="unmapped"):
+                edges.resolve(addr)
+        with pytest.raises(AddressError, match="unmapped"):
+            edges.resolve(99, 2)  # would end inside "a", starts outside
+
+    def test_gap_and_past_last_region_are_unmapped(self, edges):
+        for addr in (200, 299, 400):
+            with pytest.raises(AddressError, match="unmapped"):
+                edges.resolve(addr)
+
+    def test_zero_length_access_at_end_accepted(self, edges):
+        assert edges.resolve(200, 0).name == "a"
+        assert edges.resolve(400, 0).name == "b"
 
     def test_find_by_name(self):
         amap = AddressMap()
@@ -216,6 +250,25 @@ class TestFabric:
         engine_rx_time = 2 * LINK_GEN2_X8.effective_rate().duration(
             256 * KIB)
         assert max(finish.values()) >= engine_rx_time
+
+    def test_equal_holds_release_first_acquired_direction_first(
+            self, sim, fabric):
+        """nic -> host on two x8 links holds host RX (acquired first:
+        "host" sorts before "nic") and nic TX for equal times; the tie
+        releases host RX first, so its waiter goes first."""
+        done = []
+
+        def transfer(initiator, addr, delay, tag):
+            yield sim.timeout(delay)
+            yield from fabric.dma_write(initiator, addr, bytes(64 * KIB))
+            done.append((sim.now, tag))
+
+        sim.process(transfer("nic", 0x0000_1000, 0, "holder"))
+        sim.process(transfer("engine", 0x0002_0000, usec(5), "host-rx"))
+        sim.process(transfer("nic", 0x4000_0000, usec(5), "nic-tx"))
+        sim.run()
+        assert [tag for _, tag in done] == ["holder", "host-rx", "nic-tx"]
+        assert done[1][0] == done[2][0]
 
     def test_unmapped_dma_fails_process(self, sim, fabric):
         def body(sim, fabric):

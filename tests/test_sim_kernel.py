@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import AllOf, AnyOf, Event, Process, Simulator, Timeout
+from repro.sim.resources import Request, Resource
 from repro.units import usec
 
 
@@ -307,6 +308,211 @@ class TestRun:
             return trace
 
         assert trace_run() == trace_run()
+
+
+def mixed_same_tick_scenario():
+    """Same-tick succeed(), timeout(0), process bootstrap, relays for
+    already-processed events (succeeded and failed) and AllOf/AnyOf,
+    logged in callback order."""
+    sim = Simulator()
+    log = []
+
+    def note(tag):
+        return lambda ev: log.append((sim.now, tag, ev.eid))
+
+    signal = sim.event()
+    signal.callbacks.append(note("signal"))
+    early = sim.event()
+    early.succeed("early")
+    broken = sim.event()
+    broken.fail(RuntimeError("broken"))
+    tick0 = sim.timeout(0)
+    tick0.callbacks.append(note("tick0"))
+
+    def waiter(name):
+        log.append((sim.now, f"{name}:start", None))
+        got = yield sim.timeout(0, value=name)
+        log.append((sim.now, f"{name}:t0={got}", None))
+        got = yield signal
+        log.append((sim.now, f"{name}:signal={got}", None))
+        got = yield early  # already processed: resumes through a relay
+        log.append((sim.now, f"{name}:early={got}", None))
+        try:
+            yield broken  # already processed and failed: a failing relay
+        except RuntimeError as exc:
+            log.append((sim.now, f"{name}:broken={exc}", None))
+        both = yield sim.all_of([sim.timeout(0, "x"), sim.timeout(3, "y")])
+        log.append((sim.now, f"{name}:all={sorted(both.values())}", None))
+        first = yield sim.any_of([sim.timeout(2, "slow"),
+                                  sim.timeout(0, "now")])
+        log.append((sim.now, f"{name}:any={sorted(first.values())}", None))
+        return name
+
+    def trigger():
+        log.append((sim.now, "trigger:start", None))
+        yield sim.timeout(0)
+        signal.succeed("go")
+        log.append((sim.now, "trigger:fired", None))
+        yield sim.timeout(0)
+        log.append((sim.now, "trigger:after", None))
+
+    procs = [sim.process(waiter("a")), sim.process(trigger()),
+             sim.process(waiter("b"))]
+    for proc in procs:
+        proc.callbacks.append(note("done"))
+    sim.run()
+    return log, [proc.eid for proc in procs], sim.event().eid
+
+
+class TestKernelOrder:
+    """Golden same-tick order and eid numbering.
+
+    Traces, metrics CSVs and benchmark fingerprints all rest on these:
+    a change here is a behaviour change, never a refactor.
+    """
+
+    def test_mixed_same_tick_callback_order(self):
+        log, proc_eids, next_eid = mixed_same_tick_scenario()
+        assert log == [
+            (0, "tick0", 4),
+            (0, "a:start", None),
+            (0, "trigger:start", None),
+            (0, "b:start", None),
+            (0, "a:t0=a", None),
+            (0, "trigger:fired", None),
+            (0, "b:t0=b", None),
+            (0, "signal", 1),
+            (0, "a:signal=go", None),
+            (0, "b:signal=go", None),
+            (0, "trigger:after", None),
+            (0, "a:early=early", None),
+            (0, "b:early=early", None),
+            (0, "done", 7),
+            (0, "a:broken=broken", None),
+            (0, "b:broken=broken", None),
+            (3, "a:all=['x', 'y']", None),
+            (3, "b:all=['x', 'y']", None),
+            (3, "a:any=['now']", None),
+            (3, "b:any=['now']", None),
+            (3, "done", 5),
+            (3, "done", 9),
+        ]
+        assert proc_eids == [5, 7, 9]
+        assert next_eid == 31
+
+    def test_eids_strictly_increase_in_creation_order(self, sim):
+        def body():
+            yield sim.timeout(1)
+
+        resource = Resource(sim)
+        events = [sim.event(), sim.timeout(3), sim.process(body()),
+                  sim.all_of([]), sim.any_of([]), resource.request(),
+                  sim.event()]
+        # A process draws one extra id for its bootstrap event.
+        assert [event.eid for event in events] == [1, 2, 3, 5, 6, 7, 8]
+
+
+class TestSlots:
+    @staticmethod
+    def make(kind, sim):
+        def body():
+            yield sim.timeout(1)
+
+        return {
+            Event: lambda: sim.event(),
+            Timeout: lambda: sim.timeout(1),
+            Process: lambda: sim.process(body()),
+            AllOf: lambda: sim.all_of([]),
+            AnyOf: lambda: sim.any_of([]),
+            Request: lambda: Resource(sim).request(),
+        }[kind]()
+
+    @pytest.mark.parametrize(
+        "kind", [Event, Timeout, Process, AllOf, AnyOf, Request],
+        ids=lambda kind: kind.__name__)
+    def test_event_classes_have_no_instance_dict(self, sim, kind):
+        event = self.make(kind, sim)
+        assert type(event) is kind
+        assert not hasattr(event, "__dict__")
+        for klass in kind.__mro__[:-1]:
+            assert "__slots__" in vars(klass), klass.__name__
+        with pytest.raises(AttributeError):
+            event.stray_attribute = 1
+
+
+class TestKernelChecks:
+    """Every guard the kernel's hot path keeps."""
+
+    def test_negative_timeout_delay(self, sim):
+        with pytest.raises(SimulationError, match="negative"):
+            sim.timeout(-5)
+
+    def test_scheduling_into_the_past(self, sim):
+        with pytest.raises(SimulationError, match="past"):
+            sim._enqueue(-1, sim.event())  # simlint: disable=SIM002
+
+    def test_time_going_backwards(self, sim):
+        sim.timeout(5)
+        sim.now = 10  # as if the queue had been corrupted
+        with pytest.raises(SimulationError, match="backwards"):
+            sim.step()
+
+    @pytest.mark.parametrize("first, second", [
+        ("succeed", "succeed"), ("succeed", "fail"),
+        ("fail", "succeed"), ("fail", "fail")])
+    def test_double_trigger(self, sim, first, second):
+        def trigger(event, how):
+            if how == "succeed":
+                event.succeed(1)
+            else:
+                event.fail(RuntimeError("x"))
+
+        event = sim.event()
+        trigger(event, first)
+        with pytest.raises(SimulationError, match="already triggered"):
+            trigger(event, second)
+        sim.run()
+        with pytest.raises(SimulationError, match="already triggered"):
+            trigger(event, second)
+
+    def test_fail_needs_an_exception(self, sim):
+        with pytest.raises(TypeError):
+            sim.event().fail("not an exception")
+
+    def test_uncaught_non_event_yield_fails_the_process(self, sim):
+        def body():
+            yield 42
+
+        proc = sim.process(body())
+        sim.run()
+        assert not proc.ok
+        with pytest.raises(SimulationError, match="only yield Events"):
+            _ = proc.value
+
+    def test_cross_simulator_yield_fails_the_process(self, sim):
+        other = Simulator()
+
+        def body():
+            yield other.timeout(1)
+
+        proc = sim.process(body())
+        sim.run()
+        with pytest.raises(SimulationError, match="another simulator"):
+            _ = proc.value
+
+    def test_cross_simulator_condition(self, sim):
+        with pytest.raises(SimulationError, match="different simulators"):
+            sim.all_of([sim.timeout(1), Simulator().timeout(1)])
+
+    def test_run_is_not_reentrant(self, sim):
+        def body():
+            yield sim.timeout(1)
+            sim.run()
+
+        proc = sim.process(body())
+        sim.run()
+        with pytest.raises(SimulationError, match="reentrant"):
+            _ = proc.value
 
 
 def iter_timeout(sim, delay):

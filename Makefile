@@ -23,13 +23,22 @@ trace-demo:      ## traced headline run -> trace.json (ui.perfetto.dev)
 	$(PYTHON) -m repro.experiments --trace trace.json headline
 	@echo "wrote trace.json - load it in https://ui.perfetto.dev"
 
-metrics-smoke:   ## metered headline: CSV non-empty + same-seed identical
+metrics-smoke:   ## metered headline CSVs identical; metered faults = unmetered
 	$(PYTHON) -m repro.experiments --metrics metrics-a.csv headline
 	$(PYTHON) -m repro.experiments --metrics metrics-b.csv headline
 	@test -s metrics-a.csv || (echo "metrics CSV is empty" && exit 1)
 	@cmp metrics-a.csv metrics-b.csv \
 	    || (echo "metrics CSV differs across same-seed runs" && exit 1)
 	@echo "metrics-smoke OK: $$(wc -l < metrics-a.csv) rows, byte-identical"
+	$(PYTHON) -m repro.experiments faults > faults-plain.txt
+	$(PYTHON) -m repro.experiments --metrics metrics-faults.csv faults \
+	    > faults-metered.txt
+	@for run in faults-plain faults-metered; do \
+	    sed -e '/regenerated in/d' -e '/^\[metrics:/,$$d' $$run.txt \
+	        > $$run.tables; done
+	@diff faults-plain.tables faults-metered.tables \
+	    || (echo "metering changed the faults tables" && exit 1)
+	@echo "metrics-smoke OK: metered faults tables identical to unmetered"
 
 docs-check:      ## catalogs <-> docs/{tracing,metrics,lint}.md lock-step check
 	$(PYTHON) -m pytest -q tests/test_trace_docs.py tests/test_metrics_docs.py \
@@ -42,5 +51,7 @@ perfbench-test:  ## the host-time benchmark's own unit tests (perfbench/)
 	$(PYTHON) -m unittest discover -s perfbench
 
 clean:
-	rm -rf .pytest_cache .hypothesis trace.json metrics-a.csv metrics-b.csv
+	rm -rf .pytest_cache .hypothesis trace.json metrics-a.csv metrics-b.csv \
+	    metrics-faults.csv faults-plain.txt faults-metered.txt \
+	    faults-plain.tables faults-metered.tables
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

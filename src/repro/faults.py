@@ -34,7 +34,7 @@ site                 effect when it fires
 ``nvme.cqe_drop``    the SSD executes the command but never posts the CQE
                      (and never raises its MSI)
 ``nic.wire_drop``    an egress frame is lost on the wire
-``pcie.timeout``     a TLP completion timeout on one link traversal
+``pcie.timeout``     a TLP completion timeout on one DMA traversal
 ===================  =====================================================
 """
 

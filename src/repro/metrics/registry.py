@@ -351,13 +351,19 @@ class MetricSet:
     # -- sampling ---------------------------------------------------------
 
     def advance(self, now: int) -> None:
-        """Record samples for every interval boundary crossed by ``now``.
+        """Sample at the first interval boundary crossed by ``now``.
 
-        Called from ``Simulator.step()``; schedules nothing.
+        Called from ``Simulator.step()``; schedules nothing.  One step
+        records one sample however many boundaries it crosses: model
+        state and ``sim.now`` are fixed for the whole crossing, so every
+        later boundary would read the same values and change
+        compression would drop them all.  Metering cost thus follows
+        state changes, not idle simulated time.
         """
-        while self._next_sample <= now:
-            tick = self._next_sample
-            self._next_sample += self.interval_ns
+        tick = self._next_sample
+        if tick <= now:
+            interval = self.interval_ns
+            self._next_sample = tick + ((now - tick) // interval + 1) * interval
             self._record(tick, force=False)
 
     def _record(self, tick: int, force: bool) -> None:

@@ -51,16 +51,13 @@ class Wire:
         the frame *plus* preamble/FCS/IFG overhead, which is exactly
         what caps effective TCP goodput below line rate.
         """
-        peer = self._peer(sender)
+        ingress = self._ingress[self._peer(sender)]
         with self._tx[sender].request() as req:
             yield req
             yield self.sim.timeout(self.rate.duration(wire_bytes(len(frame))))
         # Propagation pipelines with the next frame's serialization, so
-        # delivery runs as its own process.  Order is preserved: delivery
-        # processes are spawned in serialization order and wait the same
-        # propagation delay onto a FIFO store.
-        self.sim.process(self._deliver(peer, frame))
-
-    def _deliver(self, peer: str, frame: bytes):
-        yield self.sim.timeout(self.propagation)
-        yield self._ingress[peer].put(frame)
+        # delivery is a timeout callback rather than part of this
+        # process.  Order is preserved: the timeouts are created in
+        # serialization order with the same delay onto a FIFO store.
+        self.sim.timeout(self.propagation).callbacks.append(
+            lambda _timeout: ingress.put(frame))

@@ -12,15 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import DeviceTimeout
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
-from repro.units import Rate, usec
+from repro.units import Rate
 from repro.pcie.transaction import tlp_efficiency
-
-# Time a requester burns before declaring an injected completion
-# timeout (the spec allows 50 µs - 50 ms; we model the floor).
-COMPLETION_TIMEOUT_NS = usec(50)
 
 
 @dataclass(frozen=True)
@@ -73,41 +68,3 @@ class PcieLink:
     def serialization(self, size: int) -> int:
         """Time (ns) to clock ``size`` payload bytes through one direction."""
         return self.rate.duration(size)
-
-    def occupy_tx(self, size: int):
-        """Process: hold the TX direction for ``size`` bytes' worth of time."""
-        return self._occupy(self.tx, size, "tx")
-
-    def occupy_rx(self, size: int):
-        """Process: hold the RX direction for ``size`` bytes' worth of time."""
-        return self._occupy(self.rx, size, "rx")
-
-    def _occupy(self, direction: Resource, size: int, label: str):
-        tracer = self.sim.tracer
-        span = None if tracer is None else tracer.begin(
-            "tlp.send", track=f"link:{self.name}", name=f"{label} {size}B",
-            link=self.name, direction=label, size=size)
-        meter = self._m_tx if direction is self.tx else self._m_rx
-        if meter is not None:
-            meter.inc(size)
-        try:
-            faults = self.sim.faults
-            if faults is not None and faults.fires(
-                    "pcie.timeout", link=self.name, direction=label,
-                    size=size):
-                # The TLP never completes: the requester waits out its
-                # completion timer and reports an error.
-                yield self.sim.timeout(COMPLETION_TIMEOUT_NS)
-                if span is not None:
-                    span.end(failed=True)
-                raise DeviceTimeout(
-                    f"link {self.name} {label}: TLP completion timeout "
-                    f"({size} B)")
-            with direction.request() as req:
-                yield req
-                yield self.sim.timeout(self.serialization(size))
-            if span is not None:
-                span.end()
-        finally:
-            if meter is not None:
-                meter.dec(size)

@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.errors import SimulationError
+from repro.errors import DeviceTimeout, SimulationError
 from repro.memory.region import MemoryRegion
 from repro.pcie.address import AddressMap
 from repro.pcie.link import LinkConfig, PcieLink
-from repro.pcie.transaction import (DOORBELL_WRITE_NS, HOP_FORWARD_NS,
-                                    MSI_LATENCY_NS, READ_REQUEST_NS)
+from repro.pcie.transaction import (COMPLETION_TIMEOUT_NS, DOORBELL_WRITE_NS,
+                                    HOP_FORWARD_NS, MSI_LATENCY_NS,
+                                    READ_REQUEST_NS)
 from repro.sim.kernel import Simulator
 
 
@@ -132,7 +133,12 @@ class Fabric:
             name=f"dma.write -> {region.port}", initiator=initiator,
             target=region.port, addr=addr, size=len(data))
         yield self.sim.timeout(2 * HOP_FORWARD_NS + region.access_latency)
-        yield from self._occupy_path(src.link, dst.link, len(data))
+        try:
+            yield from self._occupy_path(src.link, dst.link, len(data))
+        except DeviceTimeout:
+            if span is not None:
+                span.end(failed=True)
+            raise
         region.write(addr, data)
         self._account(src, dst, len(data))
         if span is not None:
@@ -157,7 +163,12 @@ class Fabric:
             target=region.port, addr=addr, size=length)
         yield self.sim.timeout(READ_REQUEST_NS + 2 * HOP_FORWARD_NS
                                + region.access_latency)
-        yield from self._occupy_path(src.link, dst.link, length)
+        try:
+            yield from self._occupy_path(src.link, dst.link, length)
+        except DeviceTimeout:
+            if span is not None:
+                span.end(failed=True)
+            raise
         data = region.read(addr, length)
         self._account(src, dst, length)
         if span is not None:
@@ -178,12 +189,29 @@ class Fabric:
         can never hold-and-wait in a cycle (no deadlock).  The order
         must not depend on object identity: ``id()`` varies between
         runs in one process and would break trace determinism.
+
+        The ``pcie.timeout`` fault site is evaluated once per traversal,
+        before either direction is acquired.
         """
-        tracer = self.sim.tracer
+        sim = self.sim
+        tracer = sim.tracer
         span = None if tracer is None else tracer.begin(
             "tlp.send", track=f"link:{src_link.name}",
             name=f"{src_link.name}->{dst_link.name} {size}B",
             src=src_link.name, dst=dst_link.name, size=size)
+        faults = sim.faults
+        if faults is not None and faults.fires(
+                "pcie.timeout", src=src_link.name, dst=dst_link.name,
+                size=size):
+            # The TLPs never complete: the requester waits out its
+            # completion timer and reports an error.  Neither direction
+            # is held and no bytes land.
+            yield sim.timeout(COMPLETION_TIMEOUT_NS)
+            if span is not None:
+                span.end(failed=True)
+            raise DeviceTimeout(
+                f"{src_link.name}->{dst_link.name}: TLP completion "
+                f"timeout ({size} B)")
         m_src, m_dst = src_link._m_tx, dst_link._m_rx
         if m_src is not None:
             m_src.inc(size)
@@ -201,18 +229,20 @@ class Fabric:
         yield req_second
         # Release each direction after its own serialization time; the
         # transfer as a whole completes with the slower one.  On equal
-        # durations the first-acquired direction is the short hold.
+        # durations (symmetric links) the first-acquired direction is
+        # released first and the second follows in the same step.
         if second[1] < first[1]:
             short, short_req = second, req_second
             long, long_req = first, req_first
         else:
             short, short_req = first, req_first
             long, long_req = second, req_second
-        yield self.sim.timeout(short[1])
+        yield sim.timeout(short[1])
         short[0].release(short_req)
         if m_src is not None:
             short[2].dec(size)
-        yield self.sim.timeout(long[1] - short[1])
+        if long[1] != short[1]:
+            yield sim.timeout(long[1] - short[1])
         long[0].release(long_req)
         if m_src is not None:
             long[2].dec(size)

@@ -11,7 +11,7 @@ switched fabrics.
 
 from __future__ import annotations
 
-from repro.units import nsec
+from repro.units import nsec, usec
 
 # Max payload size the fabric negotiates (bytes).  256 B is the typical
 # value on Gen2 switches.
@@ -45,3 +45,7 @@ READ_REQUEST_NS = nsec(350)
 
 # MSI/MSI-X: a posted write to the root complex plus APIC delivery.
 MSI_LATENCY_NS = nsec(500)
+
+# Time a requester burns before declaring an injected completion
+# timeout (the spec allows 50 µs - 50 ms; we model the floor).
+COMPLETION_TIMEOUT_NS = usec(50)

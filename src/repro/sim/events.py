@@ -39,6 +39,10 @@ class Event:
 
     __slots__ = ("sim", "eid", "callbacks", "_value", "_exception")
 
+    #: True for event types whose processed instances a yielding process
+    #: continues past within the same step (see ``Process._resume``).
+    _inline = False
+
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         # Per-simulator creation ordinal: a run-stable identity for

@@ -71,37 +71,47 @@ class Process(Event):
             span.end(failed=True) if failed else span.end()
 
     def _resume(self, event: Event) -> None:
-        try:
-            if event._exception is not None:
-                target = self._generator.throw(event._exception)
-            else:
-                target = self._generator.send(event._value)
-        except StopIteration as stop:
-            self._finish_span()
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self._finish_span(failed=True)
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            exc = SimulationError(
-                f"process yielded {target!r}; processes may only yield Events")
-            # Deliver the error into the generator so it can't silently hang.
+        generator = self._generator
+        exception = event._exception
+        value = event._value
+        # Continuation loop: a yield the kernel can answer without a
+        # trip through the queue (an inline-granted resource request, a
+        # non-Event) is fed straight back into the generator.
+        while True:
             try:
-                self._generator.throw(exc)
+                if exception is not None:
+                    target = generator.throw(exception)
+                else:
+                    target = generator.send(value)
             except StopIteration as stop:
                 self._finish_span()
                 self.succeed(stop.value)
-            except BaseException as inner:
+                return
+            except BaseException as exc:
                 self._finish_span(failed=True)
-                self.fail(inner)
-            return
-        if target.sim is not self.sim:
-            self._finish_span(failed=True)
-            self.fail(SimulationError("yielded an event from another simulator"))
-            return
-        if target.callbacks is None:
+                self.fail(exc)
+                return
+            if not isinstance(target, Event):
+                # Deliver the error into the generator so it can't
+                # silently hang; whatever it yields next is handled
+                # like any other yield.
+                exception = SimulationError(
+                    f"process yielded {target!r}; processes may only "
+                    "yield Events")
+                continue
+            if target.sim is not self.sim:
+                self._finish_span(failed=True)
+                self.fail(SimulationError(
+                    "yielded an event from another simulator"))
+                return
+            if target.callbacks is not None:
+                target.callbacks.append(self._resume)
+                return
+            if target._inline:
+                # Granted inside Resource.request(): continue this step.
+                exception = target._exception
+                value = target._value
+                continue
             # Already concluded: resume on a fresh tick to preserve ordering.
             relay = Event(self.sim)
             relay.callbacks.append(self._resume)
@@ -109,8 +119,7 @@ class Process(Event):
                 relay.fail(target._exception)
             else:
                 relay.succeed(target._value)
-        else:
-            target.callbacks.append(self._resume)
+            return
 
 
 class Simulator:

@@ -2,7 +2,10 @@
 
 * :class:`Resource` — a counted resource (e.g. a CPU core pool slot or a
   DMA channel): processes ``yield resource.request()`` and later call
-  ``resource.release(req)``; requests are granted strictly FIFO.
+  ``resource.release(req)``; requests are granted strictly FIFO.  An
+  uncontended request is granted inside ``request()`` and the yielding
+  process continues within the same step, with no trip through the
+  event queue.
 * :class:`Store` — an unbounded-or-bounded FIFO channel of items, the
   basic building block for queues between hardware blocks.
 * :class:`PriorityStore` — a store whose ``get`` returns the smallest
@@ -25,9 +28,14 @@ class Request(Event):
 
     Usable as a context manager so that ``with resource.request() as req:
     yield req`` releases on exit even if the process body raises.
+
+    A processed request has been granted, so a process yielding one
+    continues inline rather than waiting for a fresh tick.
     """
 
     __slots__ = ("resource",)
+
+    _inline = True
 
     def __init__(self, resource: "Resource"):
         super().__init__(resource.sim)
@@ -62,11 +70,18 @@ class Resource:
         return len(self._waiting)
 
     def request(self) -> Request:
-        """Claim the resource; the returned event triggers when granted."""
+        """Claim the resource; the returned event triggers when granted.
+
+        A free resource with no waiters grants on the spot: the request
+        comes back already triggered and processed, so yielding it
+        costs no queue round trip.  Contended requests queue FIFO and
+        are triggered by :meth:`release`.
+        """
         req = Request(self)
         if len(self._users) < self.capacity and not self._waiting:
             self._users.add(req)
-            req.succeed()
+            req._value = None
+            req.callbacks = None
         else:
             self._waiting.append(req)
         return req

@@ -1,5 +1,7 @@
 """The metrics plane: instruments, the registry contract, sampling."""
 
+import random
+
 import pytest
 
 from repro.errors import MetricsError
@@ -201,6 +203,105 @@ class TestSampling:
         session.uninstall()
         session.finalize()
         assert [(t, v) for t, _, v in sim.metrics.rows] == [(10, 3)]
+
+
+def _sampled_scenario(seed: int, per_boundary: bool):
+    """A seeded run over every series style (updated, time-weighted,
+    histogram, polled, polled_map) with idle gaps of 0-50 sampling
+    intervals, ending exactly on a boundary.
+
+    ``per_boundary`` swaps in a reference ``advance`` that records at
+    every crossed boundary.  Returns the rendered rows, the
+    ``_record`` ticks and the steps that crossed a boundary.
+    """
+    interval = 100
+    session, sim, ms = _fresh(interval_ns=interval)
+    record, advance = ms._record, ms.advance
+    recorded, crossing_steps = [], []
+
+    def counted_record(tick, force):
+        recorded.append((tick, force))
+        record(tick, force)
+
+    def reference_advance(now):
+        while ms._next_sample <= now:
+            tick = ms._next_sample
+            ms._next_sample += interval
+            ms._record(tick, force=False)
+
+    def counted_advance(now):
+        if ms._next_sample <= now:
+            crossing_steps.append(now)
+        (reference_advance if per_boundary else advance)(now)
+
+    ms._record, ms.advance = counted_record, counted_advance
+    rng = random.Random(seed)
+    state = {"busy": 0, "keys": {}}
+    counter = ms.counter("nvme.commands", node="n", dev="ssd")
+    gauge = ms.gauge("engine.ddr3_bytes_in_use", engine="e")
+    timed = ms.timegauge("nvme.inflight", node="n", dev="ssd")
+    hist = ms.histogram("engine.d2d_latency_ns", engine="e")
+    ms.polled("host.cpu.busy_ns", lambda: state["busy"], node="n")
+    # Reads sim.now: fixed for a whole crossing, like all model state.
+    ms.polled("host.cpu.util", lambda: state["busy"] / max(sim.now, 1),
+              node="n")
+    ms.polled_map("host.cpu.busy_ns", "category",
+                  lambda: dict(state["keys"]), node="m")
+
+    def body():
+        for step in range(300):
+            action = rng.randrange(5)
+            if action == 0:
+                counter.inc(rng.randrange(1, 4))
+            elif action == 1:
+                gauge.set(rng.randrange(0, 8) * 512)
+            elif action == 2:
+                timed.set(rng.randrange(0, 4))
+            elif action == 3:
+                hist.observe(rng.randrange(1, 10_000))
+            else:
+                state["busy"] += rng.randrange(0, 300)
+                key = rng.choice("abcd")
+                state["keys"][key] = state["keys"].get(key, 0) + 1
+            gap = rng.randrange(0, 51) * interval
+            yield sim.timeout(gap + rng.choice((0, 0, 1, 37, 99)))
+        yield sim.timeout(interval - sim.now % interval)
+
+    sim.process(body())
+    sim.run()
+    assert sim.now % interval == 0
+    session.uninstall()
+    session.finalize()
+    rows = [(tick, metric.name, metric.labels, value)
+            for tick, metric, value in ms.rows]
+    return rows, recorded, crossing_steps
+
+
+class TestSamplerDifferential:
+    """One ``_record`` per crossing step exports exactly the rows of
+    recording at every crossed boundary."""
+
+    def teardown_method(self):
+        session = current_metrics_session()
+        if session is not None:
+            session.uninstall()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_record_per_crossing_matches_per_boundary_reference(
+            self, seed):
+        rows, recorded, crossings = _sampled_scenario(seed, False)
+        ref_rows, ref_recorded, ref_crossings = _sampled_scenario(
+            seed, True)
+        assert rows == ref_rows
+        assert crossings == ref_crossings
+        sampled = [tick for tick, force in recorded if not force]
+        assert len(sampled) == len(crossings)
+        # Multi-boundary crossings happened, so the reference did more.
+        assert len(ref_recorded) > len(recorded)
+        # finalize() landed on a boundary: one sample there, then the
+        # forced one at the same tick.
+        assert recorded[-2:] == [(crossings[-1], False),
+                                 (crossings[-1], True)]
 
 
 class TestZeroOverheadOff:

@@ -388,6 +388,32 @@ class TestWire:
         sim.run(until=proc)
         assert got == list(range(10))
 
+    def test_back_to_back_frames_arrive_after_serialization_and_propagation(
+            self):
+        sim = Simulator()
+        wire = Wire(sim, rate=gbps(10), propagation=2_000)
+        wire.attach("left")
+        right_in = wire.attach("right")
+        frames = [make_frame(bytes([i]) * (100 + 400 * i)) for i in range(4)]
+        arrivals = []
+
+        def sender():
+            for frame in frames:
+                yield from wire.transmit("left", frame)
+
+        def receiver():
+            for _ in frames:
+                frame = yield right_in.get()
+                arrivals.append((sim.now, parse_frame(frame).payload[0]))
+
+        sim.process(sender())
+        sim.run(until=sim.process(receiver()))
+        expected, done = [], 0
+        for i, frame in enumerate(frames):
+            done += wire.rate.duration(wire_bytes(len(frame)))
+            expected.append((done + 2_000, i))
+        assert arrivals == expected
+
     def test_third_endpoint_rejected(self):
         sim = Simulator()
         wire = Wire(sim)

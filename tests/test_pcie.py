@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.errors import AddressError, SimulationError
+from repro.errors import AddressError, DeviceTimeout, SimulationError
+from repro.faults import FaultPlan, FaultRule
 from repro.memory import MemoryRegion
 from repro.pcie import (AddressMap, Fabric, LINK_GEN2_X4, LINK_GEN2_X8,
                         tlp_efficiency)
-from repro.pcie.transaction import DOORBELL_WRITE_NS
+from repro.pcie.transaction import (COMPLETION_TIMEOUT_NS, DOORBELL_WRITE_NS,
+                                    HOP_FORWARD_NS)
 from repro.sim import Simulator
+from repro.sim.rng import RngHub
 from repro.units import KIB, MIB, usec
 
 
@@ -279,3 +282,53 @@ class TestFabric:
         assert not proc.ok
         with pytest.raises(AddressError):
             _ = proc.value
+
+
+class TestCompletionTimeoutFault:
+    """The ``pcie.timeout`` site: evaluated once per DMA traversal,
+    before either link direction is acquired."""
+
+    def test_timed_out_dma_raises_holds_nothing_and_writes_nothing(
+            self, sim, fabric):
+        faults = FaultPlan([FaultRule("pcie.timeout", occurrences=(1,))]
+                           ).install(sim, RngHub(7))
+        ssd_tx = fabric._port("ssd").link.tx
+        engine_rx = fabric._port("engine").link.rx
+        seen = []
+
+        def body():
+            try:
+                yield from fabric.dma_write("ssd", 0x4000_0000, b"lost")
+            except DeviceTimeout as exc:
+                seen.append((sim.now, str(exc), ssd_tx.count,
+                             engine_rx.count))
+            start = sim.now
+            yield from fabric.dma_write("ssd", 0x4000_0000, b"kept")
+            return start
+
+        start = sim.run(until=sim.process(body()))
+        region = fabric.address_map.find("engine-ddr3")
+        assert seen == [(2 * HOP_FORWARD_NS + region.access_latency
+                         + COMPLETION_TIMEOUT_NS,
+                         "ssd->engine: TLP completion timeout (4 B)", 0, 0)]
+        assert faults.injected == 1
+        assert faults.occurrences("pcie.timeout") == 2
+        assert fabric.peek(0x4000_0000, 4) == b"kept"
+        assert fabric.stats("ssd").tx_bytes == 4  # the second DMA only
+        assert sim.now > start
+        assert (ssd_tx.count, engine_rx.count) == (0, 0)
+
+    def test_plan_without_the_site_draws_nothing(self, sim, fabric):
+        faults = FaultPlan([FaultRule("flash.read", probability=0.5)]
+                           ).install(sim, RngHub(7))
+        stream = faults._sites["flash.read"].rng
+        before = stream.getstate()
+
+        def body():
+            yield from fabric.dma_write("ssd", 0x4000_0000, bytes(4096))
+            data = yield from fabric.dma_read("nic", 0x4000_0000, 4096)
+            return data
+
+        assert sim.run(until=sim.process(body())) == bytes(4096)
+        assert faults.occurrences("pcie.timeout") == 0
+        assert stream.getstate() == before

@@ -489,6 +489,19 @@ class TestKernelChecks:
         with pytest.raises(SimulationError, match="only yield Events"):
             _ = proc.value
 
+    def test_caught_non_event_error_resumes_on_the_next_yield(self, sim):
+        """The event a generator yields after catching the non-Event
+        error is waited on like any other, not dropped."""
+        def body():
+            try:
+                yield "not an event"
+            except SimulationError:
+                yield sim.timeout(5)
+            return sim.now
+
+        proc = sim.process(body())
+        assert sim.run(until=proc) == 5
+
     def test_cross_simulator_yield_fails_the_process(self, sim):
         other = Simulator()
 

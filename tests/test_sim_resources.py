@@ -106,6 +106,90 @@ class TestResource:
         res.release(r3)
 
 
+class TestInlineGrant:
+    """An uncontended request is granted inside ``request()`` and the
+    yielding process continues within the same step; contended requests
+    are granted through the event queue in FIFO order."""
+
+    def test_uncontended_request_is_processed_on_return(self, sim):
+        res = Resource(sim, capacity=1)
+        req = res.request()
+        assert req.triggered and req.processed and req.ok
+        assert req.value is None
+        assert res.count == 1
+        assert sim.peek() is None  # nothing queued for the grant
+        queued = res.request()
+        assert not queued.triggered
+        res.release(req)
+        assert queued.triggered and not queued.processed
+
+    def test_yielding_process_continues_before_same_tick_events(self, sim):
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def body():
+            sim.timeout(0).callbacks.append(lambda _: log.append("tick"))
+            with res.request() as req:
+                yield req
+                log.append("granted")
+
+        sim.run(until=sim.process(body()))
+        assert log == ["granted", "tick"]
+
+    def test_contended_grants_keep_fifo_and_same_tick_order(self, sim):
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def holder():
+            req = res.request()
+            yield req
+            log.append((sim.now, "holder got"))
+            yield sim.timeout(10)
+            res.release(req)
+            log.append((sim.now, "holder released"))
+
+        def waiter(name):
+            with res.request() as req:
+                yield req
+                log.append((sim.now, f"{name} got"))
+                yield sim.timeout(5)
+
+        def observer():
+            yield sim.timeout(10)
+            log.append((sim.now, "observer"))
+
+        sim.process(holder())
+        sim.process(waiter("a"))
+        sim.process(observer())
+        sim.process(waiter("b"))
+        sim.run()
+        # The release at t=10 queues a's grant behind the observer's
+        # already-queued timeout: contended grants take the queue.
+        assert log == [
+            (0, "holder got"),
+            (10, "holder released"),
+            (10, "observer"),
+            (10, "a got"),
+            (15, "b got"),
+        ]
+
+    def test_conditions_and_run_until_accept_a_granted_request(self, sim):
+        res = Resource(sim, capacity=2)
+        first, second = res.request(), res.request()
+        assert sim.run(until=first) is None
+
+        def body():
+            wait = sim.timeout(3, "t")
+            both = yield sim.all_of([first, wait])
+            either = yield sim.any_of([second, sim.timeout(7)])
+            return both == {first: None, wait: "t"}, either, sim.now
+
+        both_ok, either, now = sim.run(until=sim.process(body()))
+        assert both_ok
+        assert either == {second: None}
+        assert now == 3
+
+
 class TestStore:
     def test_put_then_get(self, sim):
         store = Store(sim)

@@ -23,7 +23,7 @@ trace-demo:      ## traced headline run -> trace.json (ui.perfetto.dev)
 	$(PYTHON) -m repro.experiments --trace trace.json headline
 	@echo "wrote trace.json - load it in https://ui.perfetto.dev"
 
-metrics-smoke:   ## metered headline CSVs identical; metered faults = unmetered
+metrics-smoke:   ## metered headline CSVs identical; planes never perturb a run
 	$(PYTHON) -m repro.experiments --metrics metrics-a.csv headline
 	$(PYTHON) -m repro.experiments --metrics metrics-b.csv headline
 	@test -s metrics-a.csv || (echo "metrics CSV is empty" && exit 1)
@@ -39,10 +39,19 @@ metrics-smoke:   ## metered headline CSVs identical; metered faults = unmetered
 	@diff faults-plain.tables faults-metered.tables \
 	    || (echo "metering changed the faults tables" && exit 1)
 	@echo "metrics-smoke OK: metered faults tables identical to unmetered"
+	$(PYTHON) -m repro.experiments --trace-jsonl fig11-both.jsonl \
+	    --metrics fig11-both.csv fig11 > /dev/null
+	$(PYTHON) -m repro.experiments --metrics fig11-metrics.csv fig11 > /dev/null
+	$(PYTHON) -m repro.experiments --trace-jsonl fig11-trace.jsonl fig11 \
+	    > /dev/null
+	@cmp fig11-both.csv fig11-metrics.csv \
+	    || (echo "tracing changed the fig11 metrics CSV" && exit 1)
+	@cmp fig11-both.jsonl fig11-trace.jsonl \
+	    || (echo "metering changed the fig11 trace JSONL" && exit 1)
+	@echo "metrics-smoke OK: fig11 planes identical alone and together"
 
 docs-check:      ## catalogs <-> docs/{tracing,metrics,lint}.md lock-step check
-	$(PYTHON) -m pytest -q tests/test_trace_docs.py tests/test_metrics_docs.py \
-	    tests/test_lint_docs.py
+	$(PYTHON) -m pytest -q tests/test_docs_contract.py
 
 lint:            ## simlint: determinism/scheduling/plane-contract rules
 	$(PYTHON) -m repro.lint src tests
@@ -53,5 +62,6 @@ perfbench-test:  ## the host-time benchmark's own unit tests (perfbench/)
 clean:
 	rm -rf .pytest_cache .hypothesis trace.json metrics-a.csv metrics-b.csv \
 	    metrics-faults.csv faults-plain.txt faults-metered.txt \
-	    faults-plain.tables faults-metered.tables
+	    faults-plain.tables faults-metered.tables fig11-both.jsonl \
+	    fig11-both.csv fig11-metrics.csv fig11-trace.jsonl
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

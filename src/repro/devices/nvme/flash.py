@@ -25,12 +25,6 @@ class FlashTiming:
     read_rate: Rate
     write_rate: Rate
 
-    def read_duration(self, size: int) -> int:
-        return self.read_base + self.read_rate.duration(size)
-
-    def write_duration(self, size: int) -> int:
-        return self.write_base + self.write_rate.duration(size)
-
 
 INTEL_750_TIMING = FlashTiming(
     read_base=usec(8),

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import ExitStack
 
 from repro.experiments import (run_faults, run_fig11, run_fig12_hdfs,
                                run_fig12_swift, run_fig13,
@@ -33,8 +34,8 @@ from repro.experiments import (run_faults, run_fig11, run_fig12_hdfs,
                                run_table3, run_table4)
 from repro.metrics import MetricsSession, render_top, write_csv
 from repro.metrics import write_jsonl as write_metrics_jsonl
-from repro.trace import (TraceSession, trace_section, write_chrome,
-                         write_jsonl)
+from repro.sim.session import section
+from repro.trace import TraceSession, write_chrome, write_jsonl
 
 # slug -> (display label, runner, fast?).  Slugs are the CLI names.
 EXPERIMENTS = {
@@ -117,25 +118,17 @@ def main(argv: list[str]) -> int:
     session = TraceSession(label="experiments") if tracing else None
     sampling = opts.metrics is not None or opts.metrics_jsonl is not None
     metrics = MetricsSession(label="experiments") if sampling else None
-    if session is not None:
-        session.install()
-    if metrics is not None:
-        metrics.install()
-    try:
+    with ExitStack() as planes:
+        for plane in (session, metrics):
+            if plane is not None:
+                planes.enter_context(plane)
         for slug in slugs:
             label, runner, _ = EXPERIMENTS[slug]
             start = time.time()
-            with trace_section(slug):
+            with section(slug):
                 result = runner()
             print(result.render())
             print(f"[{label} regenerated in {time.time() - start:.1f}s]\n")
-    finally:
-        if session is not None:
-            session.uninstall()
-            session.finalize()
-        if metrics is not None:
-            metrics.uninstall()
-            metrics.finalize()
     if session is not None:
         if opts.trace is not None:
             count = write_chrome(opts.trace, session)

@@ -8,7 +8,7 @@ from repro.apps.workload import pattern_bytes
 from repro.host.costs import CAT
 from repro.schemes import Testbed
 from repro.schemes.base import Scheme, TransferResult
-from repro.trace import trace_section
+from repro.sim.session import section
 from repro.units import KIB
 
 MICROBENCH_SIZE = 4 * KIB   # the paper's per-command transfer unit
@@ -34,7 +34,7 @@ def measure_send(scheme_cls: Type[Scheme], processing: Optional[str],
                  size: int = MICROBENCH_SIZE, seed: int = 5,
                  warmups: int = 1) -> TransferResult:
     """One steady-state send_file measurement on a fresh testbed."""
-    with trace_section(f"{scheme_cls.name}/{processing or 'none'}"):
+    with section(f"{scheme_cls.name}/{processing or 'none'}"):
         tb = Testbed(seed=seed)
         scheme = scheme_cls(tb)
         data = pattern_bytes(size, 7)
@@ -76,7 +76,7 @@ def measure_send_cpu(scheme_cls: Type[Scheme], processing: Optional[str],
                      ) -> dict[str, float]:
     """CPU busy-time (ns per request, by category) of one steady-state
     send on node0."""
-    with trace_section(f"{scheme_cls.name}/cpu/{processing or 'none'}"):
+    with section(f"{scheme_cls.name}/cpu/{processing or 'none'}"):
         tb = Testbed(seed=seed)
         scheme = scheme_cls(tb)
         data = pattern_bytes(size, 7)

@@ -16,7 +16,7 @@ from repro.apps.workload import pattern_bytes
 from repro.experiments.result import ExperimentResult
 from repro.faults import FaultPlan, FaultRule
 from repro.schemes import ALL_SCHEMES
-from repro.trace import trace_section
+from repro.sim.session import section
 from repro.units import KIB
 
 REQUEST_SIZE = 16 * KIB
@@ -91,7 +91,7 @@ def run_faults() -> ExperimentResult:
                  "goodput Gbps", "errors", "injected"])
     for scheme_name, scheme_cls in ALL_SCHEMES.items():
         for rate in FAULT_RATES:
-            with trace_section(f"faults/{scheme_name}/{rate}"):
+            with section(f"faults/{scheme_name}/{rate}"):
                 cell = _run_cell(scheme_cls, rate)
             lat = cell["latencies"]
             p50 = _percentile(lat, 0.50) if lat else float("nan")

@@ -52,8 +52,3 @@ class CpuPool:
     def utilization_by_category(self) -> dict[str, float]:
         """Per-category utilization over the tracker window."""
         return self.tracker.utilization_by_category(parallelism=self.cores)
-
-    @property
-    def busy_now(self) -> int:
-        """Cores currently executing something."""
-        return self._cores.count

@@ -90,11 +90,3 @@ class PageCache:
         for key in doomed:
             del self._pages[key]
         return len(doomed)
-
-    @property
-    def resident_pages(self) -> int:
-        return len(self._pages)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

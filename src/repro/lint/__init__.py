@@ -12,8 +12,8 @@ rule and a CI gate::
 Three rule families: **DET** (determinism), **SIM** (event-loop
 scheduling), **PLANE** (metrics/trace/fault catalog contracts).  The
 full catalog, with rationale and examples per rule, is documented in
-``docs/lint.md`` and kept in lock-step by ``tests/test_lint_docs.py``
-— the same docs-contract pattern the metrics and tracing planes use.
+``docs/lint.md`` and kept in lock-step by ``tests/test_docs_contract.py``
+— the one docs contract the metrics and tracing planes share.
 
 Suppress a single finding inline with ``# simlint: disable=RULE``,
 a whole file with ``# simlint: skip-file`` (first five lines), or

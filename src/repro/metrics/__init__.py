@@ -12,7 +12,7 @@ Quickstart::
 
 The metric-name catalog is a documented contract — ``docs/metrics.md``
 — kept in lock-step with :mod:`repro.metrics.catalog` by
-``tests/test_metrics_docs.py``.  Off by default and zero-overhead when
+``tests/test_docs_contract.py``.  Off by default and zero-overhead when
 off (``Simulator.metrics is None``; no sampling events are ever
 scheduled, enabled or not).
 """
@@ -24,16 +24,13 @@ from repro.metrics.registry import (Counter, Gauge, Histogram, Metric,
                                     MetricSet, TimeWeightedGauge,
                                     format_labels)
 from repro.metrics.report import aggregate, render_top
-from repro.metrics.session import (DEFAULT_INTERVAL_NS, MetricsSession,
-                                   current_metrics_session, metrics_section,
-                                   metrics_for_new_sim)
+from repro.metrics.session import DEFAULT_INTERVAL_NS, MetricsSession
 
 __all__ = [
     "METRICS", "KINDS", "kind_of", "metric_names",
     "Metric", "Counter", "Gauge", "TimeWeightedGauge", "Histogram",
     "MetricSet", "format_labels",
-    "MetricsSession", "current_metrics_session", "metrics_for_new_sim",
-    "metrics_section", "DEFAULT_INTERVAL_NS",
+    "MetricsSession", "DEFAULT_INTERVAL_NS",
     "csv_lines", "write_csv", "jsonl_lines", "write_jsonl", "format_value",
     "aggregate", "render_top",
 ]

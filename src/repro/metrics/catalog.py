@@ -6,7 +6,7 @@ appears here with its kind and unit, and every entry has a matching
 ``### `name` `` section in ``docs/metrics.md``.  Registering a metric
 that is not in the catalog — or registering it with the wrong kind —
 raises :class:`~repro.errors.MetricsError`; the docs and this table are
-kept in lock-step by ``tests/test_metrics_docs.py``.
+kept in lock-step by ``tests/test_docs_contract.py``.
 
 Kinds:
 

@@ -1,8 +1,7 @@
-"""Session management for the metrics plane.
+"""The metrics plane's session (see :mod:`repro.sim.session`).
 
-Mirrors :class:`~repro.trace.tracer.TraceSession`: one
-:class:`MetricsSession` covers a whole experiment run and hands a fresh
-:class:`~repro.metrics.registry.MetricSet` to every
+One :class:`MetricsSession` covers a whole experiment run and hands a
+fresh :class:`~repro.metrics.registry.MetricSet` to every
 :class:`~repro.sim.kernel.Simulator` constructed while installed.  With
 no session installed, ``Simulator.metrics`` is ``None`` and the whole
 plane costs one identity check per instrumentation site and one per
@@ -17,22 +16,17 @@ finalize.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import List, Optional
+from typing import List
 
 from repro.errors import MetricsError
 from repro.metrics.registry import MetricSet
+from repro.sim.session import Session
 
 DEFAULT_INTERVAL_NS = 100_000  # 100 µs of simulated time
 
-_ACTIVE_SESSION: Optional["MetricsSession"] = None
 
-
-class MetricsSession:
-    """Collects the metric sets of every simulator built while installed.
-
-    Use as a context manager (preferred) or via
-    :meth:`install`/:meth:`uninstall`::
+class MetricsSession(Session):
+    """Collects the metric sets of every simulator built while installed::
 
         with MetricsSession(label="fig11") as session:
             run_fig11()
@@ -40,82 +34,20 @@ class MetricsSession:
         print(render_top(session))
     """
 
+    plane = "metrics"
+    error = MetricsError
+
     def __init__(self, label: str = "run",
                  interval_ns: int = DEFAULT_INTERVAL_NS):
         if interval_ns <= 0:
             raise MetricsError(
                 f"sampling interval must be positive, got {interval_ns}")
-        self.sets: List[MetricSet] = []
+        super().__init__(label)
         self.interval_ns = interval_ns
-        self._label = label
-        self._counter = 0
 
-    # -- install ----------------------------------------------------------
+    @property
+    def sets(self) -> List[MetricSet]:
+        return self.products
 
-    def install(self) -> "MetricsSession":
-        global _ACTIVE_SESSION
-        if _ACTIVE_SESSION is not None and _ACTIVE_SESSION is not self:
-            raise MetricsError("another MetricsSession is already installed")
-        _ACTIVE_SESSION = self
-        return self
-
-    def uninstall(self) -> None:
-        global _ACTIVE_SESSION
-        if _ACTIVE_SESSION is self:
-            _ACTIVE_SESSION = None
-
-    def __enter__(self) -> "MetricsSession":
-        return self.install()
-
-    def __exit__(self, *exc) -> None:
-        self.uninstall()
-        self.finalize()
-
-    # -- labelling --------------------------------------------------------
-
-    def set_label(self, label: str) -> str:
-        """Label simulators created from now on; returns the old label."""
-        previous, self._label = self._label, label
-        return previous
-
-    # -- metric-set factory -----------------------------------------------
-
-    def metrics_for(self, sim) -> MetricSet:
-        metric_set = MetricSet(sim, label=f"{self._label}/sim{self._counter}",
-                               interval_ns=self.interval_ns)
-        self._counter += 1
-        self.sets.append(metric_set)
-        return metric_set
-
-    def finalize(self) -> None:
-        for metric_set in self.sets:
-            metric_set.finalize()
-
-
-def current_metrics_session() -> Optional[MetricsSession]:
-    """The installed session, or None (metrics off)."""
-    return _ACTIVE_SESSION
-
-
-def metrics_for_new_sim(sim) -> Optional[MetricSet]:
-    """Called by ``Simulator.__init__``: a metric set when a session is
-    installed, else ``None`` (the zero-overhead default)."""
-    if _ACTIVE_SESSION is None:
-        return None
-    return _ACTIVE_SESSION.metrics_for(sim)
-
-
-@contextmanager
-def metrics_section(label: str):
-    """Label every simulator built inside the block (no-op when metrics
-    are off).  ``repro.trace.trace_section`` labels both planes, so
-    experiment runners only need the one call."""
-    session = current_metrics_session()
-    if session is None:
-        yield
-        return
-    previous = session.set_label(label)
-    try:
-        yield
-    finally:
-        session.set_label(previous)
+    def make(self, sim, label: str) -> MetricSet:
+        return MetricSet(sim, label=label, interval_ns=self.interval_ns)

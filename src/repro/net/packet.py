@@ -33,11 +33,6 @@ class Frame:
     tcp: TcpHeader
     payload: bytes
 
-    @property
-    def raw_len(self) -> int:
-        """Length of the serialized frame (headers + payload)."""
-        return HEADER_LEN + len(self.payload)
-
 
 def wire_bytes(frame_len: int) -> int:
     """Bytes a frame of ``frame_len`` serialized bytes occupies on the wire.

@@ -88,10 +88,6 @@ class Fabric:
                 f"region {region.name} owned by unknown port {region.port!r}")
         return self.address_map.add(region)
 
-    def port_names(self) -> list[str]:
-        """All attached port names."""
-        return list(self._ports)
-
     def stats(self, port: str) -> PortStats:
         """Byte/doorbell counters for one port."""
         return self._port(port).stats

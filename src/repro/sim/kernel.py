@@ -25,9 +25,8 @@ from itertools import count
 from typing import Any, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.metrics.session import metrics_for_new_sim
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.trace.tracer import tracer_for_new_sim
+from repro.sim.session import equip
 
 
 class Process(Event):
@@ -138,19 +137,16 @@ class Simulator:
         self._next_sequence = count().__next__
         self._next_event_id = count(1).__next__
         self._active: bool = False
-        # None unless a repro.trace.TraceSession is installed — every
-        # instrumentation site guards on this, so tracing costs one
-        # attribute check when off.
-        self.tracer = tracer_for_new_sim(self)
-        # None unless a repro.faults.FaultPlan is installed; like the
-        # tracer, every injection site guards with one `is not None`
-        # check, so the fault-free hot path pays a single branch.
+        # None unless a repro.faults.FaultPlan is installed; every
+        # injection site guards with one `is not None` check, so the
+        # fault-free hot path pays a single branch.
         self.faults = None
-        # None unless a repro.metrics.MetricsSession is installed.
-        # Sampling is driven from step() (see below) rather than by
-        # scheduled events, so the metrics plane can never perturb
-        # event order or keep a drain-mode run() alive.
-        self.metrics = metrics_for_new_sim(self)
+        # self.tracer and self.metrics: None unless a TraceSession /
+        # MetricsSession is installed (repro.sim.session), guarded the
+        # same way.  Metrics sampling is driven from step() (see below)
+        # rather than by scheduled events, so the metrics plane can
+        # never perturb event order or keep a drain-mode run() alive.
+        equip(self)
 
     # -- event construction ---------------------------------------------
 

@@ -11,14 +11,11 @@ from repro.trace.events import (EVENT_TYPES, event_type_names,
                                 is_registered)
 from repro.trace.export import (jsonl_lines, to_chrome, write_chrome,
                                 write_jsonl)
-from repro.trace.tracer import (Span, TraceEvent, Tracer, TraceSession,
-                                current_session, trace_section,
-                                tracer_for_new_sim)
+from repro.trace.tracer import Span, TraceEvent, Tracer, TraceSession
 
 __all__ = [
     "EVENT_TYPES", "is_registered", "event_type_names",
     "Span", "TraceEvent", "Tracer", "TraceSession",
-    "current_session", "trace_section", "tracer_for_new_sim",
     "jsonl_lines", "to_chrome", "write_chrome", "write_jsonl",
     "RequestBreakdown", "request_breakdowns", "last_breakdown",
 ]

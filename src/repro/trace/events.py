@@ -2,7 +2,7 @@
 
 This module *is* the machine-readable half of the trace contract.  The
 human-readable half lives in ``docs/tracing.md``; the two are kept in
-lock-step by ``tests/test_trace_docs.py`` (the ``make docs-check``
+lock-step by ``tests/test_docs_contract.py`` (the ``make docs-check``
 target), which fails if either side drifts.
 
 Rules:

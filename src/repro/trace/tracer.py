@@ -4,8 +4,8 @@ One :class:`Tracer` rides one :class:`~repro.sim.kernel.Simulator` and
 records :class:`TraceEvent` objects on the *simulated* clock (integer
 nanoseconds).  Tracing is **off by default and zero-overhead when off**:
 ``Simulator.tracer`` is ``None`` unless a :class:`TraceSession` is
-installed, and every instrumentation site guards with a single
-``is not None`` check.
+installed (:mod:`repro.sim.session`), and every instrumentation site
+guards with a single ``is not None`` check.
 
 Event types are a closed, documented set (:mod:`repro.trace.events` and
 ``docs/tracing.md``); emitting an unregistered type raises
@@ -25,6 +25,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import TraceError
+from repro.sim.session import Session
 from repro.trace.events import EVENT_TYPES
 
 
@@ -98,8 +99,6 @@ class Span:
 
 class Tracer:
     """Collects events for one simulator (one ``pid`` in Chrome terms)."""
-
-    enabled = True
 
     def __init__(self, sim, label: str = "sim"):
         self.sim = sim
@@ -185,108 +184,25 @@ class Tracer:
         return sorted(self.events, key=lambda e: (e.start, e.id))
 
 
-# ---------------------------------------------------------------------------
-# Session management: one TraceSession covers a whole experiment run and
-# hands a fresh Tracer to every Simulator constructed while installed.
-# ---------------------------------------------------------------------------
-
-_ACTIVE_SESSION: Optional["TraceSession"] = None
-
-
-class TraceSession:
-    """Collects the tracers of every simulator built while installed.
-
-    Use as a context manager (preferred) or via
-    :meth:`install`/:meth:`uninstall`::
+class TraceSession(Session):
+    """Hands a fresh :class:`Tracer` to every simulator built while
+    installed (see :mod:`repro.sim.session`)::
 
         with TraceSession() as session:
-            session.set_label("fig11")
-            run_fig11()
+            with section("fig11"):
+                run_fig11()
         write_chrome("out.json", session)
     """
 
-    def __init__(self, label: str = "run"):
-        self.tracers: List[Tracer] = []
-        self._label = label
-        self._counter = 0
+    plane = "tracer"
+    error = TraceError
 
-    # -- install ----------------------------------------------------------
+    @property
+    def tracers(self) -> List[Tracer]:
+        return self.products
 
-    def install(self) -> "TraceSession":
-        global _ACTIVE_SESSION
-        if _ACTIVE_SESSION is not None and _ACTIVE_SESSION is not self:
-            raise TraceError("another TraceSession is already installed")
-        _ACTIVE_SESSION = self
-        return self
-
-    def uninstall(self) -> None:
-        global _ACTIVE_SESSION
-        if _ACTIVE_SESSION is self:
-            _ACTIVE_SESSION = None
-
-    def __enter__(self) -> "TraceSession":
-        return self.install()
-
-    def __exit__(self, *exc) -> None:
-        self.uninstall()
-        self.finalize()
-
-    # -- labelling --------------------------------------------------------
-
-    def set_label(self, label: str) -> str:
-        """Label simulators created from now on; returns the old label."""
-        previous, self._label = self._label, label
-        return previous
-
-    # -- tracer factory ---------------------------------------------------
-
-    def tracer_for(self, sim) -> Tracer:
-        tracer = Tracer(sim, label=f"{self._label}/sim{self._counter}")
-        self._counter += 1
-        self.tracers.append(tracer)
-        return tracer
-
-    def finalize(self) -> None:
-        for tracer in self.tracers:
-            tracer.finalize()
+    def make(self, sim, label: str) -> Tracer:
+        return Tracer(sim, label=label)
 
     def all_events(self) -> List[TraceEvent]:
         return [event for tracer in self.tracers for event in tracer.events]
-
-
-def current_session() -> Optional[TraceSession]:
-    """The installed session, or None (tracing off)."""
-    return _ACTIVE_SESSION
-
-
-def tracer_for_new_sim(sim) -> Optional[Tracer]:
-    """Called by ``Simulator.__init__``: a tracer when a session is
-    installed, else ``None`` (the zero-overhead default)."""
-    if _ACTIVE_SESSION is None:
-        return None
-    return _ACTIVE_SESSION.tracer_for(sim)
-
-
-@contextmanager
-def trace_section(label: str):
-    """Label every simulator built inside the block — the hook the
-    experiment runners use.  Labels both observability planes (an
-    installed TraceSession *and* an installed
-    :class:`repro.metrics.MetricsSession`), and is a no-op when neither
-    is installed."""
-    from repro.metrics.session import current_metrics_session
-    session = current_session()
-    metrics_session = current_metrics_session()
-    if session is None and metrics_session is None:
-        yield
-        return
-    previous = session.set_label(label) if session is not None else None
-    previous_metrics = (metrics_session.set_label(label)
-                        if metrics_session is not None else None)
-    try:
-        yield
-    finally:
-        if session is not None:
-            session.set_label(previous)
-        if metrics_session is not None:
-            metrics_session.set_label(previous_metrics)

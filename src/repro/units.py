@@ -62,16 +62,6 @@ SECTOR = 512
 PAGE = 4 * KIB
 
 
-def kib(value: float) -> int:
-    """Convert KiB to bytes."""
-    return round(value * KIB)
-
-
-def mib(value: float) -> int:
-    """Convert MiB to bytes."""
-    return round(value * MIB)
-
-
 def gib(value: float) -> int:
     """Convert GiB to bytes."""
     return round(value * GIB)

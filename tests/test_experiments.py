@@ -1,11 +1,13 @@
 """Smoke tests for the fast experiment runners (the slow app-scale
-runners are exercised by the benchmark suite)."""
+runners are exercised by the benchmark suite) and for the CLI."""
 
 import pytest
 
 from repro.experiments import (run_fig11, run_fig3, run_fig8, run_table1,
                                run_table3, run_table4)
+from repro.experiments import __main__ as cli
 from repro.experiments.result import ExperimentResult
+from repro.sim.session import installed
 
 
 class TestResultContainer:
@@ -55,3 +57,46 @@ class TestMicrobenchFigures:
         assert result.metrics["integrated_vs_swopt_cpu"] < 0.5
         assert result.metrics["integrated_total_us"] < result.metrics[
             "sw_opt_total_us"]
+
+
+def _planes_off():
+    return installed("tracer") is None and installed("metrics") is None
+
+
+class TestCli:
+    def test_traced_and_metered_run_writes_both_outputs(self, tmp_path,
+                                                        capsys):
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.csv"
+        assert cli.main(["--trace-jsonl", str(trace), "--metrics",
+                         str(metrics), "fig3"]) == 0
+        assert trace.stat().st_size > 0
+        assert metrics.stat().st_size > 0
+        assert _planes_off()
+        assert "[Fig 3 regenerated in" in capsys.readouterr().out
+
+    def test_sessions_uninstalled_when_a_runner_raises(self, tmp_path,
+                                                       monkeypatch):
+        def boom():
+            assert not _planes_off()
+            raise RuntimeError("runner failed")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig3", ("Fig 3", boom, True))
+        with pytest.raises(RuntimeError, match="runner failed"):
+            cli.main(["--trace-jsonl", str(tmp_path / "t.jsonl"),
+                      "--metrics", str(tmp_path / "m.csv"), "fig3"])
+        assert _planes_off()
+
+    def test_unknown_slug_returns_2(self, capsys):
+        assert cli.main(["no-such-figure"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
+    def test_unwritable_output_returns_2_before_running(self, tmp_path,
+                                                       monkeypatch, capsys):
+        ran = []
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig3",
+                            ("Fig 3", lambda: ran.append(1), True))
+        missing = tmp_path / "no-such-dir" / "m.csv"
+        assert cli.main(["--metrics", str(missing), "fig3"]) == 2
+        assert ran == []
+        assert "cannot write metrics output" in capsys.readouterr().err
+        assert _planes_off()

@@ -7,10 +7,11 @@ import pytest
 from repro.errors import MetricsError
 from repro.experiments.common import measure_send
 from repro.metrics import (DEFAULT_INTERVAL_NS, MetricsSession, csv_lines,
-                           current_metrics_session, format_labels)
+                           format_labels)
 from repro.schemes import (DcsCtrlScheme, IntegratedScheme, SwOptScheme,
                            SwP2pScheme)
 from repro.sim.kernel import Simulator
+from repro.sim.session import installed
 from repro.units import usec
 
 
@@ -23,7 +24,7 @@ def _fresh(interval_ns: int = usec(1)):
 
 class TestInstruments:
     def teardown_method(self):
-        session = current_metrics_session()
+        session = installed("metrics")
         if session is not None:
             session.uninstall()
 
@@ -90,7 +91,7 @@ class TestInstruments:
 
 class TestCatalogContract:
     def teardown_method(self):
-        session = current_metrics_session()
+        session = installed("metrics")
         if session is not None:
             session.uninstall()
 
@@ -128,7 +129,7 @@ class TestCatalogContract:
 
 class TestSampling:
     def teardown_method(self):
-        session = current_metrics_session()
+        session = installed("metrics")
         if session is not None:
             session.uninstall()
 
@@ -282,7 +283,7 @@ class TestSamplerDifferential:
     recording at every crossed boundary."""
 
     def teardown_method(self):
-        session = current_metrics_session()
+        session = installed("metrics")
         if session is not None:
             session.uninstall()
 
@@ -306,7 +307,7 @@ class TestSamplerDifferential:
 
 class TestZeroOverheadOff:
     def test_no_session_means_no_metrics_object(self):
-        assert current_metrics_session() is None
+        assert installed("metrics") is None
         assert Simulator().metrics is None
 
     def test_uninstall_restores_off_state(self):

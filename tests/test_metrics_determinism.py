@@ -84,3 +84,11 @@ class TestSamplingDoesNotPerturb:
             metered = measure_send(DcsCtrlScheme, None, seed=7)
         assert bare.latency_us == metered.latency_us
         assert bare.trace.breakdown_us() == metered.trace.breakdown_us()
+
+    def test_csv_identical_with_and_without_trace(self):
+        # The reverse direction: tracing cannot perturb what the metrics
+        # plane samples, so both planes can share one run.
+        bare = "\n".join(csv_lines(_metered_run(DcsCtrlScheme, "md5")))
+        with TraceSession(label="traced"):
+            traced = "\n".join(csv_lines(_metered_run(DcsCtrlScheme, "md5")))
+        assert bare == traced

@@ -8,9 +8,9 @@ from repro.errors import TraceError
 from repro.experiments.common import measure_send
 from repro.schemes import DcsCtrlScheme, SwOptScheme
 from repro.sim import Simulator
-from repro.trace import (EVENT_TYPES, TraceSession, Tracer, current_session,
-                         jsonl_lines, last_breakdown, request_breakdowns,
-                         to_chrome, trace_section, tracer_for_new_sim)
+from repro.sim.session import installed, section
+from repro.trace import (EVENT_TYPES, TraceSession, Tracer, jsonl_lines,
+                         last_breakdown, request_breakdowns, to_chrome)
 
 
 @pytest.fixture
@@ -91,26 +91,26 @@ class TestSession:
             assert sim.tracer is not None
             assert sim.tracer in session.tracers
         assert Simulator().tracer is None
-        assert current_session() is None
+        assert installed("tracer") is None
 
     def test_nested_install_rejected(self):
         with TraceSession():
             with pytest.raises(TraceError):
                 TraceSession().install()
 
-    def test_trace_section_labels(self):
+    def test_section_labels(self):
         with TraceSession(label="outer") as session:
-            with trace_section("inner"):
+            with section("inner"):
                 sim = Simulator()
             sim2 = Simulator()
         assert sim.tracer.label.startswith("inner/")
         assert sim2.tracer.label.startswith("outer/")
-        assert session is not current_session()
+        assert session is not installed("tracer")
 
-    def test_trace_section_noop_when_off(self):
-        with trace_section("ignored"):
+    def test_section_noop_when_off(self):
+        with section("ignored"):
             assert Simulator().tracer is None
-        assert tracer_for_new_sim(Simulator()) is None
+        assert installed("tracer") is None
 
 
 class TestExport:

@@ -1,9 +1,25 @@
 """Golden-trace determinism: same seed => byte-identical JSONL."""
 
+import hashlib
+
+from repro.core.command import D2DKind
 from repro.experiments.common import measure_send
+from repro.faults import FaultPlan, FaultRule
 from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
 from repro.trace import TraceSession, jsonl_lines, to_chrome
 from repro.units import KIB
+
+# sha256 of the "\n"-joined JSONL of each pinned run.  The records hold
+# only ints and strings, so the digests are stable across Python
+# versions; a change that moves any span, instant or argument fails here.
+GOLDEN_JSONL_SHA256 = {
+    "dcs-ctrl-md5": (
+        "b57f54fc1eb287628760cc0f320bdf7ae3165e4772bc72789d54bb6188a3ac32"),
+    "sw-opt": (
+        "75ad0e44e80b7c51119a7f52b311fde166f63b916c308af46ecd4209b79efc86"),
+    "nvme-retries": (
+        "c8982eee148d137a07af3234e126eefda75d7fea7b5a93a558929a0656846b24"),
+}
 
 
 def _traced_run(scheme_cls, processing):
@@ -44,6 +60,50 @@ def _interleaved_run(scheme_cls, seed=11):
         for dst, size in buffers:
             tb.node1.host.free_buffer(dst, size)
     return "\n".join(jsonl_lines(session))
+
+
+def _nvme_retry_run():
+    """A host-path read and an engine D2D read under one fault plan: the
+    first flash read fails (host NVMe retry) and the third CQE is lost
+    (engine NVMe watchdog + retry)."""
+    plan = FaultPlan([FaultRule("flash.read", occurrences={1}),
+                      FaultRule("nvme.cqe_drop", occurrences={3})])
+    with TraceSession(label="nvme-retries") as session:
+        tb = Testbed(seed=5, faults=plan)
+        host = tb.node0.host
+        buf = host.alloc_buffer(8 * KIB)
+
+        def body(sim):
+            yield from host.nvme_driver.read(0, 8 * KIB, buf)
+            yield from tb.node0.driver.submit(
+                D2DKind.SSD_TO_HOST, src=0, dst=buf, length=8 * KIB)
+
+        proc = tb.sim.process(body(tb.sim))
+        tb.sim.run()
+        assert proc.ok
+    return "\n".join(jsonl_lines(session))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenTraces:
+    """Pinned digests: a refactor must leave these traces unchanged."""
+
+    def test_offloaded_md5_send(self):
+        text = "\n".join(jsonl_lines(_traced_run(DcsCtrlScheme, "md5")))
+        assert _digest(text) == GOLDEN_JSONL_SHA256["dcs-ctrl-md5"]
+
+    def test_host_path_send(self):
+        text = "\n".join(jsonl_lines(_traced_run(SwOptScheme, None)))
+        assert _digest(text) == GOLDEN_JSONL_SHA256["sw-opt"]
+
+    def test_host_and_engine_nvme_retries(self):
+        text = _nvme_retry_run()
+        assert "host NVMe retry 1" in text
+        assert "engine NVMe retry 1" in text
+        assert _digest(text) == GOLDEN_JSONL_SHA256["nvme-retries"]
 
 
 class TestDeterminism:

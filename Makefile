@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench experiments faults-smoke trace-demo metrics-smoke \
-        docs-check lint perfbench-test clean
+        compare docs-check lint perfbench-test clean
 
 test:            ## tier-1 suite (ROADMAP.md verify command)
 	$(PYTHON) -m pytest -x -q
@@ -50,6 +50,31 @@ metrics-smoke:   ## metered headline CSVs identical; planes never perturb a run
 	    || (echo "metering changed the fig11 trace JSONL" && exit 1)
 	@echo "metrics-smoke OK: fig11 planes identical alone and together"
 
+compare:         ## outputs byte-identical to another checkout: PARENT=<dir>
+	@test -n "$(PARENT)" \
+	    || (echo "usage: make compare PARENT=<checkout>" && exit 1)
+	rm -rf compare && mkdir -p compare/here compare/parent
+	@for side in here parent; do \
+	    if [ $$side = here ]; then tree=.; else tree="$(PARENT)"; fi; \
+	    out=$(CURDIR)/compare/$$side; \
+	    echo "compare: running fig11, faults, fig12a in $$tree"; \
+	    (cd "$$tree" && export PYTHONPATH=src \
+	     && $(PYTHON) -m repro.experiments --trace-jsonl $$out/fig11.jsonl \
+	            --metrics $$out/fig11.csv fig11 > $$out/fig11.out \
+	     && $(PYTHON) -m repro.experiments faults > $$out/faults.out \
+	     && $(PYTHON) -m repro.experiments fig12a > $$out/fig12a.out) \
+	        || exit 1; \
+	    for run in fig11 faults fig12a; do \
+	        sed -e '/regenerated in/d' -e '/^\[trace:/d' \
+	            -e '/^\[metrics:/d' $$out/$$run.out > $$out/$$run.txt; \
+	    done; \
+	done
+	@for file in fig11.jsonl fig11.csv fig11.txt faults.txt fig12a.txt; do \
+	    cmp compare/here/$$file compare/parent/$$file \
+	        || { echo "compare: $$file differs from $(PARENT)"; exit 1; }; \
+	    echo "compare OK: $$file identical"; \
+	done
+
 docs-check:      ## catalogs <-> docs/{tracing,metrics,lint}.md lock-step check
 	$(PYTHON) -m pytest -q tests/test_docs_contract.py
 
@@ -63,5 +88,5 @@ clean:
 	rm -rf .pytest_cache .hypothesis trace.json metrics-a.csv metrics-b.csv \
 	    metrics-faults.csv faults-plain.txt faults-metered.txt \
 	    faults-plain.tables faults-metered.tables fig11-both.jsonl \
-	    fig11-both.csv fig11-metrics.csv fig11-trace.jsonl
+	    fig11-both.csv fig11-metrics.csv fig11-trace.jsonl compare
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

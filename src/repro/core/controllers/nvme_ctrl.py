@@ -15,18 +15,16 @@ BRAM CQ — no interrupts anywhere on this path.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.core.command import DeviceCommand
 from repro.core.scoreboard import Executor
-from repro.devices.nvme.commands import (LBA_SIZE, NvmeCommand, OP_READ,
-                                         OP_WRITE, prp_fields, prp_pages)
+from repro.devices.nvme.client import NvmeClient
+from repro.devices.nvme.commands import LBA_SIZE, OP_READ, OP_WRITE
 from repro.devices.nvme.ssd import NvmeSsd
-from repro.errors import DeviceError, DeviceTimeout
-from repro.faults import ENGINE_NVME_POLICY, active_faults, watchdog
+from repro.errors import DeviceError
+from repro.faults import ENGINE_NVME_POLICY
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
-from repro.units import PAGE, nsec
+from repro.units import nsec
 
 # Hardware SQE + PRP build: a pipelined FSM at the engine clock.
 COMMAND_BUILD = nsec(150)
@@ -49,28 +47,16 @@ class EngineNvmeController(Executor):
                  prp_area: int, qid: int = 2,
                  max_chunk: int | None = None):
         self.sim = sim
-        self.fabric = fabric
-        self.engine_port = engine_port
         # Bulk-transfer ablation: None = use PRP lists up to the MDTS
         # (the paper's §IV-C optimization); 4096 = one block per command.
-        self.max_chunk = max_chunk if max_chunk is not None else 128 * 1024
+        self.max_chunk = max_chunk or ssd.config.max_transfer
         self.qp = ssd.create_io_queue(qid, sq_addr, cq_addr, QUEUE_DEPTH,
                                       interrupt=False)
-        self._prp_area = prp_area
-        self._waiters: Dict[int, object] = {}
-        self._outstanding = 0
         self._poll_wake = sim.event()
-        self.commands_issued = 0
-        self.retries = 0
-        self.stale_completions = 0
-        metrics = sim.metrics
-        if metrics is not None:
-            metrics.polled(
-                "faults.retries", lambda: self.retries,
-                owner=f"{fabric.name}:{engine_port}:nvme:{ssd.name}")
-        # Deadline/backoff knobs — what the RTL FSM's wait state would
-        # time out; tests may tighten these for speed.
-        self.policy = ENGINE_NVME_POLICY
+        self.client = NvmeClient(
+            sim, self.qp, engine_port, prp_area, PRP_SLOT,
+            ENGINE_NVME_POLICY, "engine NVMe",
+            owner=f"{fabric.name}:{engine_port}:nvme:{ssd.name}")
         sim.process(self._completion_fsm())
 
     # -- executor interface ------------------------------------------------
@@ -84,76 +70,23 @@ class EngineNvmeController(Executor):
         else:
             raise DeviceError(f"bad NVMe entry direction {entry.rw!r}")
         nbytes = entry.length + (-entry.length % LBA_SIZE)
-        max_chunk = self.max_chunk
-        chunks = []         # (slba, nbytes, buf) per NVMe command
-        offset = 0
-        while offset < nbytes:
-            size = min(max_chunk, nbytes - offset)
-            chunks.append((slba + offset // LBA_SIZE, size, buf + offset))
-            offset += size
+        step = self.max_chunk
+        chunks = [(slba + offset // LBA_SIZE, min(step, nbytes - offset),
+                   buf + offset) for offset in range(0, nbytes, step)]
         waits = []
         for chunk in chunks:
             waits.append((yield from self._issue(opcode, *chunk)))
         for chunk, issued in zip(chunks, waits):
-            yield from self._complete_chunk(opcode, chunk, issued)
-        return None
-
-    def _complete_chunk(self, opcode: int, chunk, issued):
-        """Process: await one command, re-issuing on error/timeout with
-        exponential backoff up to the policy's retry budget."""
-        policy = self.policy
-        cid, waiter = issued
-        attempt = 0
-        while True:
-            failure = None
-            if active_faults(self.sim) is not None:
-                watchdog(self.sim, waiter, policy.deadline_for(chunk[1]),
-                         f"engine NVMe cid {cid}", cid=cid,
-                         slba=chunk[0], size=chunk[1])
-            try:
-                cqe = yield waiter
-                if cqe.ok:
-                    return
-                failure = DeviceError(
-                    f"NVMe command failed with status {cqe.status}")
-            except DeviceTimeout as exc:
-                # Forget the lost command so the polling FSM can idle
-                # (its CQE, if it ever lands, is counted as stale).
-                if self._waiters.pop(cid, None) is not None:
-                    self._outstanding -= 1
-                failure = exc
-            if attempt >= policy.retries:
-                raise failure
-            attempt += 1
-            self.retries += 1
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.instant("recover.retry", track="faults",
-                               name=f"engine NVMe retry {attempt}",
-                               cid=cid, attempt=attempt,
-                               reason=str(failure))
-            yield self.sim.timeout(policy.backoff(attempt))
-            cid, waiter = yield from self._issue(opcode, *chunk)
+            yield from self.client.command(
+                lambda chunk=chunk: self._issue(opcode, *chunk),
+                chunk[0], chunk[1], issued=issued)
 
     def _issue(self, opcode: int, slba: int, nbytes: int, buf: int):
         """Process: build and submit one NVMe command; returns its
         ``(cid, waiter)`` pair."""
         yield self.sim.timeout(COMMAND_BUILD)
-        cid = self.qp.allocate_cid()
-        pages = prp_pages(buf, nbytes)
-        prp1, prp2, blob = prp_fields(pages)
-        if blob:
-            list_addr = self._prp_area + (cid % QUEUE_DEPTH) * PRP_SLOT
-            self.fabric.address_map.write(list_addr, blob)
-            prp2 = list_addr
-        self.qp.push(NvmeCommand(opcode=opcode, cid=cid, nsid=1, prp1=prp1,
-                                 prp2=prp2, slba=slba,
-                                 nlb=nbytes // LBA_SIZE - 1))
-        yield from self.qp.ring_sq(self.engine_port)
-        waiter = self.sim.event()
-        self._waiters[cid] = waiter
-        self._outstanding += 1
-        self.commands_issued += 1
+        cid = yield from self.client.admit()
+        waiter = yield from self.client.issue(cid, opcode, slba, nbytes, buf)
         wake, self._poll_wake = self._poll_wake, self.sim.event()
         wake.succeed()
         return cid, waiter
@@ -162,22 +95,11 @@ class EngineNvmeController(Executor):
 
     def _completion_fsm(self):
         while True:
-            if self._outstanding == 0:
+            if not self.client.waiters:
                 yield self._poll_wake
                 continue
             cqe = self.qp.poll_completion()
             if cqe is None:
                 yield self.sim.timeout(POLL_INTERVAL)
                 continue
-            yield from self.qp.ring_cq(self.engine_port)
-            waiter = self._waiters.pop(cqe.cid, None)
-            if waiter is None:
-                # A completion for a command whose deadline already
-                # expired (e.g. slow rather than dropped) — discard.
-                self.stale_completions += 1
-                continue
-            self._outstanding -= 1
-            if waiter.triggered:
-                self.stale_completions += 1
-            else:
-                waiter.succeed(cqe)
+            yield from self.client.complete(cqe, self.sim.now)

@@ -10,14 +10,12 @@ request's latency trace.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.analysis.breakdown import NULL_TRACE
-from repro.devices.nvme.commands import (LBA_SIZE, NvmeCommand, OP_READ,
-                                         OP_WRITE, prp_fields, prp_pages)
+from repro.devices.nvme.client import NvmeClient
+from repro.devices.nvme.commands import LBA_SIZE, OP_READ, OP_WRITE
 from repro.devices.nvme.ssd import NvmeSsd
-from repro.errors import DeviceError, DeviceTimeout, ProtocolError
-from repro.faults import HOST_NVME_POLICY, active_faults, watchdog
+from repro.errors import DeviceError, ProtocolError
+from repro.faults import HOST_NVME_POLICY
 from repro.host.cpu import CpuPool
 from repro.host.costs import CAT, SoftwareCosts
 from repro.host.kernel.interrupts import InterruptController
@@ -36,25 +34,17 @@ class HostNvmeDriver:
                  irq: InterruptController, sq_addr: int, cq_addr: int,
                  prp_pool_addr: int, qid: int = 1):
         self.sim = sim
-        self.fabric = fabric
         self.cpu = cpu
         self.costs = costs
         self.ssd = ssd
         self.qp = ssd.create_io_queue(qid, sq_addr, cq_addr,
                                       self.QUEUE_DEPTH, interrupt=True)
-        self._prp_pool_addr = prp_pool_addr
-        self._waiters: Dict[int, object] = {}  # cid -> Event
         irq.register(ssd.name, vector=qid, handler=self._on_irq)
         self._irq_busy = False
-        # Command deadline + bounded-retry knobs (Linux nvme's timeout
-        # and retry behaviour, first order).
-        self.policy = HOST_NVME_POLICY
-        self.retries = 0
-        self.late_completions = 0
-        metrics = sim.metrics
-        if metrics is not None:
-            metrics.polled("faults.retries", lambda: self.retries,
-                           owner=f"{fabric.name}:host-nvme:{ssd.name}")
+        # One PRP-list page per command.
+        self.client = NvmeClient(
+            sim, self.qp, "host", prp_pool_addr, PAGE, HOST_NVME_POLICY,
+            "host NVMe", owner=f"{fabric.name}:host-nvme:{ssd.name}")
 
     # -- submission ----------------------------------------------------------
 
@@ -67,63 +57,32 @@ class HostNvmeDriver:
         """
         if nbytes % LBA_SIZE:
             raise ProtocolError(f"I/O of {nbytes} bytes is not block-sized")
-        attempt = 0
-        while True:
-            failure = None
-            cid = self.qp.allocate_cid()
+
+        def issue():
+            cid = yield from self.client.admit()
             with trace.span(CAT.DEVICE_CONTROL):
                 yield from self.cpu.run(
                     self.costs.block_submit + self.costs.nvme_submit,
                     CAT.DEVICE_CONTROL)
-                pages = prp_pages(buf_addr, nbytes)
-                prp1, prp2, blob = prp_fields(pages)
-                if blob:
-                    list_addr = self._prp_list_slot(cid)
-                    self.fabric.address_map.write(list_addr, blob)
-                    prp2 = list_addr
-                command = NvmeCommand(opcode=opcode, cid=cid, nsid=1,
-                                      prp1=prp1, prp2=prp2, slba=slba,
-                                      nlb=nbytes // LBA_SIZE - 1)
-                self.qp.push(command)
-                yield from self.qp.ring_sq("host")
-            waiter = self.sim.event()
-            self._waiters[cid] = waiter
-            submit_done = self.sim.now
-            if active_faults(self.sim) is not None:
-                watchdog(self.sim, waiter, self.policy.deadline_for(nbytes),
-                         f"host NVMe cid {cid}", cid=cid, slba=slba,
-                         size=nbytes)
-            try:
-                cqe, irq_at = yield waiter
-            except DeviceTimeout as exc:
-                # The command is lost (dropped CQE, lost MSI, dead
-                # device): forget it and retry with a fresh cid.
-                self._waiters.pop(cid, None)
-                failure = exc
-            else:
-                device_cat = CAT.READ if opcode == OP_READ else CAT.WRITE
-                trace.add(device_cat, irq_at - submit_done)
-                trace.add(CAT.COMPLETION, self.sim.now - irq_at)
-                with trace.span(CAT.COMPLETION):
-                    # The waiting context reschedules after the IRQ wakeup.
-                    yield from self.cpu.run(self.costs.context_switch,
-                                            CAT.COMPLETION)
-                if cqe.ok:
-                    return cqe
-                failure = DeviceError(
+                waiter = yield from self.client.issue(
+                    cid, opcode, slba, nbytes, buf_addr)
+            return cid, waiter
+
+        def settle(cqe, submitted, irq_at):
+            device_cat = CAT.READ if opcode == OP_READ else CAT.WRITE
+            trace.add(device_cat, irq_at - submitted)
+            trace.add(CAT.COMPLETION, self.sim.now - irq_at)
+            with trace.span(CAT.COMPLETION):
+                # The waiting context reschedules after the IRQ wakeup.
+                yield from self.cpu.run(self.costs.context_switch,
+                                        CAT.COMPLETION)
+            if not cqe.ok:
+                raise DeviceError(
                     f"NVMe I/O failed with status {cqe.status} "
                     f"(opcode {opcode}, slba {slba}, {nbytes} bytes)")
-            if attempt >= self.policy.retries:
-                raise failure
-            attempt += 1
-            self.retries += 1
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.instant("recover.retry", track="faults",
-                               name=f"host NVMe retry {attempt}",
-                               cid=cid, attempt=attempt,
-                               reason=str(failure))
-            yield self.sim.timeout(self.policy.backoff(attempt))
+            return cqe
+
+        return (yield from self.client.command(issue, slba, nbytes, settle))
 
     def _split_io(self, opcode: int, slba: int, nbytes: int, buf_addr: int,
                   trace):
@@ -133,15 +92,9 @@ class HostNvmeDriver:
         if nbytes <= mdts:
             return (yield from self.submit_io(opcode, slba, nbytes,
                                               buf_addr, trace))
-        parts = []
-        offset = 0
-        while offset < nbytes:
-            chunk = min(mdts, nbytes - offset)
-            parts.append(self.sim.process(self.submit_io(
-                opcode, slba + offset // LBA_SIZE, chunk, buf_addr + offset,
-                trace)))
-            offset += chunk
-        last = None
+        parts = [self.sim.process(self.submit_io(
+            opcode, slba + offset // LBA_SIZE, min(mdts, nbytes - offset),
+            buf_addr + offset, trace)) for offset in range(0, nbytes, mdts)]
         for part in parts:
             last = yield part
         return last
@@ -154,10 +107,6 @@ class HostNvmeDriver:
         """Process: write blocks from ``buf_addr``; returns the last CQE."""
         return self._split_io(OP_WRITE, slba, nbytes, buf_addr, trace)
 
-    def _prp_list_slot(self, cid: int) -> int:
-        """A per-command scratch page for PRP lists."""
-        return self._prp_pool_addr + (cid % self.QUEUE_DEPTH) * PAGE
-
     # -- completion ------------------------------------------------------------
 
     def _on_irq(self) -> None:
@@ -168,19 +117,7 @@ class HostNvmeDriver:
 
     def _irq_handler(self, irq_at: int):
         yield from self.cpu.run(self.costs.interrupt_entry, CAT.COMPLETION)
-        drained_any = True
-        while drained_any:
-            drained_any = False
-            while (cqe := self.qp.poll_completion()) is not None:
-                drained_any = True
-                yield from self.cpu.run(self.costs.nvme_complete,
-                                        CAT.COMPLETION)
-                yield from self.qp.ring_cq("host")
-                waiter = self._waiters.pop(cqe.cid, None)
-                if waiter is None or waiter.triggered:
-                    # Completion for a command whose deadline already
-                    # expired (it was retried with a fresh cid).
-                    self.late_completions += 1
-                    continue
-                waiter.succeed((cqe, irq_at))
+        while (cqe := self.qp.poll_completion()) is not None:
+            yield from self.cpu.run(self.costs.nvme_complete, CAT.COMPLETION)
+            yield from self.client.complete(cqe, irq_at)
         self._irq_busy = False

@@ -125,7 +125,7 @@ class Testbed:
 
     def assert_no_leaks(self) -> None:
         """Fail if buffers/slots did not return to their post-bring-up
-        levels, or if engine/driver bookkeeping still holds live work.
+        levels, or if engine/driver/NVMe bookkeeping still holds live work.
 
         Call after ``sim.run()`` has drained — including runs where D2D
         commands failed, timed out or were aborted.
@@ -151,6 +151,12 @@ class Testbed:
                 problems.append(
                     f"node{index}: driver still waits on D2D ids "
                     f"{sorted(node.driver._waiters)}")
+            for nvme in [*node.host.nvme_drivers,
+                         *(node.engine.nvme_ctrls if node.engine else ())]:
+                if nvme.client.waiters:
+                    problems.append(
+                        f"node{index}: {nvme.client.label} still waits on "
+                        f"cids {sorted(nvme.client.waiters)}")
         if problems:
             raise AssertionError("resource leaks: " + "; ".join(problems))
 

@@ -9,6 +9,7 @@ from repro.devices.nvme import (Completion, CompletionPoller, FlashStore,
 from repro.devices.nvme.commands import (LBA_SIZE, prp_fields,
                                          unpack_prp_list)
 from repro.errors import DeviceError, ProtocolError
+from repro.schemes import Testbed
 from repro.units import KIB, MIB, PAGE, usec
 
 from tests.conftest import SSD_BAR
@@ -291,3 +292,44 @@ class TestFlashStore:
         store.write_blocks(1000, b"\x01" * LBA_SIZE)
         assert store.read_blocks(1000, 1) == b"\x01" * LBA_SIZE
         assert store.read_blocks(0, 1) == bytes(LBA_SIZE)
+
+
+class TestNvmeClientAdmission:
+    """SQ admission in the shared submitter-side client."""
+
+    @staticmethod
+    def _admit(client):
+        """Run ``client.admit()`` up to its first yield: the cid if it
+        admitted at once, else the gate it parked on."""
+        process = client.admit()
+        try:
+            return None, next(process), process
+        except StopIteration as done:
+            return done.value, None, process
+
+    def test_free_slot_admits_without_a_yield_or_an_event(self):
+        tb = Testbed(seed=40, with_dcs=False, with_gpu=False)
+        client = tb.node0.host.nvme_driver.client
+        first_eid = tb.sim.event().eid
+        cid, gate, _ = self._admit(client)
+        assert gate is None and cid is not None
+        assert tb.sim.event().eid == first_eid + 1   # no event created
+
+    def test_full_sq_parks_until_a_completion_hands_over_its_slot(self):
+        tb = Testbed(seed=41, with_dcs=False, with_gpu=False)
+        client = tb.node0.host.nvme_driver.client
+        cids = [self._admit(client)[0] for _ in range(client.qp.depth - 1)]
+        assert None not in cids
+        cid, gate, parked = self._admit(client)
+        assert cid is None and not gate.triggered
+        waiter = client.waiters[cids[0]] = tb.sim.event()
+        cqe = Completion(cid=cids[0], sq_head=0, status=0, phase=1)
+        tb.sim.run(until=tb.sim.process(client.complete(cqe, tb.sim.now)))
+        assert waiter.triggered and gate.triggered
+        with pytest.raises(StopIteration) as done:
+            parked.send(None)
+        assert done.value.value == cids[-1] + 1
+        # A stale CQE (no waiter left) frees nothing and is counted.
+        tb.sim.run(until=tb.sim.process(client.complete(cqe, tb.sim.now)))
+        assert client.stale_completions == 1
+        assert self._admit(client)[1] is not None   # still full

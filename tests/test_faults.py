@@ -133,10 +133,10 @@ class TestTransientRecovery:
         proc = _run_d2d(tb, D2DKind.SSD_TO_HOST, 0, buf, 4 * KIB)
         faulty_span = tb.sim.now - start
         assert proc.ok
-        assert ctrl.retries == 1
+        assert ctrl.client.retries == 1
         # The recovered request pays at least the first backoff on top
         # of a full extra device round trip.
-        assert faulty_span >= clean_span + ctrl.policy.backoff(1)
+        assert faulty_span >= clean_span + ctrl.client.policy.backoff(1)
         tb.assert_no_leaks()
 
     def test_permanent_flash_error_exhausts_retries(self):
@@ -149,7 +149,7 @@ class TestTransientRecovery:
         with pytest.raises(DeviceError,
                            match="failed with status DEVICE_ERROR"):
             _ = proc.value
-        assert ctrl.retries == ctrl.policy.retries
+        assert ctrl.client.retries == ctrl.client.policy.retries
         assert tb.node0.engine.tasks_failed == 1
         tb.assert_no_leaks()
 
@@ -165,7 +165,8 @@ class TestTransientRecovery:
         proc = tb.sim.process(body(tb.sim))
         tb.sim.run()
         assert proc.ok
-        assert host.nvme_driver.retries == 1
+        assert host.nvme_driver.client.retries == 1
+        tb.assert_no_leaks()
 
 
 class TestLostCompletions:
@@ -180,7 +181,7 @@ class TestLostCompletions:
         proc = _run_d2d(tb, D2DKind.SSD_TO_HOST, 0, buf, 4 * KIB)
         assert proc.ok
         assert tb.node0.host.ssd.cqes_dropped == 1
-        assert ctrl.retries == 1
+        assert ctrl.client.retries == 1
         tb.assert_no_leaks()
 
     def test_dropped_cqe_hits_host_watchdog(self):
@@ -196,7 +197,8 @@ class TestLostCompletions:
         tb.sim.run()
         assert proc.ok
         assert host.ssd.cqes_dropped == 1
-        assert host.nvme_driver.retries == 1
+        assert host.nvme_driver.client.retries == 1
+        tb.assert_no_leaks()
 
     def test_no_injected_scenario_hangs_the_run(self):
         """A run whose every flash read dies still drains: deadlines,
@@ -284,6 +286,25 @@ class TestAbortAndCleanup:
         with pytest.raises(DeviceError, match="ABORTED"):
             _ = proc.value
         assert engine.tasks_failed == 1
+        tb.assert_no_leaks()
+
+    @pytest.mark.parametrize("path", ["host", "engine"])
+    def test_leak_check_reports_in_flight_nvme_cids(self, path):
+        tb = Testbed(seed=30)
+        buf = tb.node0.host.alloc_buffer(4 * KIB)
+        if path == "host":
+            client = tb.node0.host.nvme_driver.client
+            tb.sim.process(tb.node0.host.nvme_driver.read(0, 4 * KIB, buf))
+        else:
+            client = tb.node0.engine.nvme_ctrl.client
+            tb.sim.process(tb.node0.driver.submit(
+                D2DKind.SSD_TO_HOST, src=0, dst=buf, length=4 * KIB))
+        while not client.waiters:
+            tb.sim.step()
+        with pytest.raises(AssertionError,
+                           match=rf"{path} NVMe still waits on cids \[\d+\]"):
+            tb.assert_no_leaks()
+        tb.sim.run()
         tb.assert_no_leaks()
 
 

@@ -32,7 +32,7 @@ def _faulty_run():
         proc = tb.sim.process(body(tb.sim))
         tb.sim.run()
         assert proc.ok
-        assert tb.node0.engine.nvme_ctrl.retries == 1
+        assert tb.node0.engine.nvme_ctrl.client.retries == 1
     return session
 
 

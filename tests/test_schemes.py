@@ -197,3 +197,25 @@ class TestFlexibility:
     def test_integrated_cannot_add_devices(self):
         assert not IntegratedScheme.supports_device("gpu")
         assert IntegratedScheme.supports_device("ssd")
+
+
+class TestSqAdmission:
+    """More commands than SQ slots: submitters must wait for a slot,
+    not overflow the ring."""
+
+    def test_engine_sq_admits_one_block_commands(self):
+        # Without bulk transfer a 1 MiB read is 256 one-block commands
+        # against a 64-deep engine SQ.
+        tb = Testbed(seed=31, bulk_transfer=False)
+        data = _pattern(1024 * KIB, salt=5)
+        result = run_send(tb, DcsCtrlScheme(tb), data, "sq-engine.dat")
+        assert result.bytes_moved == len(data)
+        tb.assert_no_leaks()
+
+    def test_host_sq_admits_more_parts_than_slots(self, monkeypatch):
+        from repro.host.drivers.nvme_driver import HostNvmeDriver
+        monkeypatch.setattr(HostNvmeDriver, "QUEUE_DEPTH", 8)
+        tb = Testbed(seed=32)
+        data = _pattern(2048 * KIB, salt=6)
+        result = run_send(tb, SwOptScheme(tb), data, "sq-host.dat")
+        assert result.received == data

@@ -62,14 +62,16 @@ compare:         ## outputs byte-identical to another checkout: PARENT=<dir>
 	     && $(PYTHON) -m repro.experiments --trace-jsonl $$out/fig11.jsonl \
 	            --metrics $$out/fig11.csv fig11 > $$out/fig11.out \
 	     && $(PYTHON) -m repro.experiments faults > $$out/faults.out \
-	     && $(PYTHON) -m repro.experiments fig12a > $$out/fig12a.out) \
+	     && $(PYTHON) -m repro.experiments --metrics $$out/fig12a.csv \
+	            fig12a > $$out/fig12a.out) \
 	        || exit 1; \
 	    for run in fig11 faults fig12a; do \
 	        sed -e '/regenerated in/d' -e '/^\[trace:/d' \
 	            -e '/^\[metrics:/d' $$out/$$run.out > $$out/$$run.txt; \
 	    done; \
 	done
-	@for file in fig11.jsonl fig11.csv fig11.txt faults.txt fig12a.txt; do \
+	@for file in fig11.jsonl fig11.csv fig11.txt faults.txt fig12a.csv \
+	        fig12a.txt; do \
 	    cmp compare/here/$$file compare/parent/$$file \
 	        || { echo "compare: $$file differs from $(PARENT)"; exit 1; }; \
 	    echo "compare OK: $$file identical"; \

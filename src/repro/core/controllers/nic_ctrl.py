@@ -10,7 +10,7 @@ data into the continuous memory space" (§IV-C).
 
 Mechanics here: send/recv rings live in engine BRAM; receive uses the
 NIC's header-split into BRAM header slots + DDR3 staging slots; a pump
-FSM (woken by the NIC's status-block writes into watchable BRAM)
+FSM (woken by the NIC's status-block writes into watched BRAM)
 parses headers, tracks per-connection sequence state, and gathers
 payloads into the destination buffers of pending scoreboard entries.
 """
@@ -23,7 +23,6 @@ from typing import Deque, Dict
 
 from repro.core.buffers import EngineBuffers
 from repro.core.command import DeviceCommand
-from repro.core.controllers.bram import WatchableBram
 from repro.core.scoreboard import Executor
 from repro.devices.nic.descriptors import RecvDescriptor, SendDescriptor
 from repro.devices.nic.nic import Nic
@@ -31,6 +30,7 @@ from repro.errors import DeviceError, DeviceTimeout, ProtocolError
 from repro.faults import (ENGINE_NIC_RECV_POLICY, ENGINE_NIC_SEND_POLICY,
                           active_faults, watchdog)
 from repro.memory.dram import FPGA_DDR3
+from repro.memory.region import MemoryRegion
 from repro.net.headers import EthernetHeader, Ipv4Header, TcpHeader
 from repro.net.packet import Frame, HEADER_LEN, TCP_MSS
 from repro.net.tcp import FlowTable, TcpFlow
@@ -75,7 +75,7 @@ class EngineNicController(Executor):
 
     def __init__(self, sim: Simulator, fabric: Fabric, nic: Nic,
                  engine_port: str, buffers: EngineBuffers,
-                 bram: WatchableBram, tx_ring_addr: int, tx_status_addr: int,
+                 bram: MemoryRegion, tx_ring_addr: int, tx_status_addr: int,
                  rx_desc_addr: int, rx_cmpl_addr: int, rx_status_addr: int,
                  rx_hdr_area: int, tx_hdr_area: int,
                  max_batch: int = MAX_LSO):
@@ -112,10 +112,9 @@ class EngineNicController(Executor):
         # armed while a fault plan is active.
         self.send_policy = ENGINE_NIC_SEND_POLICY
         self.recv_policy = ENGINE_NIC_RECV_POLICY
-        # Hardware wake-ups: NIC status writes hit watchable BRAM.
+        # Hardware wake-ups: NIC status writes into watched BRAM.
         bram.watch(tx_status_addr, 4, self._on_tx_status)
         bram.watch(rx_status_addr, 4, self._on_rx_status)
-        self._tx_wake = sim.event()
 
     # -- bring-up ------------------------------------------------------------
 

@@ -10,7 +10,22 @@ entries ``dev="nvme"`` whose ``src``/``dst`` are an SLBA and an engine
 DDR3 address (direction by ``rw``), splits them into ≤MDTS NVMe
 commands with BRAM-resident PRP lists (the bulk-transfer optimization
 of §IV-C), pipelines the commands, and completes them by *polling* its
-BRAM CQ — no interrupts anywhere on this path.
+CQ (in BRAM; in host DRAM under the ring-placement ablation) — no
+interrupts anywhere on this path.
+
+Write-driven, phase-exact CQ polling: the completion FSM polls on a
+fixed 200 ns phase, but schedules only the polls that can see
+something.  After an empty poll at ``t0`` it sleeps until the CQ ring
+is written (a watch on its memory region) or the watchdog forgets the
+last outstanding command, then resumes at the first tick
+``t0 + k * POLL_INTERVAL`` strictly after that wake.  That is exactly
+the tick on which an every-tick poller would first see the change:
+both events that can change what a poll sees — a CQE write landing
+after its last link-release timeout, and the watchdog's fail relay —
+are queued less than ``POLL_INTERVAL`` before they run, so a poll due
+on the wake's own tick was queued first and saw the old state.
+Command issue does not wake a sleeping FSM: it changes nothing a poll
+sees.
 """
 
 from __future__ import annotations
@@ -18,12 +33,14 @@ from __future__ import annotations
 from repro.core.command import DeviceCommand
 from repro.core.scoreboard import Executor
 from repro.devices.nvme.client import NvmeClient
-from repro.devices.nvme.commands import LBA_SIZE, OP_READ, OP_WRITE
+from repro.devices.nvme.commands import (CQE_SIZE, LBA_SIZE, OP_READ,
+                                         OP_WRITE)
 from repro.devices.nvme.ssd import NvmeSsd
 from repro.errors import DeviceError
 from repro.faults import ENGINE_NVME_POLICY
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
+from repro.sim.resources import Signal
 from repro.units import nsec
 
 # Hardware SQE + PRP build: a pipelined FSM at the engine clock.
@@ -52,11 +69,18 @@ class EngineNvmeController(Executor):
         self.max_chunk = max_chunk or ssd.config.max_transfer
         self.qp = ssd.create_io_queue(qid, sq_addr, cq_addr, QUEUE_DEPTH,
                                       interrupt=False)
-        self._poll_wake = sim.event()
+        # The FSM parks on _issued with no command outstanding, and on
+        # _cq_changed after an empty poll.
+        self._issued = Signal(sim)
+        self._cq_changed = Signal(sim)
+        cq_bytes = QUEUE_DEPTH * CQE_SIZE
+        fabric.address_map.resolve(cq_addr, cq_bytes).watch(
+            cq_addr, cq_bytes, self._cq_changed.notify)
         self.client = NvmeClient(
             sim, self.qp, engine_port, prp_area, PRP_SLOT,
             ENGINE_NVME_POLICY, "engine NVMe",
-            owner=f"{fabric.name}:{engine_port}:nvme:{ssd.name}")
+            owner=f"{fabric.name}:{engine_port}:nvme:{ssd.name}",
+            on_drain=self._cq_changed.notify)
         sim.process(self._completion_fsm())
 
     # -- executor interface ------------------------------------------------
@@ -87,19 +111,22 @@ class EngineNvmeController(Executor):
         yield self.sim.timeout(COMMAND_BUILD)
         cid = yield from self.client.admit()
         waiter = yield from self.client.issue(cid, opcode, slba, nbytes, buf)
-        wake, self._poll_wake = self._poll_wake, self.sim.event()
-        wake.succeed()
+        self._issued.notify()
         return cid, waiter
 
     # -- completion polling FSM ----------------------------------------------
 
     def _completion_fsm(self):
+        sim = self.sim
         while True:
             if not self.client.waiters:
-                yield self._poll_wake
+                yield self._issued.wait()
                 continue
             cqe = self.qp.poll_completion()
             if cqe is None:
-                yield self.sim.timeout(POLL_INTERVAL)
+                polled_at = sim.now
+                yield self._cq_changed.wait()
+                lag = (sim.now - polled_at) % POLL_INTERVAL
+                yield sim.timeout(POLL_INTERVAL - lag)
                 continue
-            yield from self.client.complete(cqe, self.sim.now)
+            yield from self.client.complete(cqe, sim.now)

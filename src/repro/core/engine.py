@@ -14,7 +14,6 @@ from repro.core.buffers import EngineBuffers
 from repro.core.command import (D2DCommand, D2DCompletion, D2DKind,
                                 D2DStatus, DeviceCommand,
                                 FLAG_APPEND_DIGEST)
-from repro.core.controllers.bram import WatchableBram
 from repro.core.controllers.dma_ctrl import EngineDmaController
 from repro.core.controllers.ndp_exec import NdpExecutor
 from repro.core.controllers.nic_ctrl import EngineNicController
@@ -91,9 +90,8 @@ class HDCEngine:
         fabric.add_port(port, LINK_GEN2_X8)
         self.bar = fabric.add_region(MemoryRegion(
             f"{port}-bar", base=ENGINE_BAR_BASE, size=64 * KIB, port=port))
-        bram_region = fabric.add_region(MemoryRegion(
+        self.bram = fabric.add_region(MemoryRegion(
             f"{port}-bram", base=ENGINE_BRAM_BASE, size=512 * KIB, port=port))
-        self.bram = WatchableBram(bram_region)
         fabric.add_region(MemoryRegion(
             f"{port}-ddr3", base=ENGINE_DDR_BASE, size=1 * GIB, port=port,
             sparse=True, access_latency=120))

@@ -22,7 +22,7 @@ from repro.core.command import (COMPLETION_SIZE, D2DCommand,
 from repro.errors import DeviceError, ProtocolError
 from repro.memory.region import MemoryRegion
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Store
+from repro.sim.resources import Signal, Store
 from repro.units import nsec
 
 COMMAND_QUEUE_DEPTH = 64
@@ -47,7 +47,7 @@ class HostInterface:
         self.on_command = on_command
         self._head = 0          # next command slot the parser will read
         self._tail = 0          # latest doorbell value
-        self._wake = sim.event()
+        self._wake = Signal(sim)
         self._cpl_tail = 0
         self.commands_received = 0
         self.interrupts_raised = 0
@@ -85,8 +85,7 @@ class HostInterface:
             if tail - self._head > COMMAND_QUEUE_DEPTH:
                 raise ProtocolError("command queue overrun")
             self._tail = tail
-            wake, self._wake = self._wake, self.sim.event()
-            wake.succeed()
+            self._wake.notify()
         elif offset >= COMMAND_QUEUE_OFFSET:
             # Command bytes landing in queue BRAM: plain storage.
             self.bar._backing[offset:offset + len(data)] = data
@@ -97,7 +96,7 @@ class HostInterface:
     def _parser(self):
         while True:
             if self._head == self._tail:
-                yield self._wake
+                yield self._wake.wait()
                 continue
             slot_addr = self.command_slot_addr(self._head)
             self._head += 1

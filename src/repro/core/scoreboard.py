@@ -21,7 +21,7 @@ from repro.core.command import (D2DCompletion, D2DStatus, DeviceCommand,
                                 EntryState)
 from repro.errors import ConfigurationError, DeviceError, DeviceTimeout
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Store
+from repro.sim.resources import Signal, Store
 from repro.units import nsec
 
 # One scheduling decision: a handful of FSM cycles at the engine clock.
@@ -86,7 +86,7 @@ class Scoreboard:
         self._executors: Dict[str, Executor] = {}
         self._busy: Dict[str, int] = {}
         self._tasks: List[_Task] = []       # admission order
-        self._wake = sim.event()
+        self._wake = Signal(sim)
         self.completions: Store = Store(sim)
         self.entries_issued = 0
         self.decisions = 0
@@ -133,7 +133,7 @@ class Scoreboard:
                 raise ConfigurationError(
                     f"no executor registered for device {entry.dev!r}")
         while self.live_entries() + len(entries) > self.capacity_entries:
-            yield self._wake
+            yield self._wake.wait()
         self._tasks.append(_Task(d2d_id, entries, finalize, abort))
         if self._m_entries is not None:
             self._m_entries.set(self.live_entries())
@@ -157,8 +157,7 @@ class Scoreboard:
     # -- scheduling ------------------------------------------------------------
 
     def _kick(self) -> None:
-        wake, self._wake = self._wake, self.sim.event()
-        wake.succeed()
+        self._wake.notify()
 
     def _pick(self):
         """The first WAIT entry whose deps are done and controller free.
@@ -194,7 +193,7 @@ class Scoreboard:
         while True:
             picked = self._pick()
             if picked is None:
-                yield self._wake
+                yield self._wake.wait()
                 continue
             task, entry, executor = picked
             # ready -> issue: reserve the controller slot, pay the

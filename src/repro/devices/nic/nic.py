@@ -38,7 +38,7 @@ from repro.net.wire import Wire
 from repro.pcie.link import LINK_GEN2_X8, LinkConfig
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Store
+from repro.sim.resources import Signal, Store
 from repro.sim.stats import Meter
 from repro.units import KIB, nsec
 
@@ -75,7 +75,7 @@ class _TxChannel:
     head: int = 0       # next descriptor the NIC will fetch (free-running)
     tail: int = 0       # latest doorbell value (free-running, recovered)
     consumed: int = 0
-    wake: object = None
+    wake: Optional[Signal] = None
     m_occ: Optional[object] = None  # nic.tx_ring_occupancy instrument
 
 
@@ -91,7 +91,7 @@ class _RxChannel:
     produced: int = 0   # completions written
     fetch_busy: bool = False
     buffers: Deque[Tuple[int, RecvDescriptor]] = field(default_factory=deque)
-    buffer_wake: object = None
+    buffer_wake: Optional[Signal] = None
     prev_done: object = None   # ordering chain for completion posting
     m_buf: Optional[object] = None  # nic.rx_buffers instrument
 
@@ -153,7 +153,7 @@ class Nic(PcieDevice):
             raise DeviceError(f"{self.name} is out of TX channels")
         channel = _TxChannel(ring_addr=ring_addr, depth=depth,
                              status_addr=status_addr, interrupt=interrupt,
-                             wake=self.sim.event())
+                             wake=Signal(self.sim))
         self._tx_channels.append(channel)
         index = len(self._tx_channels) - 1
         metrics = self.sim.metrics
@@ -175,7 +175,7 @@ class Nic(PcieDevice):
         channel = _RxChannel(desc_addr=desc_addr, cmpl_addr=cmpl_addr,
                              depth=depth, status_addr=status_addr,
                              interrupt=interrupt,
-                             buffer_wake=self.sim.event())
+                             buffer_wake=Signal(self.sim))
         self._rx_channels.append(channel)
         index = len(self._rx_channels) - 1
         metrics = self.sim.metrics
@@ -214,8 +214,7 @@ class Nic(PcieDevice):
             channel.tail = self._unwrap(channel.tail, value)
             if channel.m_occ is not None:
                 channel.m_occ.set(channel.tail - channel.consumed)
-            wake, channel.wake = channel.wake, self.sim.event()
-            wake.succeed()
+            channel.wake.notify()
         elif reg == _RECV_DB:
             if index >= len(self._rx_channels):
                 raise ProtocolError(f"recv doorbell for channel {index} "
@@ -240,7 +239,7 @@ class Nic(PcieDevice):
     def _tx_loop(self, tx: _TxChannel, index: int):
         while True:
             if tx.head == tx.tail:
-                yield tx.wake
+                yield tx.wake.wait()
                 continue
             slot = tx.head % tx.depth
             tx.head += 1
@@ -378,8 +377,7 @@ class Nic(PcieDevice):
                 rx.fetched += 1
                 if rx.m_buf is not None:
                     rx.m_buf.set(len(rx.buffers))
-                wake, rx.buffer_wake = rx.buffer_wake, self.sim.event()
-                wake.succeed()
+                rx.buffer_wake.notify()
         finally:
             rx.fetch_busy = False
 
@@ -401,7 +399,7 @@ class Nic(PcieDevice):
                                     "RX configuration")
             rx = self._rx_channels[self._steer(raw_frame)]
             while not rx.buffers:
-                yield rx.buffer_wake
+                yield rx.buffer_wake.wait()
             index, desc = rx.buffers.popleft()
             if rx.m_buf is not None:
                 rx.m_buf.set(len(rx.buffers))

@@ -22,10 +22,14 @@ class NvmeClient:
     A command holds one of the SQ's ``depth - 1`` usable slots from
     admission until its completion or expired deadline, so the SQ never
     overflows; admission into a free slot neither yields nor schedules.
+
+    ``on_drain()``, if given, runs whenever forgetting a command leaves
+    no command outstanding (a poller's cue to stop polling).
     """
 
     def __init__(self, sim, qp: QueuePair, initiator: str, prp_area: int,
-                 prp_slot: int, policy: RetryPolicy, label: str, owner: str):
+                 prp_slot: int, policy: RetryPolicy, label: str, owner: str,
+                 on_drain=None):
         self.sim = sim
         self.qp = qp
         self.initiator = initiator      # who rings the doorbells
@@ -36,6 +40,7 @@ class NvmeClient:
         self.waiters: dict[int, object] = {}    # cid -> Event
         self._admitted = 0
         self._gates: deque = deque()
+        self._on_drain = on_drain
         self.retries = 0
         self.stale_completions = 0
         metrics = sim.metrics
@@ -130,4 +135,6 @@ class NvmeClient:
                 self._gates.popleft().succeed()
             else:
                 self._admitted -= 1
+            if not self.waiters and self._on_drain is not None:
+                self._on_drain()
         return waiter

@@ -36,7 +36,7 @@ from repro.errors import DeviceError, ProtocolError
 from repro.pcie.link import LINK_GEN2_X4, LinkConfig
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, Signal
 from repro.units import KIB, PAGE, gib, usec
 
 
@@ -78,7 +78,7 @@ class _QueueState:
     cq_head: int = 0            # latest CQ head doorbell from the consumer
     cq_tail: int = 0
     cq_phase: int = 1
-    wake: Optional[object] = None  # Event set when the doorbell moves
+    wake: Optional[Signal] = None  # notified when the doorbell moves
     inflight: int = 0
     completed: int = 0
     post_lock: Optional[Resource] = None
@@ -138,7 +138,7 @@ class NvmeSsd(PcieDevice):
         state = _QueueState(qid=qid, sq_addr=sq_addr, cq_addr=cq_addr,
                             depth=depth, interrupt=interrupt)
         state.post_lock = Resource(self.sim, capacity=1)
-        state.wake = self.sim.event()
+        state.wake = Signal(self.sim)
         metrics = self.sim.metrics
         if metrics is not None:
             labels = dict(node=self.fabric.name, dev=self.name, qid=qid)
@@ -190,15 +190,14 @@ class NvmeSsd(PcieDevice):
         state.sq_tail = value
         if state.m_sq is not None:
             state.m_sq.set(state.sq_depth())
-        wake, state.wake = state.wake, self.sim.event()
-        wake.succeed()
+        state.wake.notify()
 
     # -- command processing --------------------------------------------------
 
     def _queue_loop(self, state: _QueueState):
         while True:
             if state.sq_head == state.sq_tail:
-                yield state.wake
+                yield state.wake.wait()
                 continue
             slot = state.sq_head
             state.sq_head = (state.sq_head + 1) % state.depth

@@ -31,7 +31,6 @@ class CpuPool:
         metrics = sim.metrics
         if metrics is not None and owner is not None:
             self.tracker.register("host.cpu.busy_ns", node=owner)
-            metrics.polled("host.cpu.util", self.utilization, node=owner)
             metrics.polled("host.cpu.busy_cores",
                            lambda: self._cores.count, node=owner)
 

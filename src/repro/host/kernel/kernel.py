@@ -28,6 +28,7 @@ from repro.net.packet import Frame, HEADER_LEN, TCP_MSS
 from repro.net.tcp import FlowTable, TcpFlow
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
+from repro.sim.resources import Signal
 from repro.units import KIB, PAGE
 
 
@@ -35,19 +36,17 @@ class _RxStream:
     """Per-flow in-order receive stream assembled by the NAPI path."""
 
     def __init__(self, sim: Simulator):
-        self.sim = sim
         self.buffer = bytearray()
-        self._wake = sim.event()
+        self._wake = Signal(sim)
 
     def append(self, payload: bytes) -> None:
         self.buffer.extend(payload)
-        wake, self._wake = self._wake, self.sim.event()
-        wake.succeed()
+        self._wake.notify()
 
     def take(self, size: int):
         """Process: wait until ``size`` bytes are buffered, then pop them."""
         while len(self.buffer) < size:
-            yield self._wake
+            yield self._wake.wait()
         data = bytes(self.buffer[:size])
         del self.buffer[:size]
         return data

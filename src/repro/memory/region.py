@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AddressError
 
@@ -65,6 +65,7 @@ class SparseBytes:
 
 MmioWriteHook = Callable[[int, bytes], None]
 MmioReadHook = Callable[[int, int], bytes]
+WriteWatcher = Callable[[], None]
 
 
 class MemoryRegion:
@@ -92,6 +93,7 @@ class MemoryRegion:
         self._sparse = sparse
         self.on_mmio_write: Optional[MmioWriteHook] = None
         self.on_mmio_read: Optional[MmioReadHook] = None
+        self._watchers: List[Tuple[int, int, WriteWatcher]] = []
 
     @property
     def end(self) -> int:
@@ -111,6 +113,13 @@ class MemoryRegion:
                 f"{self.name} [{hex(self.base)}, {hex(self.end)})")
         return off
 
+    def watch(self, addr: int, length: int, callback: WriteWatcher) -> None:
+        """Call ``callback()`` after every storage write that overlaps
+        [addr, addr+length).  The bytes land first, so the callback
+        reads the new contents."""
+        start = self._offset(addr, length)
+        self._watchers.append((start, start + length, callback))
+
     def read(self, addr: int, length: int) -> bytes:
         """Functional read of ``length`` bytes at absolute address ``addr``."""
         off = self._offset(addr, length)
@@ -124,16 +133,22 @@ class MemoryRegion:
         """Functional write of ``data`` at absolute address ``addr``.
 
         MMIO hooks fire *instead of* storing when installed — register
-        windows have device semantics, not memory semantics.
+        windows have device semantics, not memory semantics.  Watchers
+        of the written range fire after the store.
         """
         off = self._offset(addr, len(data))
         if self.on_mmio_write is not None:
             self.on_mmio_write(off, bytes(data))
             return
+        end = off + len(data)
         if self._sparse:
             self._backing.write(off, data)
         else:
-            self._backing[off:off + len(data)] = data
+            self._backing[off:end] = data
+        if self._watchers:
+            for start, stop, callback in self._watchers:
+                if off < stop and start < end:
+                    callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MemoryRegion({self.name!r}, base={hex(self.base)}, "

@@ -103,9 +103,6 @@ METRICS: Dict[str, Tuple[str, str, str]] = {
     "host.cpu.busy_ns": (
         "counter", "ns",
         "Busy nanoseconds accounted per cost-model category"),
-    "host.cpu.util": (
-        "gauge", "fraction",
-        "Pool busy fraction over the current measurement window"),
     "host.cpu.busy_cores": (
         "gauge", "cores",
         "Cores executing host work at the sample instant"),

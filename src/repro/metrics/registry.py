@@ -355,9 +355,10 @@ class MetricSet:
 
         Called from ``Simulator.step()``; schedules nothing.  One step
         records one sample however many boundaries it crosses: model
-        state and ``sim.now`` are fixed for the whole crossing, so every
-        later boundary would read the same values and change
-        compression would drop them all.  Metering cost thus follows
+        state is fixed for the whole crossing, so every later boundary
+        would read the same values and change compression would drop
+        them all.  ``sim.now`` is not: it is the crossing step's time,
+        so no sampled value may read the clock.  Metering cost thus follows
         state changes, not idle simulated time.
         """
         tick = self._next_sample

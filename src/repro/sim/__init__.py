@@ -19,7 +19,7 @@ Typical use::
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Process, Simulator
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import PriorityStore, Resource, Signal, Store
 from repro.sim.stats import BusyTracker, Histogram, Meter
 from repro.sim.rng import RngHub, empirical, exponential_interarrivals
 
@@ -34,6 +34,7 @@ __all__ = [
     "Process",
     "Resource",
     "RngHub",
+    "Signal",
     "Simulator",
     "Store",
     "Timeout",

@@ -7,9 +7,13 @@
   process continues within the same step, with no trip through the
   event queue.
 * :class:`Store` — an unbounded-or-bounded FIFO channel of items, the
-  basic building block for queues between hardware blocks.
+  basic building block for queues between hardware blocks.  A put into
+  a store with room is accepted inside ``put()``, the same way.
 * :class:`PriorityStore` — a store whose ``get`` returns the smallest
   item first (items must be orderable).
+* :class:`Signal` — a reusable wake-up: processes park on ``wait()``
+  until the next ``notify()``, which schedules nothing when none is
+  parked.
 """
 
 from __future__ import annotations
@@ -46,6 +50,18 @@ class Request(Event):
 
     def __exit__(self, *exc_info: Any) -> None:
         self.resource.release(self)
+
+
+class Put(Event):
+    """A pending :meth:`Store.put`.
+
+    A processed put has been accepted, so a process yielding one
+    continues inline rather than waiting for a fresh tick.
+    """
+
+    __slots__ = ()
+
+    _inline = True
 
 
 class Resource:
@@ -108,8 +124,11 @@ class Store:
     """A FIFO channel of items between processes.
 
     ``put(item)`` returns an event that triggers once the item is
-    accepted (immediately unless the store is full); ``get()`` returns
-    an event that triggers with the oldest item once one is available.
+    accepted; ``get()`` returns an event that triggers with the oldest
+    item once one is available.  A store with room accepts inside
+    ``put()``: the :class:`Put` comes back already processed and costs
+    no queue round trip, yielded or not.  Putters into a full store
+    park FIFO and are admitted by ``get()`` through the heap.
     """
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None):
@@ -119,7 +138,7 @@ class Store:
         self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        self._putters: Deque[tuple[Put, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -129,14 +148,15 @@ class Store:
         """True if a put() right now would have to wait."""
         return self.capacity is not None and len(self._items) >= self.capacity
 
-    def put(self, item: Any) -> Event:
+    def put(self, item: Any) -> Put:
         """Offer an item; the event triggers once the store accepts it."""
-        event = Event(self.sim)
+        event = Put(self.sim)
         if self.is_full:
             self._putters.append((event, item))
         else:
             self._insert(item)
-            event.succeed()
+            event._value = None
+            event.callbacks = None
             self._wake_getters()
         return event
 
@@ -176,3 +196,34 @@ class PriorityStore(Store):
     def __init__(self, sim: Simulator, capacity: Optional[int] = None):
         super().__init__(sim, capacity)
         self._items = []  # type: ignore[assignment]
+
+
+class Signal:
+    """A reusable wake-up for processes waiting on some condition.
+
+    ``yield signal.wait()`` parks the caller until the next
+    :meth:`notify`, which resumes every parked process in the order
+    they parked, on the notifying tick.  A notify with no process
+    parked schedules nothing: the event behind ``wait()`` exists only
+    while somebody waits on it.
+    """
+
+    __slots__ = ("sim", "_event")
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self._event: Optional[Event] = None
+
+    def wait(self) -> Event:
+        """The event the next :meth:`notify` triggers."""
+        event = self._event
+        if event is None:
+            event = self._event = Event(self.sim)
+        return event
+
+    def notify(self) -> None:
+        """Wake every process parked on :meth:`wait`, if any."""
+        event = self._event
+        if event is not None:
+            self._event = None
+            event.succeed()

@@ -103,6 +103,36 @@ class TestMemoryRegion:
         # Data was consumed by the hook, not stored.
         assert region.read(0x10, 4) == bytes(4)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_watchers_fire_after_overlapping_stores(self, sparse):
+        region = MemoryRegion("ring", base=0x1000, size=64 * KIB,
+                              port="dev", sparse=sparse)
+        seen = []
+        region.watch(0x1100, 16,
+                     lambda: seen.append(("cq", region.read(0x1100, 4))))
+        region.watch(0x1200, 4, lambda: seen.append(("status", None)))
+        region.write(0x10f0, bytes(16))         # ends just below: silent
+        region.write(0x1110, b"next")           # starts just past: silent
+        assert seen == []
+        region.write(0x10fe, b"\xaa\xbb\xcc\xdd")   # straddles the start
+        region.write(0x1100, b"cqe!" * 65)      # covers both ranges
+        # Each watcher fires once per write, after the bytes landed.
+        assert seen == [("cq", b"\xcc\xdd\x00\x00"), ("cq", b"cqe!"),
+                        ("status", None)]
+
+    def test_watchers_do_not_see_mmio_writes(self):
+        region = MemoryRegion("regs", base=0, size=4096, port="dev")
+        region.on_mmio_write = lambda off, data: None
+        seen = []
+        region.watch(0, 8, lambda: seen.append(True))
+        region.write(0, b"\x01")
+        assert seen == []
+
+    def test_watch_outside_region_rejected(self):
+        region = MemoryRegion("ring", base=0x1000, size=4096, port="dev")
+        with pytest.raises(AddressError):
+            region.watch(0x1ff0, 32, lambda: None)
+
     def test_mmio_read_hook(self):
         region = MemoryRegion("regs", base=0, size=4096, port="dev")
         region.on_mmio_read = lambda off, length: bytes([off % 256] * length)

@@ -5,14 +5,15 @@ import random
 import pytest
 
 from repro.errors import MetricsError
+from repro.apps.workload import pattern_bytes
 from repro.experiments.common import measure_send
 from repro.metrics import (DEFAULT_INTERVAL_NS, MetricsSession, csv_lines,
                            format_labels)
 from repro.schemes import (DcsCtrlScheme, IntegratedScheme, SwOptScheme,
-                           SwP2pScheme)
+                           SwP2pScheme, Testbed)
 from repro.sim.kernel import Simulator
 from repro.sim.session import installed
-from repro.units import usec
+from repro.units import KIB, usec
 
 
 def _fresh(interval_ns: int = usec(1)):
@@ -243,9 +244,10 @@ def _sampled_scenario(seed: int, per_boundary: bool):
     timed = ms.timegauge("nvme.inflight", node="n", dev="ssd")
     hist = ms.histogram("engine.d2d_latency_ns", engine="e")
     ms.polled("host.cpu.busy_ns", lambda: state["busy"], node="n")
-    # Reads sim.now: fixed for a whole crossing, like all model state.
-    ms.polled("host.cpu.util", lambda: state["busy"] / max(sim.now, 1),
-              node="n")
+    # Reads sim.now, the crossing step's time: both samplers read it in
+    # the same step, so the differential holds even for this series.
+    ms.polled("host.cpu.busy_cores",
+              lambda: state["busy"] / max(sim.now, 1), node="n")
     ms.polled_map("host.cpu.busy_ns", "category",
                   lambda: dict(state["keys"]), node="m")
 
@@ -321,7 +323,7 @@ class TestZeroOverheadOff:
 # host-centric schemes expose the engine's resources).
 REQUIRED = ("pcie.link.inflight_bytes", "nvme.sq_depth",
             "nic.tx_ring_occupancy", "engine.scoreboard_entries",
-            "engine.ddr3_bytes_in_use", "host.cpu.util")
+            "engine.ddr3_bytes_in_use", "host.cpu.busy_cores")
 
 
 class TestLiveRuns:
@@ -345,3 +347,39 @@ class TestLiveRuns:
         assert lines[0] == "sim,time_ns,metric,labels,value"
         assert len(lines) > 50
         assert all(line.count(",") == 4 for line in lines)
+
+
+def _metered_send_csv(scheme_cls, noise_seed=None):
+    """CSV of a metered 64 KiB send; ``noise_seed`` first schedules
+    seeded timeouts that nothing waits on."""
+    size = 64 * KIB
+    with MetricsSession(label="noop", interval_ns=usec(1)) as session:
+        tb = Testbed(seed=5)
+        scheme = scheme_cls(tb)
+        tb.node0.host.install_file("f.dat", pattern_bytes(size, 7))
+        conn = scheme.connect()
+        if noise_seed is not None:
+            rng = random.Random(noise_seed)
+            for _ in range(300):
+                tb.sim.timeout(rng.randrange(usec(100)))
+        send = tb.sim.process(scheme.send_file(tb.node0, conn, "f.dat", 0,
+                                               size))
+        recv = tb.sim.process(scheme.client_recv(tb.node1, conn, size))
+        tb.sim.run(until=send)
+        tb.sim.run(until=recv)
+    return list(csv_lines(session))
+
+
+class TestNoOpEventsLeaveRowsAlone:
+    """A sampled row depends only on simulated state changes: events
+    that change nothing may move which step crosses a boundary, never
+    what is recorded there."""
+
+    @pytest.mark.parametrize("scheme_cls", [SwOptScheme, DcsCtrlScheme],
+                             ids=lambda cls: cls.name)
+    @pytest.mark.parametrize("noise_seed", [1, 2])
+    def test_csv_identical_with_noop_timeouts(self, scheme_cls, noise_seed):
+        plain = _metered_send_csv(scheme_cls)
+        noisy = _metered_send_csv(scheme_cls, noise_seed)
+        assert len(plain) > 100
+        assert noisy == plain

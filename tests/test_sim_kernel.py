@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import AllOf, AnyOf, Event, Process, Simulator, Timeout
-from repro.sim.resources import Request, Resource
+from repro.sim.resources import Put, Request, Resource, Store
 from repro.units import usec
 
 
@@ -425,10 +425,11 @@ class TestSlots:
             AllOf: lambda: sim.all_of([]),
             AnyOf: lambda: sim.any_of([]),
             Request: lambda: Resource(sim).request(),
+            Put: lambda: Store(sim).put(1),
         }[kind]()
 
     @pytest.mark.parametrize(
-        "kind", [Event, Timeout, Process, AllOf, AnyOf, Request],
+        "kind", [Event, Timeout, Process, AllOf, AnyOf, Request, Put],
         ids=lambda kind: kind.__name__)
     def test_event_classes_have_no_instance_dict(self, sim, kind):
         event = self.make(kind, sim)

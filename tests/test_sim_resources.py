@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import PriorityStore, Resource, Simulator, Store
+from repro.sim import PriorityStore, Resource, Signal, Simulator, Store
 
 
 @pytest.fixture
@@ -188,6 +188,148 @@ class TestInlineGrant:
         assert both_ok
         assert either == {second: None}
         assert now == 3
+
+
+class TestSignal:
+    """``notify()`` resumes parked waiters through the queue, exactly
+    like triggering a shared event, and schedules nothing when no
+    process waits."""
+
+    def test_notify_without_waiter_schedules_nothing(self, sim):
+        signal = Signal(sim)
+        signal.notify()
+        assert sim.peek() is None
+        steps = []
+        step = sim.step
+        sim.step = lambda: steps.append(sim.peek()) or step()
+        sim.timeout(5)
+        signal.notify()
+        signal.notify()
+        sim.run()
+        assert steps == [5]
+
+    def test_waiters_resume_in_parking_order_after_queued_events(self, sim):
+        signal = Signal(sim)
+        log = []
+
+        def waiter(name):
+            yield signal.wait()
+            log.append((sim.now, name))
+
+        def notifier():
+            yield sim.timeout(10)
+            sim.timeout(0).callbacks.append(
+                lambda _: log.append((sim.now, "queued first")))
+            signal.notify()
+            log.append((sim.now, "notified"))
+
+        sim.process(waiter("a"))
+        sim.process(waiter("b"))
+        sim.process(notifier())
+        sim.run()
+        assert log == [(10, "notified"), (10, "queued first"), (10, "a"),
+                       (10, "b")]
+
+    def test_matches_swap_and_succeed_order(self, sim):
+        """The same scenario on a swapped-and-succeeded event."""
+
+        def scenario(sim, wait, notify):
+            log = []
+
+            def waiter(name):
+                for _ in range(2):
+                    yield wait()
+                    log.append((sim.now, name))
+
+            def notifier():
+                for delay in (3, 0, 4):
+                    yield sim.timeout(delay)
+                    sim.timeout(0).callbacks.append(
+                        lambda _: log.append((sim.now, "tick")))
+                    notify()
+
+            sim.process(waiter("a"))
+            sim.process(notifier())
+            sim.process(waiter("b"))
+            sim.run()
+            return log
+
+        signal = Signal(sim)
+        other = Simulator()
+        state = {"event": other.event()}
+
+        def swap_and_succeed():
+            wake, state["event"] = state["event"], other.event()
+            wake.succeed()
+
+        assert (scenario(sim, signal.wait, signal.notify)
+                == scenario(other, lambda: state["event"], swap_and_succeed))
+
+    def test_wait_after_notify_needs_a_new_notify(self, sim):
+        signal = Signal(sim)
+        first = signal.wait()
+        signal.notify()
+        second = signal.wait()
+        assert first.triggered and not second.triggered
+        assert signal.wait() is second
+
+
+class TestInlinePut:
+    """A put into a store with room is accepted inside ``put()``; a full
+    store parks putters FIFO and admits them on ``get()``."""
+
+    def test_put_with_room_is_processed_on_return(self, sim):
+        store = Store(sim, capacity=2)
+        put = store.put("a")
+        assert put.triggered and put.processed and put.ok
+        assert put.value is None
+        assert len(store) == 1
+        assert sim.peek() is None  # nothing queued for the acceptance
+
+    def test_putter_continues_before_same_tick_events(self, sim):
+        store = Store(sim)
+        log = []
+
+        def body():
+            sim.timeout(0).callbacks.append(lambda _: log.append("tick"))
+            yield store.put("x")
+            log.append("accepted")
+
+        sim.run(until=sim.process(body()))
+        assert log == ["accepted", "tick"]
+
+    def test_full_store_parks_putters_fifo_and_get_admits_them(self, sim):
+        store = Store(sim, capacity=1)
+        log = []
+
+        def putter(name):
+            yield store.put(name)
+            log.append((sim.now, f"{name} in"))
+
+        def getter():
+            yield sim.timeout(10)
+            for _ in range(3):
+                item = yield store.get()
+                log.append((sim.now, f"got {item}"))
+                yield sim.timeout(5)
+
+        for name in ("a", "b", "c"):
+            sim.process(putter(name))
+        sim.process(getter())
+        sim.run()
+        # "a" fits inline; "b" and "c" wait and enter in order, each
+        # through the queue when a get frees the slot.
+        assert log == [
+            (0, "a in"),
+            (10, "got a"), (10, "b in"),
+            (15, "got b"), (15, "c in"),
+            (20, "got c"),
+        ]
+        parked = store.put("d")
+        blocked = store.put("e")
+        assert parked.processed and not blocked.triggered
+        store.get()
+        assert blocked.triggered and not blocked.processed
 
 
 class TestStore:

@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench experiments faults-smoke trace-demo metrics-smoke \
-        compare docs-check lint perfbench-test clean
+        compare docs-check lint perfbench-test perfbench-check clean
 
 test:            ## tier-1 suite (ROADMAP.md verify command)
 	$(PYTHON) -m pytest -x -q
@@ -85,6 +85,13 @@ lint:            ## simlint: determinism/scheduling/plane-contract rules
 
 perfbench-test:  ## the host-time benchmark's own unit tests (perfbench/)
 	$(PYTHON) -m unittest discover -s perfbench
+
+perfbench-check: ## simulated results match perfbench/reference.json, seed 1
+	@for workload in swift-md5 d2d-4k d2d-4k-observed; do \
+	    $(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+	        --seconds 1 --trace 0 \
+	        || { echo "perfbench-check: $$workload failed"; exit 1; }; \
+	done
 
 clean:
 	rm -rf .pytest_cache .hypothesis trace.json metrics-a.csv metrics-b.csv \

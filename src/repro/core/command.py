@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.errors import ProtocolError
 
@@ -64,14 +64,13 @@ class D2DStatus(enum.IntEnum):
             return f"status {status}"
 
 
-_CMD_FMT = "<IBBBBQQIQ"   # id, kind, func, flags, rsvd, src, dst, length, aux
-_CMD_PAD = D2D_COMMAND_SIZE - struct.calcsize(_CMD_FMT)
+_CMD = struct.Struct("<IBBBBQQIQ")  # id, kind, func, flags, rsvd, src, dst, length, aux
+_CMD_PAD = D2D_COMMAND_SIZE - _CMD.size
 
 FLAG_APPEND_DIGEST = 0x01  # transmit the NDP digest after the payload
 
 
-@dataclass(frozen=True)
-class D2DCommand:
+class D2DCommand(NamedTuple):
     """One user-requested multi-device task.
 
     ``src``/``dst`` are kind-dependent: an SLBA for SSD endpoints, a
@@ -92,9 +91,9 @@ class D2DCommand:
     def pack(self) -> bytes:
         if self.length <= 0:
             raise ProtocolError(f"D2D length must be positive: {self.length}")
-        return struct.pack(_CMD_FMT, self.d2d_id, int(self.kind), self.func,
-                           self.flags, 0, self.src, self.dst, self.length,
-                           self.aux) + bytes(_CMD_PAD)
+        return _CMD.pack(self.d2d_id, int(self.kind), self.func, self.flags,
+                         0, self.src, self.dst, self.length,
+                         self.aux) + bytes(_CMD_PAD)
 
     @classmethod
     def unpack(cls, data: bytes) -> "D2DCommand":
@@ -103,16 +102,14 @@ class D2DCommand:
                 f"D2D command must be {D2D_COMMAND_SIZE} bytes, "
                 f"got {len(data)}")
         d2d_id, kind, func, flags, _rsvd, src, dst, length, aux = (
-            struct.unpack(_CMD_FMT, data[:struct.calcsize(_CMD_FMT)]))
-        return cls(d2d_id=d2d_id, kind=D2DKind(kind), src=src, dst=dst,
-                   length=length, func=func, flags=flags, aux=aux)
+            _CMD.unpack_from(data))
+        return cls(d2d_id, D2DKind(kind), src, dst, length, func, flags, aux)
 
 
-_CPL_FMT = "<IHH32sQ16x"  # id, status, digest_len, digest, result_length
+_CPL = struct.Struct("<IHH32sQ16x")  # id, status, digest_len, digest, result_length
 
 
-@dataclass(frozen=True)
-class D2DCompletion:
+class D2DCompletion(NamedTuple):
     """The record the engine DMA-writes to the host completion ring."""
 
     d2d_id: int
@@ -127,19 +124,17 @@ class D2DCompletion:
     def pack(self) -> bytes:
         if len(self.digest) > 32:
             raise ProtocolError("completion digest field holds 32 bytes max")
-        return struct.pack(_CPL_FMT, self.d2d_id, self.status,
-                           len(self.digest), self.digest.ljust(32, b"\x00"),
-                           self.result_length)
+        return _CPL.pack(self.d2d_id, self.status, len(self.digest),
+                         self.digest.ljust(32, b"\x00"), self.result_length)
 
     @classmethod
     def unpack(cls, data: bytes) -> "D2DCompletion":
         if len(data) != COMPLETION_SIZE:
             raise ProtocolError(
                 f"completion must be {COMPLETION_SIZE} bytes, got {len(data)}")
-        d2d_id, status, digest_len, digest, result_length = struct.unpack(
-            _CPL_FMT, data)
-        return cls(d2d_id=d2d_id, status=status,
-                   digest=digest[:digest_len], result_length=result_length)
+        d2d_id, status, digest_len, digest, result_length = (
+            _CPL.unpack_from(data))
+        return cls(d2d_id, status, digest[:digest_len], result_length)
 
 
 @dataclass

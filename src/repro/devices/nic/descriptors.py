@@ -10,7 +10,7 @@ and receive descriptors with optional header/payload split [39].
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ProtocolError
 
@@ -18,15 +18,14 @@ SEND_DESC_SIZE = 32
 RECV_DESC_SIZE = 32
 RECV_CMPL_SIZE = 32
 
-_SEND_FMT = "<HHQH2xQI4x"   # flags, mss, hdr_addr, hdr_len, payload_addr, payload_len
-_RECV_FMT = "<QQI12x"       # hdr_addr, payload_addr, buf_len
-_CMPL_FMT = "<HIH24x"       # hdr_len, payload_len, desc_index
+_SEND = struct.Struct("<HHQH2xQI4x")  # flags, mss, hdr_addr, hdr_len, payload_addr, payload_len
+_RECV = struct.Struct("<QQI12x")       # hdr_addr, payload_addr, buf_len
+_CMPL = struct.Struct("<HIH24x")       # hdr_len, payload_len, desc_index
 
 FLAG_LSO = 0x0001
 
 
-@dataclass(frozen=True)
-class SendDescriptor:
+class SendDescriptor(NamedTuple):
     """One transmit request: a header template plus a payload buffer.
 
     ``hdr_addr`` points at a serialized 54-byte Ethernet/IPv4/TCP header
@@ -43,8 +42,8 @@ class SendDescriptor:
 
     def pack(self) -> bytes:
         flags = FLAG_LSO if self.lso else 0
-        return struct.pack(_SEND_FMT, flags, self.mss, self.hdr_addr,
-                           self.hdr_len, self.payload_addr, self.payload_len)
+        return _SEND.pack(flags, self.mss, self.hdr_addr, self.hdr_len,
+                          self.payload_addr, self.payload_len)
 
     @classmethod
     def unpack(cls, data: bytes) -> "SendDescriptor":
@@ -53,14 +52,12 @@ class SendDescriptor:
                 f"send descriptor must be {SEND_DESC_SIZE} bytes, "
                 f"got {len(data)}")
         flags, mss, hdr_addr, hdr_len, payload_addr, payload_len = (
-            struct.unpack(_SEND_FMT, data))
-        return cls(hdr_addr=hdr_addr, hdr_len=hdr_len,
-                   payload_addr=payload_addr, payload_len=payload_len,
-                   lso=bool(flags & FLAG_LSO), mss=mss)
+            _SEND.unpack_from(data))
+        return cls(hdr_addr, hdr_len, payload_addr, payload_len,
+                   bool(flags & FLAG_LSO), mss)
 
 
-@dataclass(frozen=True)
-class RecvDescriptor:
+class RecvDescriptor(NamedTuple):
     """One posted receive buffer.
 
     With ``hdr_addr != 0`` the NIC performs header-data split: the
@@ -74,8 +71,7 @@ class RecvDescriptor:
     hdr_addr: int = 0
 
     def pack(self) -> bytes:
-        return struct.pack(_RECV_FMT, self.hdr_addr, self.payload_addr,
-                           self.buf_len)
+        return _RECV.pack(self.hdr_addr, self.payload_addr, self.buf_len)
 
     @classmethod
     def unpack(cls, data: bytes) -> "RecvDescriptor":
@@ -83,13 +79,11 @@ class RecvDescriptor:
             raise ProtocolError(
                 f"recv descriptor must be {RECV_DESC_SIZE} bytes, "
                 f"got {len(data)}")
-        hdr_addr, payload_addr, buf_len = struct.unpack(_RECV_FMT, data)
-        return cls(payload_addr=payload_addr, buf_len=buf_len,
-                   hdr_addr=hdr_addr)
+        hdr_addr, payload_addr, buf_len = _RECV.unpack_from(data)
+        return cls(payload_addr, buf_len, hdr_addr)
 
 
-@dataclass(frozen=True)
-class RecvCompletion:
+class RecvCompletion(NamedTuple):
     """NIC-written record of one received frame."""
 
     hdr_len: int
@@ -97,8 +91,7 @@ class RecvCompletion:
     desc_index: int
 
     def pack(self) -> bytes:
-        return struct.pack(_CMPL_FMT, self.hdr_len, self.payload_len,
-                           self.desc_index)
+        return _CMPL.pack(self.hdr_len, self.payload_len, self.desc_index)
 
     @classmethod
     def unpack(cls, data: bytes) -> "RecvCompletion":
@@ -106,6 +99,4 @@ class RecvCompletion:
             raise ProtocolError(
                 f"recv completion must be {RECV_CMPL_SIZE} bytes, "
                 f"got {len(data)}")
-        hdr_len, payload_len, desc_index = struct.unpack(_CMPL_FMT, data)
-        return cls(hdr_len=hdr_len, payload_len=payload_len,
-                   desc_index=desc_index)
+        return cls(*_CMPL.unpack_from(data))

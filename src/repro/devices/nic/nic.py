@@ -21,6 +21,7 @@ SSD↔NIC needs staging memory somewhere else.
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -31,9 +32,10 @@ from repro.devices.nic.descriptors import (RECV_CMPL_SIZE, RECV_DESC_SIZE,
                                            RecvDescriptor, SendDescriptor)
 from repro.devices.nic.rings import RecvRing, SendRing
 from repro.errors import DeviceError, ProtocolError
-from repro.net.packet import (HEADER_LEN, MTU, build_frame, parse_frame,
+from repro.net.packet import (HEADER_LEN, MTU, build_frame, check_frame,
                               segment_payload)
-from repro.net.headers import EthernetHeader, Ipv4Header, TcpHeader
+from repro.net.headers import (EthernetHeader, Ipv4Header, TcpHeader,
+                               _ip_bytes)
 from repro.net.wire import Wire
 from repro.pcie.link import LINK_GEN2_X8, LinkConfig
 from repro.pcie.switch import Fabric
@@ -63,7 +65,10 @@ _CHANNEL_STRIDE = 0x10
 _SEND_DB = 0x00
 _RECV_DB = 0x08
 
-SteerKey = Tuple[str, int, int]  # (src ip, src port, dst port)
+# (raw 4-byte src ip, src port, dst port), read straight off the frame
+SteerKey = Tuple[bytes, int, int]
+_STEER_KEY = struct.Struct("!4s4xHH")   # from the IPv4 source address on
+_STEER_OFFSET = 26
 
 
 @dataclass
@@ -193,7 +198,7 @@ class Nic(PcieDevice):
         ``rx_channel`` instead of channel 0."""
         if not 0 <= rx_channel < len(self._rx_channels):
             raise DeviceError(f"no RX channel {rx_channel}")
-        self._steering[(src_ip, src_port, dst_port)] = rx_channel
+        self._steering[(_ip_bytes(src_ip), src_port, dst_port)] = rx_channel
 
     # -- doorbells ---------------------------------------------------------
 
@@ -319,9 +324,8 @@ class Nic(PcieDevice):
                 buffer.extend(chunk)
             segment = bytes(buffer[:need])
             del buffer[:need]
-            seg_tcp = TcpHeader(src_port=tcp.src_port, dst_port=tcp.dst_port,
-                                seq=tcp.seq + sent, ack=tcp.ack,
-                                flags=tcp.flags, window=tcp.window)
+            seg_tcp = TcpHeader(tcp.src_port, tcp.dst_port, tcp.seq + sent,
+                                tcp.ack, tcp.flags, tcp.window)
             frame = build_frame(eth, ip.src_ip, ip.dst_ip, seg_tcp, segment)
             # Hand the frame to the MAC egress FIFO; the descriptor is
             # consumed once everything is fetched, while serialization
@@ -383,10 +387,13 @@ class Nic(PcieDevice):
 
     def _steer(self, raw_frame: bytes) -> int:
         """Pick the RX channel for a frame (flow-steering table)."""
-        # The steering engine looks only at the fixed header fields.
-        ip = Ipv4Header.unpack(raw_frame[14:34])
-        tcp = TcpHeader.unpack(raw_frame[34:54])
-        return self._steering.get((ip.src_ip, tcp.src_port, tcp.dst_port), 0)
+        # The steering engine looks only at the fixed header fields and
+        # checks nothing: a frame too short or too damaged to match goes
+        # to channel 0, whose MAC validation drops it.
+        if len(raw_frame) < HEADER_LEN:
+            return 0
+        return self._steering.get(
+            _STEER_KEY.unpack_from(raw_frame, _STEER_OFFSET), 0)
 
     def _rx_loop(self, ingress):
         # Per-frame DMA pipelines with wire reception: each frame's
@@ -417,7 +424,7 @@ class Nic(PcieDevice):
             desc_index=index)
         yield self.sim.timeout(self.config.frame_overhead)
         try:
-            parse_frame(raw_frame)  # MAC validation (headers + checksums)
+            check_frame(raw_frame)  # MAC validation (headers + checksums)
         except ProtocolError:
             # Real NICs drop bad-FCS/bad-checksum frames and count them;
             # the buffer goes back to the pool and no completion posts.

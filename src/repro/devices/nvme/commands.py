@@ -12,8 +12,7 @@ what lets an FPGA drive an off-the-shelf SSD.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.errors import ProtocolError
 from repro.units import PAGE
@@ -27,12 +26,11 @@ OP_READ = 0x02
 
 LBA_SIZE = 4096  # the 4 KiB-formatted namespace the paper uses
 
-_SQE_FMT = "<BBH I 16x Q Q Q H 14x"     # opcode, fuse, cid, nsid, prp1, prp2, slba, nlb
-_CQE_FMT = "<I 4x H H H H"              # result, sq_head, sq_id, cid, status|phase
+_SQE = struct.Struct("<BBH I 16x Q Q Q H 14x")  # opcode, fuse, cid, nsid, prp1, prp2, slba, nlb
+_CQE = struct.Struct("<I 4x H H H H")           # result, sq_head, sq_id, cid, status|phase
 
 
-@dataclass(frozen=True)
-class NvmeCommand:
+class NvmeCommand(NamedTuple):
     """A decoded submission-queue entry."""
 
     opcode: int
@@ -52,21 +50,19 @@ class NvmeCommand:
         """Serialize to the 64-byte SQE format."""
         if not 0 <= self.nlb <= 0xFFFF:
             raise ProtocolError(f"nlb out of range: {self.nlb}")
-        return struct.pack(_SQE_FMT, self.opcode, 0, self.cid, self.nsid,
-                           self.prp1, self.prp2, self.slba, self.nlb)
+        return _SQE.pack(self.opcode, 0, self.cid, self.nsid, self.prp1,
+                         self.prp2, self.slba, self.nlb)
 
     @classmethod
     def unpack(cls, data: bytes) -> "NvmeCommand":
         if len(data) != SQE_SIZE:
             raise ProtocolError(f"SQE must be {SQE_SIZE} bytes, got {len(data)}")
-        opcode, _fuse, cid, nsid, prp1, prp2, slba, nlb = struct.unpack(
-            _SQE_FMT, data)
-        return cls(opcode=opcode, cid=cid, nsid=nsid, prp1=prp1, prp2=prp2,
-                   slba=slba, nlb=nlb)
+        opcode, _fuse, cid, nsid, prp1, prp2, slba, nlb = _SQE.unpack_from(
+            data)
+        return cls(opcode, cid, nsid, prp1, prp2, slba, nlb)
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(NamedTuple):
     """A decoded completion-queue entry."""
 
     cid: int
@@ -83,16 +79,16 @@ class Completion:
     def pack(self) -> bytes:
         """Serialize to the 16-byte CQE format (phase in status bit 0)."""
         status_field = (self.status << 1) | (self.phase & 1)
-        return struct.pack(_CQE_FMT, self.result, self.sq_head, self.sq_id,
-                           self.cid, status_field)
+        return _CQE.pack(self.result, self.sq_head, self.sq_id, self.cid,
+                         status_field)
 
     @classmethod
     def unpack(cls, data: bytes) -> "Completion":
         if len(data) != CQE_SIZE:
             raise ProtocolError(f"CQE must be {CQE_SIZE} bytes, got {len(data)}")
-        result, sq_head, sq_id, cid, status_field = struct.unpack(_CQE_FMT, data)
-        return cls(cid=cid, sq_head=sq_head, status=status_field >> 1,
-                   phase=status_field & 1, result=result, sq_id=sq_id)
+        result, sq_head, sq_id, cid, status_field = _CQE.unpack_from(data)
+        return cls(cid, sq_head, status_field >> 1, status_field & 1, result,
+                   sq_id)
 
 
 def prp_pages(buffer_addr: int, length: int,

@@ -12,8 +12,8 @@ build and parse the same bytes.
 from repro.net.headers import (ETH_HLEN, IP_HLEN, TCP_HLEN, EthernetHeader,
                                Ipv4Header, TcpHeader, checksum16)
 from repro.net.packet import (FRAME_WIRE_OVERHEAD, HEADER_LEN, MTU,
-                              TCP_MSS, Frame, build_frame, parse_frame,
-                              segment_payload, wire_bytes)
+                              TCP_MSS, Frame, build_frame, check_frame,
+                              parse_frame, segment_payload, wire_bytes)
 from repro.net.tcp import FlowTable, TcpEndpoint, TcpFlow
 from repro.net.wire import Wire
 
@@ -34,6 +34,7 @@ __all__ = [
     "TcpHeader",
     "Wire",
     "build_frame",
+    "check_frame",
     "checksum16",
     "parse_frame",
     "segment_payload",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ProtocolError
 
@@ -73,8 +73,54 @@ def _ip_str(data: bytes) -> str:
     return ".".join(str(b) for b in data)
 
 
-@dataclass(frozen=True)
-class EthernetHeader:
+# Wire layouts, compiled once.  Decoders use ``unpack_from`` so they
+# read a header in place instead of slicing it out first.
+_ETH = struct.Struct("!6s6sH")
+_IPV4 = struct.Struct("!BBHHHBBH4s4s")
+_TCP = struct.Struct("!HHIIBBHHH")
+_PSEUDO = struct.Struct("!4s4sBBH")   # TCP checksum pseudo-header
+
+
+def pack_ipv4(src_ip: str, dst_ip: str, total_length: int, ident: int = 0,
+              ttl: int = 64, protocol: int = IPPROTO_TCP) -> bytes:
+    """Serialize an IPv4 header without options, checksum filled in."""
+    src = _ip_bytes(src_ip)
+    dst = _ip_bytes(dst_ip)
+    version_ihl = (4 << 4) | 5        # version 4, IHL 5
+    csum = checksum16(_IPV4.pack(version_ihl, 0, total_length, ident,
+                                 0x4000,  # don't-fragment
+                                 ttl, protocol, 0, src, dst))
+    return _IPV4.pack(version_ihl, 0, total_length, ident, 0x4000, ttl,
+                      protocol, csum, src, dst)
+
+
+def ipv4_fields(data, offset: int = 0) -> tuple:
+    """The raw ``_IPV4`` fields of the header at ``data[offset:]``.
+
+    The one place an IPv4 header is checked: length, version and
+    header checksum.  Builds no record, so a caller that only
+    validates pays for none.
+    """
+    if len(data) - offset < IP_HLEN:
+        raise ProtocolError(
+            f"IPv4 header truncated: {len(data) - offset} bytes")
+    fields = _IPV4.unpack_from(data, offset)
+    version = fields[0] >> 4
+    if version != 4:
+        raise ProtocolError(f"not IPv4: version {version}")
+    if checksum16(data[offset:offset + IP_HLEN]) != 0:
+        raise ProtocolError("IPv4 header checksum mismatch")
+    return fields
+
+
+def tcp_checksum_ok(src: bytes, dst: bytes, segment) -> bool:
+    """Whether a TCP header+payload segment checksums to zero over the
+    pseudo-header of the raw 4-byte ``src``/``dst`` addresses."""
+    pseudo = _PSEUDO.pack(src, dst, 0, IPPROTO_TCP, len(segment))
+    return checksum16(pseudo + segment) == 0
+
+
+class EthernetHeader(NamedTuple):
     """An Ethernet II header."""
 
     dst_mac: str
@@ -82,8 +128,8 @@ class EthernetHeader:
     ethertype: int = ETHERTYPE_IPV4
 
     def pack(self) -> bytes:
-        return (_mac_bytes(self.dst_mac) + _mac_bytes(self.src_mac)
-                + struct.pack("!H", self.ethertype))
+        return _ETH.pack(_mac_bytes(self.dst_mac), _mac_bytes(self.src_mac),
+                         self.ethertype)
 
     @classmethod
     def unpack(cls, data: bytes) -> "EthernetHeader":
@@ -91,13 +137,11 @@ class EthernetHeader:
             raise ProtocolError(f"ethernet header truncated: {len(data)} bytes")
         # "6s" yields hashable bytes for the cached _mac_str, whatever
         # buffer type ``data`` is.
-        dst, src, ethertype = struct.unpack("!6s6sH", data[:ETH_HLEN])
-        return cls(dst_mac=_mac_str(dst), src_mac=_mac_str(src),
-                   ethertype=ethertype)
+        dst, src, ethertype = _ETH.unpack_from(data)
+        return cls(_mac_str(dst), _mac_str(src), ethertype)
 
 
-@dataclass(frozen=True)
-class Ipv4Header:
+class Ipv4Header(NamedTuple):
     """An IPv4 header without options."""
 
     src_ip: str
@@ -108,38 +152,16 @@ class Ipv4Header:
     protocol: int = IPPROTO_TCP
 
     def pack(self) -> bytes:
-        header = struct.pack(
-            "!BBHHHBBH4s4s",
-            (4 << 4) | 5,            # version 4, IHL 5
-            0,                       # DSCP/ECN
-            self.total_length,
-            self.ident,
-            0x4000,                  # don't-fragment
-            self.ttl,
-            self.protocol,
-            0,                       # checksum placeholder
-            _ip_bytes(self.src_ip),
-            _ip_bytes(self.dst_ip))
-        csum = checksum16(header)
-        return header[:10] + struct.pack("!H", csum) + header[12:]
+        return pack_ipv4(*self)
 
     @classmethod
     def unpack(cls, data: bytes) -> "Ipv4Header":
-        if len(data) < IP_HLEN:
-            raise ProtocolError(f"IPv4 header truncated: {len(data)} bytes")
-        fields = struct.unpack("!BBHHHBBH4s4s", data[:IP_HLEN])
-        version_ihl = fields[0]
-        if version_ihl >> 4 != 4:
-            raise ProtocolError(f"not IPv4: version {version_ihl >> 4}")
-        if checksum16(data[:IP_HLEN]) != 0:
-            raise ProtocolError("IPv4 header checksum mismatch")
-        return cls(src_ip=_ip_str(fields[8]), dst_ip=_ip_str(fields[9]),
-                   total_length=fields[2], ident=fields[3], ttl=fields[5],
-                   protocol=fields[6])
+        fields = ipv4_fields(data)
+        return cls(_ip_str(fields[8]), _ip_str(fields[9]), fields[2],
+                   fields[3], fields[5], fields[6])
 
 
-@dataclass(frozen=True)
-class TcpHeader:
+class TcpHeader(NamedTuple):
     """A TCP header without options."""
 
     src_port: int
@@ -151,31 +173,27 @@ class TcpHeader:
 
     def pack(self, src_ip: str, dst_ip: str, payload: bytes) -> bytes:
         """Pack with a valid checksum over the pseudo-header + payload."""
-        header = struct.pack(
-            "!HHIIBBHHH",
-            self.src_port, self.dst_port,
-            self.seq & 0xFFFFFFFF, self.ack & 0xFFFFFFFF,
-            5 << 4,                  # data offset 5 words
-            self.flags, self.window,
-            0,                       # checksum placeholder
-            0)                       # urgent pointer
-        pseudo = (_ip_bytes(src_ip) + _ip_bytes(dst_ip)
-                  + struct.pack("!BBH", 0, IPPROTO_TCP,
-                                TCP_HLEN + len(payload)))
+        src_port, dst_port, seq, ack, flags, window = self
+        seq &= 0xFFFFFFFF
+        ack &= 0xFFFFFFFF
+        offset = 5 << 4                  # data offset 5 words
+        header = _TCP.pack(src_port, dst_port, seq, ack, offset, flags,
+                           window, 0, 0)  # checksum, urgent pointer
+        pseudo = _PSEUDO.pack(_ip_bytes(src_ip), _ip_bytes(dst_ip), 0,
+                              IPPROTO_TCP, TCP_HLEN + len(payload))
         csum = checksum16(pseudo + header + payload)
-        return header[:16] + struct.pack("!H", csum) + header[18:]
+        return _TCP.pack(src_port, dst_port, seq, ack, offset, flags,
+                         window, csum, 0)
 
     @classmethod
     def unpack(cls, data: bytes) -> "TcpHeader":
         if len(data) < TCP_HLEN:
             raise ProtocolError(f"TCP header truncated: {len(data)} bytes")
-        fields = struct.unpack("!HHIIBBHHH", data[:TCP_HLEN])
-        return cls(src_port=fields[0], dst_port=fields[1], seq=fields[2],
-                   ack=fields[3], flags=fields[5], window=fields[6])
+        (src_port, dst_port, seq, ack, _offset, flags, window, _csum,
+         _urgent) = _TCP.unpack_from(data)
+        return cls(src_port, dst_port, seq, ack, flags, window)
 
     @staticmethod
     def verify_checksum(src_ip: str, dst_ip: str, segment: bytes) -> bool:
         """Validate the checksum of a TCP header+payload segment."""
-        pseudo = (_ip_bytes(src_ip) + _ip_bytes(dst_ip)
-                  + struct.pack("!BBH", 0, IPPROTO_TCP, len(segment)))
-        return checksum16(pseudo + segment) == 0
+        return tcp_checksum_ok(_ip_bytes(src_ip), _ip_bytes(dst_ip), segment)

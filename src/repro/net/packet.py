@@ -8,12 +8,14 @@ segments, replicating and fixing up the headers for each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import struct
+from typing import List, NamedTuple
 
 from repro.errors import ProtocolError
 from repro.net.headers import (ETH_HLEN, ETHERTYPE_IPV4, IP_HLEN, TCP_HLEN,
-                               EthernetHeader, Ipv4Header, TcpHeader)
+                               EthernetHeader, Ipv4Header, TcpHeader,
+                               _ip_str, _mac_str, ipv4_fields, pack_ipv4,
+                               tcp_checksum_ok)
 
 MTU = 1500
 HEADER_LEN = ETH_HLEN + IP_HLEN + TCP_HLEN  # 54: bytes the NIC splits off
@@ -24,8 +26,7 @@ TCP_MSS = MTU - IP_HLEN - TCP_HLEN          # 1460
 FRAME_WIRE_OVERHEAD = 24
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """A parsed Ethernet/IPv4/TCP frame."""
 
     eth: EthernetHeader
@@ -47,27 +48,54 @@ def wire_bytes(frame_len: int) -> int:
 def build_frame(eth: EthernetHeader, ip_src: str, ip_dst: str,
                 tcp: TcpHeader, payload: bytes) -> bytes:
     """Serialize one frame with correct lengths and checksums."""
-    ip = Ipv4Header(src_ip=ip_src, dst_ip=ip_dst,
-                    total_length=IP_HLEN + TCP_HLEN + len(payload))
-    return (eth.pack() + ip.pack()
+    return (eth.pack()
+            + pack_ipv4(ip_src, ip_dst, IP_HLEN + TCP_HLEN + len(payload))
             + tcp.pack(ip_src, ip_dst, payload) + payload)
+
+
+# Ethertype, then all three fixed headers of a checked frame at once.
+_ETHERTYPE = struct.Struct("!H")
+_HEADERS = struct.Struct("!6s6sH BBHHHBBH4s4s HHIIBBHHH")
+
+
+def check_frame(data: bytes) -> None:
+    """Validate a serialized frame, building no records.
+
+    Every check a received frame gets lives here: ethertype, IPv4
+    header (:func:`~repro.net.headers.ipv4_fields`), L4 length and TCP
+    checksum.  Raises :class:`ProtocolError` on the first that fails.
+    """
+    if len(data) < ETH_HLEN:
+        raise ProtocolError(f"ethernet header truncated: {len(data)} bytes")
+    (ethertype,) = _ETHERTYPE.unpack_from(data, ETH_HLEN - 2)
+    if ethertype != ETHERTYPE_IPV4:
+        raise ProtocolError(f"unexpected ethertype {hex(ethertype)}")
+    ip = ipv4_fields(data, ETH_HLEN)
+    total_length = ip[2]
+    segment = data[ETH_HLEN + IP_HLEN:ETH_HLEN + total_length]
+    if len(segment) != total_length - IP_HLEN:
+        raise ProtocolError(
+            f"frame truncated: IP says {total_length - IP_HLEN} bytes of "
+            f"L4, got {len(segment)}")
+    if not tcp_checksum_ok(ip[8], ip[9], segment):
+        raise ProtocolError("TCP checksum mismatch")
+    if len(segment) < TCP_HLEN:
+        raise ProtocolError(f"TCP header truncated: {len(segment)} bytes")
 
 
 def parse_frame(data: bytes) -> Frame:
     """Parse and validate a serialized frame."""
-    eth = EthernetHeader.unpack(data)
-    if eth.ethertype != ETHERTYPE_IPV4:
-        raise ProtocolError(f"unexpected ethertype {hex(eth.ethertype)}")
-    ip = Ipv4Header.unpack(data[ETH_HLEN:])
-    segment = data[ETH_HLEN + IP_HLEN:ETH_HLEN + ip.total_length]
-    if len(segment) != ip.total_length - IP_HLEN:
-        raise ProtocolError(
-            f"frame truncated: IP says {ip.total_length - IP_HLEN} bytes of "
-            f"L4, got {len(segment)}")
-    if not TcpHeader.verify_checksum(ip.src_ip, ip.dst_ip, segment):
-        raise ProtocolError("TCP checksum mismatch")
-    tcp = TcpHeader.unpack(segment)
-    return Frame(eth=eth, ip=ip, tcp=tcp, payload=segment[TCP_HLEN:])
+    check_frame(data)
+    (dst_mac, src_mac, ethertype, _version_ihl, _tos, total_length, ident,
+     _frag, ttl, protocol, _ip_csum, src_ip, dst_ip, src_port, dst_port,
+     seq, ack, _offset, flags, window, _tcp_csum,
+     _urgent) = _HEADERS.unpack_from(data)
+    return Frame(EthernetHeader(_mac_str(dst_mac), _mac_str(src_mac),
+                                ethertype),
+                 Ipv4Header(_ip_str(src_ip), _ip_str(dst_ip), total_length,
+                            ident, ttl, protocol),
+                 TcpHeader(src_port, dst_port, seq, ack, flags, window),
+                 data[ETH_HLEN + IP_HLEN + TCP_HLEN:ETH_HLEN + total_length])
 
 
 def segment_payload(eth: EthernetHeader, ip_src: str, ip_dst: str,
@@ -86,9 +114,8 @@ def segment_payload(eth: EthernetHeader, ip_src: str, ip_dst: str,
     offset = 0
     while offset < len(payload):
         chunk = payload[offset:offset + mss]
-        seg_tcp = TcpHeader(src_port=tcp.src_port, dst_port=tcp.dst_port,
-                            seq=tcp.seq + offset, ack=tcp.ack,
-                            flags=tcp.flags, window=tcp.window)
+        seg_tcp = TcpHeader(tcp.src_port, tcp.dst_port, tcp.seq + offset,
+                            tcp.ack, tcp.flags, tcp.window)
         frames.append(build_frame(eth, ip_src, ip_dst, seg_tcp, chunk))
         offset += len(chunk)
     return frames

@@ -13,6 +13,11 @@ Composites :class:`AllOf` / :class:`AnyOf` wait on several events at once.
 
 Every event class declares ``__slots__``: one event is created per
 scheduled occurrence, so an instance ``__dict__`` would be pure overhead.
+
+Flat construction: the two kinds built most often, :class:`Timeout` and
+:class:`~repro.sim.resources.Request`, set :class:`Event`'s five slots
+in their own ``__init__`` instead of calling ``super().__init__``; a
+second Python call per event would cost more than the assignments.
 """
 
 from __future__ import annotations
@@ -125,7 +130,13 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
+        # Event's slots, set flat (see "Flat construction" in the module
+        # docstring).
+        self.sim = sim
+        self.eid = sim._next_event_id()
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
         self.delay = delay
         self._scheduled_value = value
         heappush(sim._heap, (sim.now + delay, sim._next_sequence(), self))

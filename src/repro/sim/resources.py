@@ -23,7 +23,7 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import _PENDING, Event
 from repro.sim.kernel import Simulator
 
 
@@ -41,8 +41,20 @@ class Request(Event):
 
     _inline = True
 
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
+    def __init__(self, resource: "Resource", granted: bool = False):
+        sim = resource.sim
+        self.sim = sim
+        self.eid = sim._next_event_id()
+        # Constructed flat (see repro.sim.events).  A request granted
+        # inside Resource.request() is born processed: nothing can ever
+        # wait on it, so it gets no callbacks list.
+        if granted:
+            self.callbacks = None
+            self._value = None
+        else:
+            self.callbacks = []
+            self._value = _PENDING
+        self._exception = None
         self.resource = resource
 
     def __enter__(self) -> "Request":
@@ -93,12 +105,11 @@ class Resource:
         costs no queue round trip.  Contended requests queue FIFO and
         are triggered by :meth:`release`.
         """
-        req = Request(self)
         if len(self._users) < self.capacity and not self._waiting:
+            req = Request(self, granted=True)
             self._users.add(req)
-            req._value = None
-            req.callbacks = None
         else:
+            req = Request(self)
             self._waiting.append(req)
         return req
 

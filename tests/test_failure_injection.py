@@ -122,9 +122,11 @@ class TestNvmeProtocolViolations:
 
 
 class TestCorruptionDetection:
-    def test_corrupted_frame_kills_receive_path_loudly(self):
-        """Flipping payload bytes on the wire must trip the TCP checksum
-        in the NIC, not deliver bad data."""
+    @pytest.mark.parametrize("offset", [-1, 22], ids=["payload", "ip-ttl"])
+    def test_corrupted_frame_is_dropped_not_delivered(self, offset):
+        """Flipping a byte on the wire must trip a checksum in the NIC
+        (TCP for the last payload byte, IPv4 for the TTL) and drop the
+        frame, not deliver bad data, and the NIC keeps receiving."""
         tb = Testbed(seed=86)
         conn = tb.connect_kernel()
         host0 = tb.node0.host
@@ -136,22 +138,33 @@ class TestCorruptionDetection:
         original_transmit = tb.wire.transmit
 
         def corrupting_transmit(sender, frame):
-            tampered = frame[:-1] + bytes([frame[-1] ^ 0xFF])
-            return original_transmit(sender, tampered)
+            tampered = bytearray(frame)
+            tampered[offset] ^= 0xFF
+            return original_transmit(sender, bytes(tampered))
 
         tb.wire.transmit = corrupting_transmit
 
-        def sender(sim):
-            yield from host0.kernel.socket_send(conn.flow0, src,
-                                                len(payload))
+        def sender(flow):
+            yield from host0.kernel.socket_send(flow, src, len(payload))
 
-        send = tb.sim.process(sender(tb.sim))
+        send = tb.sim.process(sender(conn.flow0))
         tb.sim.run(until=send)
         tb.sim.run()
         # The receiving NIC dropped every tampered frame and delivered
         # nothing to the socket layer.
         nic1 = tb.node1.host.nic
-        assert nic1.frames_dropped >= 3  # 4 KiB = 3 MSS segments
+        assert nic1.frames_dropped == 3  # 4 KiB = 3 MSS segments
         assert nic1.frames_received == 0
-        stream = tb.node1.host.kernel._streams[conn.flow1.uid]
-        assert len(stream.buffer) == 0
+        kernel1 = tb.node1.host.kernel
+        assert len(kernel1._streams[conn.flow1.uid].buffer) == 0
+
+        # The RX loop survived: a clean send that follows is delivered.
+        assert nic1.rx_process.is_alive
+        tb.wire.transmit = original_transmit
+        clean = tb.connect_kernel()
+        send = tb.sim.process(sender(clean.flow0))
+        tb.sim.run(until=send)
+        tb.sim.run()
+        assert nic1.frames_dropped == 3
+        assert nic1.frames_received == 3
+        assert kernel1._streams[clean.flow1.uid].buffer == payload

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.command import D2DCommand, D2DCompletion, D2DKind
+from repro.devices.nic.descriptors import (RecvCompletion, RecvDescriptor,
+                                           SendDescriptor)
+from repro.devices.nvme.commands import Completion, NvmeCommand
 from repro.errors import ProtocolError, SimulationError
 from repro.net import headers
 from repro.net import (Frame, FlowTable, HEADER_LEN, MTU, TCP_MSS,
                        EthernetHeader, Ipv4Header, TcpEndpoint, TcpFlow,
-                       TcpHeader, Wire, build_frame, checksum16, parse_frame,
-                       segment_payload, wire_bytes)
+                       TcpHeader, Wire, build_frame, check_frame, checksum16,
+                       parse_frame, segment_payload, wire_bytes)
 from repro.sim import Simulator
 from repro.units import SEC, gbps
 
@@ -241,6 +245,123 @@ class TestFrames:
         else:
             got = parse_frame(build_frame(ETH, A.ip, B.ip, tcp, payload)).payload
         assert got == payload
+
+
+def uint(bits):
+    return st.integers(0, (1 << bits) - 1)
+
+
+TCP_HEADERS = st.builds(TcpHeader, uint(16), uint(16), uint(32), uint(32),
+                        uint(8), uint(16))
+
+
+@st.composite
+def frames(draw):
+    """A frame as parse_frame returns it: the IPv4 fields build_frame
+    does not take are its defaults."""
+    payload = draw(st.binary(max_size=TCP_MSS))
+    ip = Ipv4Header(draw(IPS), draw(IPS), total_length=40 + len(payload))
+    return Frame(EthernetHeader(draw(MACS), draw(MACS)), ip,
+                 draw(TCP_HEADERS), payload)
+
+
+def pack_frame(frame):
+    return build_frame(frame.eth, frame.ip.src_ip, frame.ip.dst_ip,
+                       frame.tcp, frame.payload)
+
+
+# The eleven wire-format records: (values, encoder, decoder).
+RECORDS = {
+    EthernetHeader: (st.builds(EthernetHeader, MACS, MACS, uint(16)),
+                     EthernetHeader.pack, EthernetHeader.unpack),
+    Ipv4Header: (st.builds(Ipv4Header, IPS, IPS, uint(16), uint(16),
+                           uint(8), uint(8)),
+                 Ipv4Header.pack, Ipv4Header.unpack),
+    TcpHeader: (TCP_HEADERS, lambda tcp: tcp.pack(A.ip, B.ip, b""),
+                TcpHeader.unpack),
+    Frame: (frames(), pack_frame, parse_frame),
+    SendDescriptor: (st.builds(SendDescriptor, uint(64), uint(16), uint(64),
+                               uint(32), st.booleans(), uint(16)),
+                     SendDescriptor.pack, SendDescriptor.unpack),
+    RecvDescriptor: (st.builds(RecvDescriptor, uint(64), uint(32), uint(64)),
+                     RecvDescriptor.pack, RecvDescriptor.unpack),
+    RecvCompletion: (st.builds(RecvCompletion, uint(16), uint(32), uint(16)),
+                     RecvCompletion.pack, RecvCompletion.unpack),
+    NvmeCommand: (st.builds(NvmeCommand, uint(8), uint(16), uint(32),
+                            uint(64), uint(64), uint(64), uint(16)),
+                  NvmeCommand.pack, NvmeCommand.unpack),
+    Completion: (st.builds(Completion, uint(16), uint(16), uint(15), uint(1),
+                           uint(32), uint(16)),
+                 Completion.pack, Completion.unpack),
+    D2DCommand: (st.builds(D2DCommand, uint(32), st.sampled_from(D2DKind),
+                           uint(64), uint(64), st.integers(1, (1 << 32) - 1),
+                           uint(8), uint(8), uint(64)),
+                 D2DCommand.pack, D2DCommand.unpack),
+    D2DCompletion: (st.builds(D2DCompletion, uint(32), uint(16),
+                              st.binary(max_size=32), uint(64)),
+                    D2DCompletion.pack, D2DCompletion.unpack),
+}
+
+
+def protocol_error(check, data):
+    """The ProtocolError message ``check(data)`` raises, or None."""
+    try:
+        check(data)
+    except ProtocolError as exc:
+        return str(exc)
+    return None
+
+
+class TestCodecProperties:
+    """Wire records are immutable tuples that round-trip bit-exactly,
+    and the frame validator agrees with parse_frame on every input."""
+
+    @pytest.mark.parametrize("record", list(RECORDS),
+                             ids=lambda record: record.__name__)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_and_immutability(self, record, data):
+        values, encode, decode = RECORDS[record]
+        rec = data.draw(values)
+        decoded = decode(encode(rec))
+        assert decoded == rec
+        assert type(decoded) is record
+        # A tuple subclass: a frozen dataclass coming back fails here.
+        assert issubclass(record, tuple)
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name))
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame=frames(), data=st.data())
+    def test_check_frame_raises_exactly_when_parse_frame_does(self, frame,
+                                                               data):
+        raw = bytearray(pack_frame(frame))
+        if data.draw(st.booleans()):
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(
+                st.integers(1, 255))
+        raw = bytes(raw)
+        assert (protocol_error(check_frame, raw)
+                == protocol_error(parse_frame, raw))
+
+    @pytest.mark.parametrize("flip, length, message", [
+        (-1, None, "TCP checksum mismatch"),
+        (12, None, "unexpected ethertype"),
+        (14, None, "not IPv4"),
+        (22, None, "IPv4 header checksum mismatch"),
+        (None, 10, "ethernet header truncated"),
+        (None, 30, "IPv4 header truncated: 16 bytes"),
+        (None, HEADER_LEN + 6, "frame truncated"),
+    ])
+    def test_check_frame_names_the_failed_check(self, flip, length, message):
+        raw = bytearray(make_frame(b"payload"))
+        if flip is not None:
+            raw[flip] ^= 0xFF
+        raw = bytes(raw[:length])
+        with pytest.raises(ProtocolError, match=message):
+            check_frame(raw)
+        assert protocol_error(parse_frame, raw) == protocol_error(
+            check_frame, raw)
 
 
 class TestSegmentation:

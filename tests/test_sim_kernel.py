@@ -414,31 +414,54 @@ class TestKernelOrder:
 
 class TestSlots:
     @staticmethod
-    def make(kind, sim):
+    def make(case, sim):
         def body():
             yield sim.timeout(1)
 
-        return {
-            Event: lambda: sim.event(),
-            Timeout: lambda: sim.timeout(1),
-            Process: lambda: sim.process(body()),
-            AllOf: lambda: sim.all_of([]),
-            AnyOf: lambda: sim.any_of([]),
-            Request: lambda: Resource(sim).request(),
-            Put: lambda: Store(sim).put(1),
-        }[kind]()
+        def queued_request():
+            resource = Resource(sim)
+            resource.request()
+            return resource.request()
 
-    @pytest.mark.parametrize(
-        "kind", [Event, Timeout, Process, AllOf, AnyOf, Request, Put],
-        ids=lambda kind: kind.__name__)
-    def test_event_classes_have_no_instance_dict(self, sim, kind):
-        event = self.make(kind, sim)
+        return {
+            "Event": lambda: sim.event(),
+            "Timeout": lambda: sim.timeout(1),
+            "Process": lambda: sim.process(body()),
+            "AllOf": lambda: sim.all_of([]),
+            "AnyOf": lambda: sim.any_of([]),
+            "Request": lambda: Resource(sim).request(),
+            "Request-queued": queued_request,
+            "Put": lambda: Store(sim).put(1),
+        }[case]()
+
+    CASES = {"Event": Event, "Timeout": Timeout, "Process": Process,
+             "AllOf": AllOf, "AnyOf": AnyOf, "Request": Request,
+             "Request-queued": Request, "Put": Put}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_event_classes_have_no_instance_dict(self, sim, case):
+        kind = self.CASES[case]
+        event = self.make(case, sim)
         assert type(event) is kind
         assert not hasattr(event, "__dict__")
         for klass in kind.__mro__[:-1]:
             assert "__slots__" in vars(klass), klass.__name__
+            # Timeout and Request set Event's slots flat: none may be
+            # left unset by a constructor that skips super().__init__.
+            for slot in vars(klass)["__slots__"]:
+                assert hasattr(event, slot), f"{klass.__name__}.{slot}"
         with pytest.raises(AttributeError):
             event.stray_attribute = 1
+
+    def test_inline_granted_request_is_born_processed(self, sim):
+        req = Resource(sim).request()
+        assert req.processed and req.ok
+        assert req.callbacks is None
+
+    def test_queued_request_waits_with_a_callbacks_list(self, sim):
+        req = self.make("Request-queued", sim)
+        assert req.callbacks == []
+        assert not req.triggered
 
 
 class TestKernelChecks:

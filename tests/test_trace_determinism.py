@@ -5,7 +5,7 @@ import hashlib
 from repro.core.command import D2DKind
 from repro.experiments.common import measure_send
 from repro.faults import FaultPlan, FaultRule
-from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
+from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme, Testbed
 from repro.trace import TraceSession, jsonl_lines, to_chrome
 from repro.units import KIB
 
@@ -19,6 +19,12 @@ GOLDEN_JSONL_SHA256 = {
         "75ad0e44e80b7c51119a7f52b311fde166f63b916c308af46ecd4209b79efc86"),
     "nvme-retries": (
         "c8982eee148d137a07af3234e126eefda75d7fea7b5a93a558929a0656846b24"),
+    "sw-p2p-md5": (
+        "dadcd717e3527a4fb2981ca4189e41836ad65d3d9a4a4029be4324522c9c6c17"),
+    "interleaved-dcs-ctrl": (
+        "a07ee47f152151503d84dea986f3ec285de2aa9c351b0e3c9fe1c6767a02649f"),
+    "interleaved-sw-opt": (
+        "f73e829843513e09427964c20d70ce00c5f75da513d960f9f8c7c5827d307cb0"),
 }
 
 
@@ -104,6 +110,24 @@ class TestGoldenTraces:
         assert "host NVMe retry 1" in text
         assert "engine NVMe retry 1" in text
         assert _digest(text) == GOLDEN_JSONL_SHA256["nvme-retries"]
+
+    def test_gpu_staged_md5_send(self):
+        # The only pinned run whose request spans come from the GPU
+        # driver (gpu-data-copy, gpu-control and hash phases).
+        text = "\n".join(jsonl_lines(_traced_run(SwP2pScheme, "md5")))
+        for phase in ("gpu-data-copy", "gpu-control", "hash"):
+            assert f'"name":"{phase}"' in text
+        assert _digest(text) == GOLDEN_JSONL_SHA256["sw-p2p-md5"]
+
+    def test_interleaved_offloaded_requests(self):
+        # Three concurrent requests under one session: each phase must
+        # land under its own request root, never a neighbour's.
+        assert (_digest(_interleaved_run(DcsCtrlScheme))
+                == GOLDEN_JSONL_SHA256["interleaved-dcs-ctrl"])
+
+    def test_interleaved_host_path_requests(self):
+        assert (_digest(_interleaved_run(SwOptScheme))
+                == GOLDEN_JSONL_SHA256["interleaved-sw-opt"])
 
 
 class TestDeterminism:

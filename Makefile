@@ -4,8 +4,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench experiments faults-smoke trace-demo metrics-smoke \
-        compare docs-check lint perfbench-test perfbench-check clean
+.PHONY: test bench experiments examples faults-smoke trace-demo \
+        metrics-smoke compare docs-check lint perfbench-test \
+        perfbench-check clean
 
 test:            ## tier-1 suite (ROADMAP.md verify command)
 	$(PYTHON) -m pytest -x -q
@@ -15,6 +16,13 @@ bench:           ## regenerate every table & figure with assertions
 
 experiments:     ## print all reproduced tables/figures
 	$(PYTHON) -m repro.experiments
+
+examples:        ## run every examples/*.py script end to end
+	@for script in examples/*.py; do \
+	    echo "examples: $$script"; \
+	    $(PYTHON) $$script > /dev/null \
+	        || { echo "examples: $$script failed"; exit 1; }; \
+	done
 
 faults-smoke:    ## fault-rate sweep across all four schemes (docs/faults.md)
 	$(PYTHON) -m repro.experiments faults
@@ -57,21 +65,23 @@ compare:         ## outputs byte-identical to another checkout: PARENT=<dir>
 	@for side in here parent; do \
 	    if [ $$side = here ]; then tree=.; else tree="$(PARENT)"; fi; \
 	    out=$(CURDIR)/compare/$$side; \
-	    echo "compare: running fig11, faults, fig12a in $$tree"; \
+	    echo "compare: running fig11, fig3, faults, fig12a in $$tree"; \
 	    (cd "$$tree" && export PYTHONPATH=src \
 	     && $(PYTHON) -m repro.experiments --trace-jsonl $$out/fig11.jsonl \
 	            --metrics $$out/fig11.csv fig11 > $$out/fig11.out \
+	     && $(PYTHON) -m repro.experiments --trace-jsonl $$out/fig3.jsonl \
+	            fig3 > $$out/fig3.out \
 	     && $(PYTHON) -m repro.experiments faults > $$out/faults.out \
 	     && $(PYTHON) -m repro.experiments --metrics $$out/fig12a.csv \
 	            fig12a > $$out/fig12a.out) \
 	        || exit 1; \
-	    for run in fig11 faults fig12a; do \
+	    for run in fig11 fig3 faults fig12a; do \
 	        sed -e '/regenerated in/d' -e '/^\[trace:/d' \
 	            -e '/^\[metrics:/d' $$out/$$run.out > $$out/$$run.txt; \
 	    done; \
 	done
-	@for file in fig11.jsonl fig11.csv fig11.txt faults.txt fig12a.csv \
-	        fig12a.txt; do \
+	@for file in fig11.jsonl fig11.csv fig11.txt fig3.jsonl fig3.txt \
+	        faults.txt fig12a.csv fig12a.txt; do \
 	    cmp compare/here/$$file compare/parent/$$file \
 	        || { echo "compare: $$file differs from $(PARENT)"; exit 1; }; \
 	    echo "compare OK: $$file identical"; \

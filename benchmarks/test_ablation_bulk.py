@@ -6,7 +6,6 @@ devices to further improve the throughput of direct D2D communications"
 NIC).  This bench disables both and measures a 64 KiB DCS-ctrl send.
 """
 
-from repro.analysis import LatencyTrace
 from repro.schemes import DcsCtrlScheme, Testbed
 from repro.units import KIB
 
@@ -21,17 +20,14 @@ def _dcs_latency(bulk_transfer: bool) -> float:
     tb.node0.host.install_file("meas.dat", data)
     conn = scheme.connect()
 
-    def one(name, trace=None):
+    def one(name):
         def body(sim):
-            yield from scheme.send_file(tb.node0, conn, name, 0, SIZE,
-                                        trace=trace)
-        tb.sim.run(until=tb.sim.process(body(tb.sim)))
+            return (yield from scheme.send_file(tb.node0, conn, name, 0,
+                                                SIZE))
+        return tb.sim.run(until=tb.sim.process(body(tb.sim)))
 
     one("warm.dat")
-    trace = LatencyTrace(tb.sim)
-    one("meas.dat", trace)
-    trace.finish()
-    return trace.total_us
+    return one("meas.dat").latency_us
 
 
 def test_ablation_bulk_transfer(once):

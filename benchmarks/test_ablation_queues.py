@@ -7,7 +7,6 @@ every SQE fetch and CQE write cross the switch to the host — this
 bench quantifies the latency and host-traffic cost of that choice.
 """
 
-from repro.analysis import LatencyTrace
 from repro.schemes import DcsCtrlScheme, Testbed
 from repro.units import KIB
 
@@ -20,18 +19,16 @@ def _dcs_latency_and_host_bytes(nvme_rings_in_host: bool):
     tb.node0.host.install_file("meas.dat", data)
     conn = scheme.connect()
 
-    def one(name, trace=None):
+    def one(name):
         def body(sim):
-            yield from scheme.send_file(tb.node0, conn, name, 0, len(data),
-                                        trace=trace)
-        tb.sim.run(until=tb.sim.process(body(tb.sim)))
+            return (yield from scheme.send_file(tb.node0, conn, name, 0,
+                                                len(data)))
+        return tb.sim.run(until=tb.sim.process(body(tb.sim)))
 
     one("warm.dat")
     before = tb.node0.host.fabric.host_bytes
-    trace = LatencyTrace(tb.sim)
-    one("meas.dat", trace)
-    trace.finish()
-    return trace.total_us, tb.node0.host.fabric.host_bytes - before
+    result = one("meas.dat")
+    return result.latency_us, tb.node0.host.fabric.host_bytes - before
 
 
 def test_ablation_queue_placement(once):

@@ -5,7 +5,8 @@ Builds the two-node testbed (SSD + NIC + GPU + HDC Engine per node),
 stores a file on node0's SSD, and sends it to node1 with an MD5
 integrity check computed in flight — by the GPU for the software
 designs and by the MD5 NDP unit for DCS-ctrl.  Prints the latency
-breakdown each scheme produced and verifies every digest against
+breakdown each scheme produced (``result.trace``: from the start of the
+send until the send completes) and verifies every digest against
 hashlib.
 
 Run:  python examples/quickstart.py
@@ -13,7 +14,6 @@ Run:  python examples/quickstart.py
 
 import hashlib
 
-from repro.analysis import LatencyTrace
 from repro.schemes import (DcsCtrlScheme, SwOptScheme, SwP2pScheme, Testbed)
 from repro.units import KIB
 
@@ -26,12 +26,10 @@ def run_scheme(scheme_cls):
     payload = bytes((i * 11) % 256 for i in range(SIZE))
     testbed.node0.host.install_file("object.dat", payload)
     conn = scheme.connect()
-    trace = LatencyTrace(testbed.sim)
 
     def sender(sim):
         return (yield from scheme.send_file(
-            testbed.node0, conn, "object.dat", 0, SIZE,
-            processing="md5", trace=trace))
+            testbed.node0, conn, "object.dat", 0, SIZE, processing="md5"))
 
     procs = [testbed.sim.process(sender(testbed.sim))]
     if not conn.offloaded:
@@ -46,8 +44,8 @@ def run_scheme(scheme_cls):
     result = testbed.sim.run(until=procs[0])
     for proc in procs[1:]:
         testbed.sim.run(until=proc)
-    trace.finish()
 
+    trace = result.trace
     expected = hashlib.md5(payload).digest()
     status = "OK" if result.digest == expected else "MISMATCH"
     print(f"\n=== {scheme.name}")

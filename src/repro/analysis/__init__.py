@@ -1,7 +1,7 @@
 """Result containers, projections and table rendering for experiments."""
 
 from repro.analysis.breakdown import (CpuBreakdown, LatencyTrace, NULL_TRACE,
-                                      NullTrace)
+                                      NullTrace, current_trace, traced_op)
 from repro.analysis.tables import format_table
 from repro.analysis.projection import ScalabilityProjection, project_cores
 
@@ -11,6 +11,8 @@ __all__ = [
     "NULL_TRACE",
     "NullTrace",
     "ScalabilityProjection",
+    "current_trace",
     "format_table",
     "project_cores",
+    "traced_op",
 ]

@@ -1,17 +1,24 @@
 """Latency and CPU breakdown containers.
 
 A :class:`LatencyTrace` rides along one request's critical path; every
-pipeline stage wraps itself in ``with trace.span(category):`` so the
-per-component latency decomposition of Figs 3a/11 falls out of the
-simulation rather than being asserted.
+pipeline stage wraps itself in ``with current_trace(sim).span(category):``
+so the per-component latency decomposition of Figs 3a/11 falls out of
+the simulation rather than being asserted.
+
+The trace travels on the request's process, not through arguments:
+:func:`traced_op` makes a fresh trace the running process's request
+trace for the length of one operation, processes spawned meanwhile
+inherit it (:class:`~repro.sim.kernel.Process`), and
+:func:`current_trace` reads it back at each attribution site.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Union
 
+from repro.errors import SimulationError
 from repro.units import to_usec
 
 
@@ -36,9 +43,9 @@ class LatencyTrace:
         self._root = None
 
     def bind(self, op: str = "request", **args) -> "LatencyTrace":
-        """Open the ``request`` root span (no-op when tracing is off or
-        already bound); schemes call this with their operation name."""
-        if self._tracer is not None and self._root is None:
+        """Open the ``request`` root span (no-op when tracing is off);
+        :func:`traced_op` calls this with the operation's name."""
+        if self._tracer is not None:
             self._root = self._tracer.begin("request", track="requests",
                                             name=op, **args)
         return self
@@ -112,9 +119,6 @@ class LatencyTrace:
 class NullTrace:
     """A trace that records nothing (for untraced requests)."""
 
-    def bind(self, op: str = "request", **args) -> "NullTrace":
-        return self
-
     @contextmanager
     def span(self, category: str):
         yield
@@ -127,6 +131,32 @@ class NullTrace:
 
 
 NULL_TRACE = NullTrace()
+
+
+def current_trace(sim) -> Union[LatencyTrace, NullTrace]:
+    """The running process's request trace, or :data:`NULL_TRACE` when
+    it has none (or no process is running)."""
+    process = sim.active_process
+    if process is None or process.request_trace is None:
+        return NULL_TRACE
+    return process.request_trace
+
+
+@contextmanager
+def traced_op(sim, op: str = "request", **args) -> Iterator[LatencyTrace]:
+    """Run the block as one operation with a fresh, bound
+    :class:`LatencyTrace` as the running process's request trace; the
+    previous one is restored on exit, so work the process does after
+    the operation is not billed to it."""
+    process = sim.active_process
+    if process is None:
+        raise SimulationError("traced_op() needs a running process")
+    previous = process.request_trace
+    process.request_trace = trace = LatencyTrace(sim).bind(op, **args)
+    try:
+        yield trace
+    finally:
+        process.request_trace = previous
 
 
 class CpuBreakdown:

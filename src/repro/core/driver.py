@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.breakdown import NULL_TRACE
+from repro.analysis.breakdown import current_trace
 from repro.core.command import (COMPLETION_SIZE, D2DCommand, D2DCompletion,
                                 D2DKind, D2DStatus, D2D_COMMAND_SIZE,
                                 FLAG_APPEND_DIGEST)
@@ -111,7 +111,7 @@ class HdcDriver:
 
     # -- metadata -------------------------------------------------------------------
 
-    def _file_slba(self, name: str, offset: int, size: int, trace):
+    def _file_slba(self, name: str, offset: int, size: int):
         """Process: resolve a file range to (volume, contiguous SLBA).
 
         Includes the page-cache consistency probe: dirty pages covering
@@ -119,7 +119,7 @@ class HdcDriver:
         engine reads the latest data (paper §IV-B).
         """
         costs = self.host.costs
-        with trace.span(CAT.HDC_DRIVER):
+        with current_trace(self.sim).span(CAT.HDC_DRIVER):
             # Extent + connection metadata through the VFS, with the
             # dentry/extent results cached across requests (the driver
             # keeps per-fd state, §IV-A).
@@ -140,7 +140,7 @@ class HdcDriver:
             page_extents = self.host.fs.extents_for(name, page_index * PAGE,
                                                     PAGE)
             yield from self.host.nvme_drivers[volume].write(
-                page_extents[0].slba, PAGE, buf, trace)
+                page_extents[0].slba, PAGE, buf)
             self.host.page_cache.mark_clean(name, page_index)
             self.host.free_buffer(buf, PAGE)
         return volume, extents[0].slba
@@ -149,13 +149,14 @@ class HdcDriver:
 
     def submit(self, kind: D2DKind, src: int, dst: int, length: int,
                func: str = "none", append_digest: bool = False,
-               aux: int = 0, trace=NULL_TRACE):
+               aux: int = 0):
         """Process: build, submit and await one D2D command.
 
         Returns the :class:`D2DCompletion`; merges the engine's stage
-        profile into ``trace``.
+        profile into the running request's trace.
         """
         costs = self.host.costs
+        trace = current_trace(self.sim)
         # Flow control: at most depth-1 commands in flight.  Full-queue
         # submitters park on an event the completion path triggers —
         # no polling quantum, no wasted heap churn at depth.
@@ -275,57 +276,53 @@ class HdcDriver:
     # -- high-level operations -------------------------------------------------------------
 
     def sendfile(self, name: str, offset: int, size: int, flow: TcpFlow,
-                 func: str = "none", append_digest: bool = False,
-                 trace=NULL_TRACE):
+                 func: str = "none", append_digest: bool = False):
         """Process: SSD→(NDP)→NIC, the paper's flagship D2D path."""
-        volume, slba = yield from self._file_slba(name, offset, size, trace)
+        volume, slba = yield from self._file_slba(name, offset, size)
         return (yield from self.submit(
             D2DKind.SSD_TO_NIC, src=slba, dst=self.flow_id(flow),
             length=size, func=func, append_digest=append_digest,
-            aux=volume, trace=trace))
+            aux=volume))
 
     def recvfile(self, flow: TcpFlow, name: str, offset: int, size: int,
-                 func: str = "none", trace=NULL_TRACE):
+                 func: str = "none"):
         """Process: NIC→(NDP)→SSD (e.g. Swift PUT, HDFS receive)."""
-        volume, slba = yield from self._file_slba(name, offset, size, trace)
+        volume, slba = yield from self._file_slba(name, offset, size)
         return (yield from self.submit(
             D2DKind.NIC_TO_SSD, src=self.flow_id(flow), dst=slba,
-            length=size, func=func, aux=volume << 8, trace=trace))
+            length=size, func=func, aux=volume << 8))
 
     def read_to_host(self, name: str, offset: int, size: int,
-                     host_addr: int, func: str = "none", trace=NULL_TRACE):
+                     host_addr: int, func: str = "none"):
         """Process: SSD→(NDP)→host DRAM."""
-        volume, slba = yield from self._file_slba(name, offset, size, trace)
+        volume, slba = yield from self._file_slba(name, offset, size)
         return (yield from self.submit(
             D2DKind.SSD_TO_HOST, src=slba, dst=host_addr, length=size,
-            func=func, aux=volume, trace=trace))
+            func=func, aux=volume))
 
     def send_from_host(self, host_addr: int, size: int, flow: TcpFlow,
-                       func: str = "none", append_digest: bool = False,
-                       trace=NULL_TRACE):
+                       func: str = "none", append_digest: bool = False):
         """Process: host DRAM→(NDP)→NIC."""
         return (yield from self.submit(
             D2DKind.HOST_TO_NIC, src=host_addr, dst=self.flow_id(flow),
-            length=size, func=func, append_digest=append_digest,
-            trace=trace))
+            length=size, func=func, append_digest=append_digest))
 
     def recv_to_host(self, flow: TcpFlow, size: int, host_addr: int,
-                     func: str = "none", trace=NULL_TRACE):
+                     func: str = "none"):
         """Process: NIC→(NDP)→host DRAM."""
         return (yield from self.submit(
             D2DKind.NIC_TO_HOST, src=self.flow_id(flow), dst=host_addr,
-            length=size, func=func, trace=trace))
+            length=size, func=func))
 
     def copyfile(self, src_name: str, src_offset: int, dst_name: str,
-                 dst_offset: int, size: int, func: str = "none",
-                 trace=NULL_TRACE):
+                 dst_offset: int, size: int, func: str = "none"):
         """Process: SSD→(NDP)→SSD — a local D2D copy (or transform:
         encrypt/compress at rest), possibly across volumes, that never
         touches the host."""
         src_vol, src_slba = yield from self._file_slba(src_name, src_offset,
-                                                       size, trace)
+                                                       size)
         dst_vol, dst_slba = yield from self._file_slba(dst_name, dst_offset,
-                                                       size, trace)
+                                                       size)
         return (yield from self.submit(
             D2DKind.SSD_TO_SSD, src=src_slba, dst=dst_slba, length=size,
-            func=func, aux=src_vol | (dst_vol << 8), trace=trace))
+            func=func, aux=src_vol | (dst_vol << 8)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Union
 
-from repro.analysis.breakdown import NULL_TRACE
+from repro.analysis.breakdown import current_trace
 from repro.core.driver import HdcDriver
 from repro.errors import ConfigurationError
 from repro.host.costs import CAT
@@ -83,85 +83,82 @@ class HdcLibrary:
 
     # -- the sendfile-like calls ------------------------------------------------
 
-    def _ioctl_enter(self, trace):
-        kernel = self.host.kernel
-        yield from kernel.syscall_enter(trace)
-        with trace.span(CAT.KERNEL_OTHER):
+    def _ioctl_enter(self):
+        yield from self.host.kernel.syscall_enter()
+        with current_trace(self.host.sim).span(CAT.KERNEL_OTHER):
             yield from self.host.cpu.run(self.host.costs.ioctl_dispatch,
                                          CAT.KERNEL_OTHER)
 
     def hdc_sendfile(self, out_socket_fd: int, in_file_fd: int, offset: int,
                      size: int, func: str = "none",
-                     append_digest: bool = False, trace=NULL_TRACE):
+                     append_digest: bool = False):
         """Process: transmit a file range over a connection, optionally
         running NDP function ``func`` in flight.  Returns the
         completion (digest, result length)."""
         file_desc = self._file(in_file_fd)
         socket_desc = self._socket(out_socket_fd)
-        yield from self._ioctl_enter(trace)
+        yield from self._ioctl_enter()
         completion = yield from self.driver.sendfile(
             file_desc.name, offset, size, socket_desc.flow, func=func,
-            append_digest=append_digest, trace=trace)
-        yield from self.host.kernel.syscall_exit(trace)
+            append_digest=append_digest)
+        yield from self.host.kernel.syscall_exit()
         return completion
 
     def hdc_recvfile(self, in_socket_fd: int, out_file_fd: int, offset: int,
-                     size: int, func: str = "none", trace=NULL_TRACE):
+                     size: int, func: str = "none"):
         """Process: receive ``size`` bytes from a connection into a file
         range, optionally running NDP function ``func`` in flight."""
         file_desc = self._file(out_file_fd, write=True)
         socket_desc = self._socket(in_socket_fd)
-        yield from self._ioctl_enter(trace)
+        yield from self._ioctl_enter()
         completion = yield from self.driver.recvfile(
-            socket_desc.flow, file_desc.name, offset, size, func=func,
-            trace=trace)
-        yield from self.host.kernel.syscall_exit(trace)
+            socket_desc.flow, file_desc.name, offset, size, func=func)
+        yield from self.host.kernel.syscall_exit()
         return completion
 
     def hdc_readfile(self, in_file_fd: int, offset: int, size: int,
-                     host_addr: int, func: str = "none", trace=NULL_TRACE):
+                     host_addr: int, func: str = "none"):
         """Process: read a file range into host memory via the engine."""
         file_desc = self._file(in_file_fd)
-        yield from self._ioctl_enter(trace)
+        yield from self._ioctl_enter()
         completion = yield from self.driver.read_to_host(
-            file_desc.name, offset, size, host_addr, func=func, trace=trace)
-        yield from self.host.kernel.syscall_exit(trace)
+            file_desc.name, offset, size, host_addr, func=func)
+        yield from self.host.kernel.syscall_exit()
         return completion
 
     def hdc_send(self, out_socket_fd: int, host_addr: int, size: int,
-                 func: str = "none", append_digest: bool = False,
-                 trace=NULL_TRACE):
+                 func: str = "none", append_digest: bool = False):
         """Process: transmit host memory over a connection via the engine."""
         socket_desc = self._socket(out_socket_fd)
-        yield from self._ioctl_enter(trace)
+        yield from self._ioctl_enter()
         completion = yield from self.driver.send_from_host(
             host_addr, size, socket_desc.flow, func=func,
-            append_digest=append_digest, trace=trace)
-        yield from self.host.kernel.syscall_exit(trace)
+            append_digest=append_digest)
+        yield from self.host.kernel.syscall_exit()
         return completion
 
     def hdc_recv(self, in_socket_fd: int, size: int, host_addr: int,
-                 func: str = "none", trace=NULL_TRACE):
+                 func: str = "none"):
         """Process: receive from a connection into host memory via the
         engine."""
         socket_desc = self._socket(in_socket_fd)
-        yield from self._ioctl_enter(trace)
+        yield from self._ioctl_enter()
         completion = yield from self.driver.recv_to_host(
-            socket_desc.flow, size, host_addr, func=func, trace=trace)
-        yield from self.host.kernel.syscall_exit(trace)
+            socket_desc.flow, size, host_addr, func=func)
+        yield from self.host.kernel.syscall_exit()
         return completion
 
     def hdc_copyfile(self, out_file_fd: int, in_file_fd: int,
                      src_offset: int, dst_offset: int, size: int,
-                     func: str = "none", trace=NULL_TRACE):
+                     func: str = "none"):
         """Process: copy a file range SSD→SSD through the engine,
         optionally transforming it in flight (e.g. ``aes256`` for
         encryption at rest, ``gzip`` for compaction)."""
         src_desc = self._file(in_file_fd)
         dst_desc = self._file(out_file_fd, write=True)
-        yield from self._ioctl_enter(trace)
+        yield from self._ioctl_enter()
         completion = yield from self.driver.copyfile(
             src_desc.name, src_offset, dst_desc.name, dst_offset, size,
-            func=func, trace=trace)
-        yield from self.host.kernel.syscall_exit(trace)
+            func=func)
+        yield from self.host.kernel.syscall_exit()
         return completion

@@ -10,7 +10,7 @@ own execution lands in ``hash``.
 
 from __future__ import annotations
 
-from repro.analysis.breakdown import NULL_TRACE
+from repro.analysis.breakdown import current_trace
 from repro.devices.gpu.gpu import Gpu
 from repro.host.cpu import CpuPool
 from repro.host.costs import CAT, SoftwareCosts
@@ -27,25 +27,24 @@ class HostGpuDriver:
         self.costs = costs
         self.gpu = gpu
 
-    def copy_to_gpu(self, src_addr: int, gpu_offset: int, size: int,
-                    trace=NULL_TRACE):
+    def copy_to_gpu(self, src_addr: int, gpu_offset: int, size: int):
         """Process: H2D copy (driver setup + DMA + sync)."""
-        with trace.span(CAT.GPU_COPY):
+        with current_trace(self.sim).span(CAT.GPU_COPY):
             yield from self.cpu.run(self.costs.gpu_memcpy_setup, CAT.GPU_COPY)
             yield from self.gpu.copy_in(src_addr, gpu_offset, size)
             yield from self.cpu.run(self.costs.gpu_sync, CAT.GPU_COPY)
 
-    def copy_from_gpu(self, gpu_offset: int, dst_addr: int, size: int,
-                      trace=NULL_TRACE):
+    def copy_from_gpu(self, gpu_offset: int, dst_addr: int, size: int):
         """Process: D2H copy (driver setup + DMA + sync)."""
-        with trace.span(CAT.GPU_COPY):
+        with current_trace(self.sim).span(CAT.GPU_COPY):
             yield from self.cpu.run(self.costs.gpu_memcpy_setup, CAT.GPU_COPY)
             yield from self.gpu.copy_out(gpu_offset, dst_addr, size)
             yield from self.cpu.run(self.costs.gpu_sync, CAT.GPU_COPY)
 
     def checksum(self, kind: str, gpu_offset: int, size: int,
-                 result_offset: int, trace=NULL_TRACE):
+                 result_offset: int):
         """Process: launch a checksum kernel and wait; returns the digest."""
+        trace = current_trace(self.sim)
         with trace.span(CAT.GPU_CONTROL):
             yield from self.cpu.run(self.costs.gpu_launch, CAT.GPU_CONTROL)
         with trace.span(CAT.HASH):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.analysis.breakdown import NULL_TRACE
+from repro.analysis.breakdown import current_trace
 from repro.devices.nic.descriptors import RecvDescriptor, SendDescriptor
 from repro.devices.nic.nic import Nic
 from repro.errors import ConfigurationError
@@ -73,7 +73,7 @@ class HostNicDriver:
     # -- transmit ------------------------------------------------------------
 
     def send(self, header: bytes, payload_addr: int, payload_len: int,
-             trace=NULL_TRACE, mss: int = TCP_MSS):
+             mss: int = TCP_MSS):
         """Process: queue one LSO descriptor for transmission.
 
         Returns once the descriptor is in the ring — ``send(2)``
@@ -86,7 +86,7 @@ class HostNicDriver:
         if len(header) != HEADER_LEN:
             raise ConfigurationError(
                 f"header template must be {HEADER_LEN} bytes")
-        with trace.span(CAT.DEVICE_CONTROL):
+        with current_trace(self.sim).span(CAT.DEVICE_CONTROL):
             while self.tx_ring.slots_free() == 0:
                 yield self.sim.timeout(1000)  # ring backpressure
             yield from self.cpu.run(self.costs.nic_tx_submit,

@@ -5,12 +5,12 @@ I/O pays command building and submission on a CPU (device control) and
 an interrupt + completion handling + wakeup on a CPU (request
 completion).  The driver attributes the in-between time — when only
 the device is working — to :data:`CAT.READ` / :data:`CAT.WRITE` on the
-request's latency trace.
+running request's latency trace.
 """
 
 from __future__ import annotations
 
-from repro.analysis.breakdown import NULL_TRACE
+from repro.analysis.breakdown import current_trace
 from repro.devices.nvme.client import NvmeClient
 from repro.devices.nvme.commands import LBA_SIZE, OP_READ, OP_WRITE
 from repro.devices.nvme.ssd import NvmeSsd
@@ -48,8 +48,7 @@ class HostNvmeDriver:
 
     # -- submission ----------------------------------------------------------
 
-    def submit_io(self, opcode: int, slba: int, nbytes: int, buf_addr: int,
-                  trace=NULL_TRACE):
+    def submit_io(self, opcode: int, slba: int, nbytes: int, buf_addr: int):
         """Process: submit one I/O and wait for its completion.
 
         Returns the CQE.  CPU costs: block+NVMe submission (device
@@ -57,6 +56,7 @@ class HostNvmeDriver:
         """
         if nbytes % LBA_SIZE:
             raise ProtocolError(f"I/O of {nbytes} bytes is not block-sized")
+        trace = current_trace(self.sim)
 
         def issue():
             cid = yield from self.client.admit()
@@ -84,28 +84,28 @@ class HostNvmeDriver:
 
         return (yield from self.client.command(issue, slba, nbytes, settle))
 
-    def _split_io(self, opcode: int, slba: int, nbytes: int, buf_addr: int,
-                  trace):
+    def _split_io(self, opcode: int, slba: int, nbytes: int, buf_addr: int):
         """Process: split an I/O at the device's MDTS and pipeline the
-        pieces (the block layer splits bios the same way)."""
+        pieces (the block layer splits bios the same way); the pieces
+        inherit the request trace of the process that spawns them."""
         mdts = self.ssd.config.max_transfer
         if nbytes <= mdts:
             return (yield from self.submit_io(opcode, slba, nbytes,
-                                              buf_addr, trace))
+                                              buf_addr))
         parts = [self.sim.process(self.submit_io(
             opcode, slba + offset // LBA_SIZE, min(mdts, nbytes - offset),
-            buf_addr + offset, trace)) for offset in range(0, nbytes, mdts)]
+            buf_addr + offset)) for offset in range(0, nbytes, mdts)]
         for part in parts:
             last = yield part
         return last
 
-    def read(self, slba: int, nbytes: int, buf_addr: int, trace=NULL_TRACE):
+    def read(self, slba: int, nbytes: int, buf_addr: int):
         """Process: read blocks into ``buf_addr``; returns the last CQE."""
-        return self._split_io(OP_READ, slba, nbytes, buf_addr, trace)
+        return self._split_io(OP_READ, slba, nbytes, buf_addr)
 
-    def write(self, slba: int, nbytes: int, buf_addr: int, trace=NULL_TRACE):
+    def write(self, slba: int, nbytes: int, buf_addr: int):
         """Process: write blocks from ``buf_addr``; returns the last CQE."""
-        return self._split_io(OP_WRITE, slba, nbytes, buf_addr, trace)
+        return self._split_io(OP_WRITE, slba, nbytes, buf_addr)
 
     # -- completion ------------------------------------------------------------
 

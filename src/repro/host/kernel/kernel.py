@@ -2,8 +2,9 @@
 
 Schemes compose these calls into end-to-end pipelines.  Each service
 charges CPU through the host's pool (utilization figures) and annotates
-the request's :class:`~repro.analysis.breakdown.LatencyTrace` (latency
-figures).
+the running request's :class:`~repro.analysis.breakdown.LatencyTrace`
+(latency figures), read through
+:func:`~repro.analysis.breakdown.current_trace`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.algos import DIGESTS
-from repro.analysis.breakdown import NULL_TRACE
+from repro.analysis.breakdown import current_trace
 from repro.devices.nvme.commands import LBA_SIZE
 from repro.errors import ConfigurationError, ProtocolError
 from repro.host.cpu import CpuPool
@@ -84,23 +85,23 @@ class HostKernel:
 
     # -- syscall boundary ------------------------------------------------------
 
-    def syscall_enter(self, trace=NULL_TRACE):
+    def syscall_enter(self):
         """Process: the user→kernel crossing."""
-        with trace.span(CAT.KERNEL_OTHER):
+        with current_trace(self.sim).span(CAT.KERNEL_OTHER):
             yield from self.cpu.run(self.costs.syscall_entry,
                                     CAT.KERNEL_OTHER)
 
-    def syscall_exit(self, trace=NULL_TRACE):
+    def syscall_exit(self):
         """Process: the kernel→user crossing."""
-        with trace.span(CAT.KERNEL_OTHER):
+        with current_trace(self.sim).span(CAT.KERNEL_OTHER):
             yield from self.cpu.run(self.costs.syscall_exit,
                                     CAT.KERNEL_OTHER)
 
     # -- storage ---------------------------------------------------------------
 
-    def _resolve(self, name: str, offset: int, size: int, trace):
+    def _resolve(self, name: str, offset: int, size: int):
         """Process: VFS + extent lookup; returns the extent list."""
-        with trace.span(CAT.FILESYSTEM):
+        with current_trace(self.sim).span(CAT.FILESYSTEM):
             yield from self.cpu.run(
                 self.costs.vfs_lookup + self.costs.extent_lookup,
                 CAT.FILESYSTEM)
@@ -110,45 +111,46 @@ class HostKernel:
         return self.nvme_drivers[self.fs.volume_of(name)]
 
     def file_read_direct(self, name: str, offset: int, size: int,
-                         buf_addr: int, trace=NULL_TRACE):
+                         buf_addr: int):
         """Process: direct-I/O read (page cache bypassed) into ``buf_addr``.
 
         This is the optimized-software read path every measured design
         shares (paper §III-E); returns the number of bytes read.
         """
-        extents = yield from self._resolve(name, offset, size, trace)
+        extents = yield from self._resolve(name, offset, size)
         driver = self._driver_for(name)
         dest = buf_addr
         for extent in extents:
-            yield from driver.read(extent.slba, extent.nbytes, dest, trace)
+            yield from driver.read(extent.slba, extent.nbytes, dest)
             dest += extent.nbytes
         return size
 
     def file_write_direct(self, name: str, offset: int, size: int,
-                          buf_addr: int, trace=NULL_TRACE):
+                          buf_addr: int):
         """Process: direct-I/O write from ``buf_addr``."""
-        extents = yield from self._resolve(name, offset, size, trace)
+        extents = yield from self._resolve(name, offset, size)
         driver = self._driver_for(name)
         src = buf_addr
         for extent in extents:
-            yield from driver.write(extent.slba, extent.nbytes, src, trace)
+            yield from driver.write(extent.slba, extent.nbytes, src)
             src += extent.nbytes
         return size
 
     def file_read_buffered(self, name: str, offset: int, size: int,
-                           buf_addr: int, trace=NULL_TRACE):
+                           buf_addr: int):
         """Process: the *unoptimized* buffered read path (Fig 8's "Linux").
 
         Pays page-cache lookup/insert per page and a kernel→user copy on
         top of the direct path.
         """
+        trace = current_trace(self.sim)
         npages = -(-_block_align(size) // PAGE)
         with trace.span(CAT.FILESYSTEM):
             yield from self.cpu.run(
                 self.costs.page_cache_check
                 + npages * self.costs.page_cache_per_page,
                 CAT.FILESYSTEM)
-        yield from self.file_read_direct(name, offset, size, buf_addr, trace)
+        yield from self.file_read_direct(name, offset, size, buf_addr)
         with trace.span(CAT.FILESYSTEM):
             yield from self.cpu.run(
                 npages * self.costs.page_cache_per_page, CAT.FILESYSTEM)
@@ -184,7 +186,7 @@ class HostKernel:
         return header
 
     def socket_send(self, flow: TcpFlow, payload_addr: int, size: int,
-                    trace=NULL_TRACE, copy_from_user: bool = False):
+                    copy_from_user: bool = False):
         """Process: send ``size`` bytes already staged at ``payload_addr``.
 
         CPU costs: socket call + buffer management + per-segment TCP
@@ -194,6 +196,7 @@ class HostKernel:
         """
         if self.nic is None:
             raise ConfigurationError("host has no NIC")
+        trace = current_trace(self.sim)
         if copy_from_user:
             with trace.span(CAT.DATA_COPY):
                 yield from self.cpu.run(self.costs.copy_cost(size),
@@ -211,15 +214,13 @@ class HostKernel:
                     self.costs.skb_alloc + nsegs * self.costs.tcp_per_segment,
                     CAT.NETWORK)
             header = self._build_header(flow, batch)
-            yield from self.nic.send(header, payload_addr + sent, batch,
-                                     trace)
+            yield from self.nic.send(header, payload_addr + sent, batch)
             sent += batch
             if size == 0:
                 break
         return size
 
-    def socket_recv(self, flow: TcpFlow, size: int, gather_addr: int,
-                    trace=NULL_TRACE):
+    def socket_recv(self, flow: TcpFlow, size: int, gather_addr: int):
         """Process: receive exactly ``size`` bytes into ``gather_addr``.
 
         Waits for the NAPI path to assemble the stream, then pays the
@@ -229,6 +230,7 @@ class HostKernel:
         stream = self._streams.get(flow.uid)
         if stream is None:
             raise ConfigurationError("flow not registered")
+        trace = current_trace(self.sim)
         with trace.span(CAT.NETWORK):
             yield from self.cpu.run(
                 self.costs.socket_call + self.costs.socket_buffer_mgmt,
@@ -242,10 +244,9 @@ class HostKernel:
 
     # -- CPU checksum ----------------------------------------------------------
 
-    def cpu_checksum(self, kind: str, buf_addr: int, size: int,
-                     trace=NULL_TRACE):
+    def cpu_checksum(self, kind: str, buf_addr: int, size: int):
         """Process: checksum ``size`` bytes on a CPU core; returns digest."""
-        with trace.span(CAT.HASH):
+        with current_trace(self.sim).span(CAT.HASH):
             yield from self.cpu.run(self.costs.cpu_hash_cost(kind, size),
                                     CAT.HASH)
         data = self.fabric.address_map.read(buf_addr, size)

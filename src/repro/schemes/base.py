@@ -10,15 +10,16 @@ schemes through two operations, matching the paper's two pipelines:
 
 Each returns a :class:`TransferResult` carrying the checksum computed
 in flight (empty when no processing was requested), so tests can check
-functional equivalence across schemes against ``hashlib``.
+functional equivalence across schemes against ``hashlib``, and the
+operation's :class:`~repro.analysis.breakdown.LatencyTrace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ContextManager, Optional
 
-from repro.analysis.breakdown import LatencyTrace
+from repro.analysis.breakdown import LatencyTrace, traced_op
 from repro.errors import ConfigurationError
 from repro.schemes.testbed import Connection, Node, Testbed
 
@@ -28,13 +29,11 @@ class TransferResult:
     """Outcome of one scheme operation."""
 
     bytes_moved: int
+    trace: LatencyTrace
     digest: bytes = b""
-    trace: Optional[LatencyTrace] = None
 
     @property
     def latency_us(self) -> float:
-        if self.trace is None:
-            raise ConfigurationError("operation ran without a trace")
         return self.trace.total_us
 
 
@@ -62,16 +61,16 @@ class Scheme:
         return self.tb.connect_kernel()
 
     def send_file(self, node: Node, conn: Connection, name: str,
-                  offset: int, size: int, processing: Optional[str] = None,
-                  trace=None):  # pragma: no cover - abstract
+                  offset: int, size: int, processing: Optional[str] = None
+                  ):  # pragma: no cover - abstract
         """Process: read [offset, offset+size) of ``name`` from the
         node's SSD, optionally checksum it, transmit it on ``conn``."""
         raise NotImplementedError
 
     def receive_to_file(self, node: Node, conn: Connection, name: str,
                         offset: int, size: int,
-                        processing: Optional[str] = None,
-                        trace=None):  # pragma: no cover - abstract
+                        processing: Optional[str] = None
+                        ):  # pragma: no cover - abstract
         """Process: receive ``size`` bytes from ``conn``, optionally
         checksum them, store them into ``name`` on the node's SSD."""
         raise NotImplementedError
@@ -105,9 +104,8 @@ class Scheme:
             raise ConfigurationError(
                 f"{self.name} cannot compute {processing!r} in flight")
 
-    def _trace(self, trace, op: str = "request", **args) -> LatencyTrace:
-        if trace is None:
-            trace = LatencyTrace(self.sim)
-        # Root the request in the event trace (no-op when tracing is off
-        # or the caller already bound the trace to an earlier operation).
-        return trace.bind(op=f"{self.name}:{op}", scheme=self.name, **args)
+    def _trace(self, op: str, **args) -> ContextManager[LatencyTrace]:
+        """The operation's own trace, rooted in the event trace as
+        ``<scheme>:<op>`` and carried by the running process."""
+        return traced_op(self.sim, f"{self.name}:{op}", scheme=self.name,
+                         **args)

@@ -51,17 +51,15 @@ class DcsCtrlScheme(Scheme):
     # -- the two data paths ----------------------------------------------------
 
     def send_file(self, node: Node, conn: Connection, name: str,
-                  offset: int, size: int, processing: Optional[str] = None,
-                  trace=None):
+                  offset: int, size: int, processing: Optional[str] = None):
         self._check_processing(processing)
-        trace = self._trace(trace, op="send", size=size,
-                            processing=processing or "none")
-        file_fd = self._file_fd(node, name, writable=False)
-        sock_fd = self._socket_fd(node, conn)
-        completion = yield from node.library.hdc_sendfile(
-            sock_fd, file_fd, offset, size,
-            func=processing if processing else "none", trace=trace)
-        trace.finish()
+        with self._trace("send", size=size,
+                         processing=processing or "none") as trace:
+            file_fd = self._file_fd(node, name, writable=False)
+            sock_fd = self._socket_fd(node, conn)
+            completion = yield from node.library.hdc_sendfile(
+                sock_fd, file_fd, offset, size, func=processing or "none")
+            trace.finish()
         return TransferResult(bytes_moved=completion.result_length,
                               digest=completion.digest, trace=trace)
 
@@ -87,15 +85,14 @@ class DcsCtrlScheme(Scheme):
 
     def receive_to_file(self, node: Node, conn: Connection, name: str,
                         offset: int, size: int,
-                        processing: Optional[str] = None, trace=None):
+                        processing: Optional[str] = None):
         self._check_processing(processing)
-        trace = self._trace(trace, op="recv", size=size,
-                            processing=processing or "none")
-        file_fd = self._file_fd(node, name, writable=True)
-        sock_fd = self._socket_fd(node, conn)
-        completion = yield from node.library.hdc_recvfile(
-            sock_fd, file_fd, offset, size,
-            func=processing if processing else "none", trace=trace)
-        trace.finish()
+        with self._trace("recv", size=size,
+                         processing=processing or "none") as trace:
+            file_fd = self._file_fd(node, name, writable=True)
+            sock_fd = self._socket_fd(node, conn)
+            completion = yield from node.library.hdc_recvfile(
+                sock_fd, file_fd, offset, size, func=processing or "none")
+            trace.finish()
         return TransferResult(bytes_moved=size, digest=completion.digest,
                               trace=trace)

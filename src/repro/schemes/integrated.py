@@ -32,19 +32,19 @@ class IntegratedScheme(DcsCtrlScheme):
         return kind in ("ssd", "nic")
 
     def send_file(self, node, conn, name, offset, size,
-                  processing: Optional[str] = None, trace=None):
+                  processing: Optional[str] = None):
         if processing is not None and processing not in self.supported_processing:
             raise ConfigurationError(
                 f"the integrated device has no {processing!r} block; "
                 "adding one means respinning the whole device")
         return (yield from super().send_file(node, conn, name, offset, size,
-                                             processing, trace))
+                                             processing))
 
     def receive_to_file(self, node, conn, name, offset, size,
-                        processing: Optional[str] = None, trace=None):
+                        processing: Optional[str] = None):
         if processing is not None and processing not in self.supported_processing:
             raise ConfigurationError(
                 f"the integrated device has no {processing!r} block; "
                 "adding one means respinning the whole device")
         return (yield from super().receive_to_file(node, conn, name, offset,
-                                                   size, processing, trace))
+                                                   size, processing))

@@ -23,64 +23,63 @@ class SwOptScheme(Scheme):
     name = "sw-opt"
 
     def send_file(self, node: Node, conn: Connection, name: str,
-                  offset: int, size: int, processing: Optional[str] = None,
-                  trace=None):
+                  offset: int, size: int, processing: Optional[str] = None):
         self._check_processing(processing)
-        trace = self._trace(trace, op="send", size=size,
-                            processing=processing or "none")
-        kernel = node.host.kernel
-        buf = node.host.alloc_buffer(size)
-        try:
-            # read(2): one user/kernel round trip.
-            yield from kernel.syscall_enter(trace)
-            yield from kernel.file_read_direct(name, offset, size, buf, trace)
-            yield from kernel.syscall_exit(trace)
-            digest = b""
-            if processing is not None:
-                digest = yield from self._gpu_checksum_host_data(
-                    node, buf, size, processing, trace)
-            # send(2): a second round trip.
-            yield from kernel.syscall_enter(trace)
-            yield from kernel.socket_send(conn.flow0 if node is self.tb.node0
-                                          else conn.flow1, buf, size, trace)
-            yield from kernel.syscall_exit(trace)
-        finally:
-            node.host.free_buffer(buf, size)
-        trace.finish()
+        with self._trace("send", size=size,
+                         processing=processing or "none") as trace:
+            kernel = node.host.kernel
+            buf = node.host.alloc_buffer(size)
+            try:
+                # read(2): one user/kernel round trip.
+                yield from kernel.syscall_enter()
+                yield from kernel.file_read_direct(name, offset, size, buf)
+                yield from kernel.syscall_exit()
+                digest = b""
+                if processing is not None:
+                    digest = yield from self._gpu_checksum_host_data(
+                        node, buf, size, processing)
+                # send(2): a second round trip.
+                yield from kernel.syscall_enter()
+                yield from kernel.socket_send(
+                    conn.flow0 if node is self.tb.node0 else conn.flow1,
+                    buf, size)
+                yield from kernel.syscall_exit()
+            finally:
+                node.host.free_buffer(buf, size)
+            trace.finish()
         return TransferResult(bytes_moved=size, digest=digest, trace=trace)
 
     def receive_to_file(self, node: Node, conn: Connection, name: str,
                         offset: int, size: int,
-                        processing: Optional[str] = None, trace=None):
+                        processing: Optional[str] = None):
         self._check_processing(processing)
-        trace = self._trace(trace, op="recv", size=size,
-                            processing=processing or "none")
-        kernel = node.host.kernel
-        buf = node.host.alloc_buffer(size)
-        try:
-            # recv(2).
-            yield from kernel.syscall_enter(trace)
-            flow = conn.flow1 if node is self.tb.node1 else conn.flow0
-            yield from kernel.socket_recv(flow, size, buf, trace)
-            yield from kernel.syscall_exit(trace)
-            digest = b""
-            if processing is not None:
-                digest = yield from self._gpu_checksum_host_data(
-                    node, buf, size, processing, trace)
-            # write(2).
-            yield from kernel.syscall_enter(trace)
-            yield from kernel.file_write_direct(name, offset, size, buf,
-                                                trace)
-            yield from kernel.syscall_exit(trace)
-        finally:
-            node.host.free_buffer(buf, size)
-        trace.finish()
+        with self._trace("recv", size=size,
+                         processing=processing or "none") as trace:
+            kernel = node.host.kernel
+            buf = node.host.alloc_buffer(size)
+            try:
+                # recv(2).
+                yield from kernel.syscall_enter()
+                flow = conn.flow1 if node is self.tb.node1 else conn.flow0
+                yield from kernel.socket_recv(flow, size, buf)
+                yield from kernel.syscall_exit()
+                digest = b""
+                if processing is not None:
+                    digest = yield from self._gpu_checksum_host_data(
+                        node, buf, size, processing)
+                # write(2).
+                yield from kernel.syscall_enter()
+                yield from kernel.file_write_direct(name, offset, size, buf)
+                yield from kernel.syscall_exit()
+            finally:
+                node.host.free_buffer(buf, size)
+            trace.finish()
         return TransferResult(bytes_moved=size, digest=digest, trace=trace)
 
     # -- the classic GPU offload path -------------------------------------------
 
     def _gpu_checksum_host_data(self, node: Node, buf: int, size: int,
-                                kind: str, trace):
+                                kind: str):
         """Process: H2D copy, kernel, D2H digest fetch (paper Fig 3/11)."""
         gpu_driver = node.host.gpu_driver
         if gpu_driver is None:
@@ -93,14 +92,14 @@ class SwOptScheme(Scheme):
                   else node.host.gpu_mem.alloc_contiguous(chunks))
         data_off = region + 4096
         try:
-            yield from gpu_driver.copy_to_gpu(buf, data_off, size, trace)
+            yield from gpu_driver.copy_to_gpu(buf, data_off, size)
             digest = yield from gpu_driver.checksum(kind, data_off, size,
-                                                    region, trace)
+                                                    region)
             # Fetch the checksum result into CPU memory (paper §V-B).
             digest_buf = node.host.alloc_buffer(len(digest))
             try:
                 yield from gpu_driver.copy_from_gpu(region, digest_buf,
-                                                    len(digest), trace)
+                                                    len(digest))
             finally:
                 node.host.free_buffer(digest_buf, len(digest))
         finally:

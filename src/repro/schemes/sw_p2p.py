@@ -34,47 +34,45 @@ class SwP2pScheme(SwOptScheme):
     name = "sw-p2p"
 
     def send_file(self, node: Node, conn: Connection, name: str,
-                  offset: int, size: int, processing: Optional[str] = None,
-                  trace=None):
+                  offset: int, size: int, processing: Optional[str] = None):
         if processing is None:
             # SSD<->NIC P2P impossible: identical to the SW-opt path.
             return (yield from super().send_file(node, conn, name, offset,
-                                                 size, None, trace))
+                                                 size, None))
         self._check_processing(processing)
-        trace = self._trace(trace, op="send", size=size,
-                            processing=processing or "none")
-        host = node.host
-        kernel = host.kernel
-        gpu = host.gpu
-        gpu_driver = host.gpu_driver
-        if gpu is None or gpu_driver is None:
-            raise ConfigurationError("node built without a GPU")
-        region_size = size + 4096
-        chunks = host.gpu_mem.chunks_for(region_size)
-        region = (host.gpu_mem.alloc() if chunks == 1
-                  else host.gpu_mem.alloc_contiguous(chunks))
-        data_off = region + 4096
-        try:
-            yield from kernel.syscall_enter(trace)
-            # P2P: the SSD DMAs the file straight into GPU memory.
-            yield from kernel.file_read_direct(name, offset, size,
-                                               gpu.mem_addr(data_off), trace)
-            digest = yield from gpu_driver.checksum(processing, data_off,
-                                                    size, region, trace)
-            digest_buf = host.alloc_buffer(len(digest))
+        with self._trace("send", size=size, processing=processing) as trace:
+            host = node.host
+            kernel = host.kernel
+            gpu = host.gpu
+            gpu_driver = host.gpu_driver
+            if gpu is None or gpu_driver is None:
+                raise ConfigurationError("node built without a GPU")
+            region_size = size + 4096
+            chunks = host.gpu_mem.chunks_for(region_size)
+            region = (host.gpu_mem.alloc() if chunks == 1
+                      else host.gpu_mem.alloc_contiguous(chunks))
+            data_off = region + 4096
             try:
-                yield from gpu_driver.copy_from_gpu(region, digest_buf,
-                                                    len(digest), trace)
+                yield from kernel.syscall_enter()
+                # P2P: the SSD DMAs the file straight into GPU memory.
+                yield from kernel.file_read_direct(name, offset, size,
+                                                   gpu.mem_addr(data_off))
+                digest = yield from gpu_driver.checksum(processing, data_off,
+                                                        size, region)
+                digest_buf = host.alloc_buffer(len(digest))
+                try:
+                    yield from gpu_driver.copy_from_gpu(region, digest_buf,
+                                                        len(digest))
+                finally:
+                    host.free_buffer(digest_buf, len(digest))
+                # P2P: the NIC fetches the payload from GPU memory directly.
+                flow = conn.flow0 if node is self.tb.node0 else conn.flow1
+                yield from kernel.socket_send(flow, gpu.mem_addr(data_off),
+                                              size)
+                yield from kernel.syscall_exit()
             finally:
-                host.free_buffer(digest_buf, len(digest))
-            # P2P: the NIC fetches the payload from GPU memory directly.
-            flow = conn.flow0 if node is self.tb.node0 else conn.flow1
-            yield from kernel.socket_send(flow, gpu.mem_addr(data_off),
-                                          size, trace)
-            yield from kernel.syscall_exit(trace)
-        finally:
-            host.gpu_mem.free(region, chunks)
-        trace.finish()
+                host.gpu_mem.free(region, chunks)
+            trace.finish()
         return TransferResult(bytes_moved=size, digest=digest, trace=trace)
 
     # receive_to_file: inherited from SwOptScheme verbatim — the

@@ -11,6 +11,12 @@ Determinism: events scheduled for the same tick are processed in exact
 scheduling order (a monotonically increasing sequence number breaks heap
 ties), so identical inputs always produce identical traces.
 
+Request context: :attr:`Simulator.active_process` names the process
+whose generator is running (``None`` between steps and in plain
+callbacks).  A process copies :attr:`Process.request_trace` from the
+process that spawned it, so a request's latency trace reaches every
+process the request forks without being passed as an argument.
+
 Hot path: :meth:`Event.succeed` and :class:`Timeout` push onto the heap
 themselves rather than through :meth:`Simulator._enqueue`, and both
 counters (schedule sequence, event ids) are bound
@@ -37,7 +43,7 @@ class Process(Event):
     or fails with any exception the generator let escape.
     """
 
-    __slots__ = ("_generator", "_span")
+    __slots__ = ("_generator", "_span", "request_trace")
 
     def __init__(self, sim: "Simulator", generator: Generator[Event, Any, Any]):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -46,6 +52,11 @@ class Process(Event):
                 "did you forget to call the generator function?")
         super().__init__(sim)
         self._generator = generator
+        # The request this process works for, inherited from its
+        # spawner (see repro.analysis.breakdown.traced_op).
+        spawner = sim.active_process
+        self.request_trace = (None if spawner is None
+                              else spawner.request_trace)
         tracer = sim.tracer
         if tracer is None:
             self._span = None
@@ -73,52 +84,59 @@ class Process(Event):
         generator = self._generator
         exception = event._exception
         value = event._value
-        # Continuation loop: a yield the kernel can answer without a
-        # trip through the queue (an inline-granted resource request, a
-        # non-Event) is fed straight back into the generator.
-        while True:
-            try:
-                if exception is not None:
-                    target = generator.throw(exception)
+        sim = self.sim
+        outer = sim.active_process
+        sim.active_process = self
+        try:
+            # Continuation loop: a yield the kernel can answer without a
+            # trip through the queue (an inline-granted resource request, a
+            # non-Event) is fed straight back into the generator.
+            while True:
+                try:
+                    if exception is not None:
+                        target = generator.throw(exception)
+                    else:
+                        target = generator.send(value)
+                except StopIteration as stop:
+                    self._finish_span()
+                    self.succeed(stop.value)
+                    return
+                except BaseException as exc:
+                    self._finish_span(failed=True)
+                    self.fail(exc)
+                    return
+                if not isinstance(target, Event):
+                    # Deliver the error into the generator so it can't
+                    # silently hang; whatever it yields next is handled
+                    # like any other yield.
+                    exception = SimulationError(
+                        f"process yielded {target!r}; processes may only "
+                        "yield Events")
+                    continue
+                if target.sim is not sim:
+                    self._finish_span(failed=True)
+                    self.fail(SimulationError(
+                        "yielded an event from another simulator"))
+                    return
+                if target.callbacks is not None:
+                    target.callbacks.append(self._resume)
+                    return
+                if target._inline:
+                    # Granted inside Resource.request(): continue this step.
+                    exception = target._exception
+                    value = target._value
+                    continue
+                # Already concluded: resume on a fresh tick to preserve
+                # ordering.
+                relay = Event(sim)
+                relay.callbacks.append(self._resume)
+                if target._exception is not None:
+                    relay.fail(target._exception)
                 else:
-                    target = generator.send(value)
-            except StopIteration as stop:
-                self._finish_span()
-                self.succeed(stop.value)
+                    relay.succeed(target._value)
                 return
-            except BaseException as exc:
-                self._finish_span(failed=True)
-                self.fail(exc)
-                return
-            if not isinstance(target, Event):
-                # Deliver the error into the generator so it can't
-                # silently hang; whatever it yields next is handled
-                # like any other yield.
-                exception = SimulationError(
-                    f"process yielded {target!r}; processes may only "
-                    "yield Events")
-                continue
-            if target.sim is not self.sim:
-                self._finish_span(failed=True)
-                self.fail(SimulationError(
-                    "yielded an event from another simulator"))
-                return
-            if target.callbacks is not None:
-                target.callbacks.append(self._resume)
-                return
-            if target._inline:
-                # Granted inside Resource.request(): continue this step.
-                exception = target._exception
-                value = target._value
-                continue
-            # Already concluded: resume on a fresh tick to preserve ordering.
-            relay = Event(self.sim)
-            relay.callbacks.append(self._resume)
-            if target._exception is not None:
-                relay.fail(target._exception)
-            else:
-                relay.succeed(target._value)
-            return
+        finally:
+            sim.active_process = outer
 
 
 class Simulator:
@@ -137,6 +155,8 @@ class Simulator:
         self._next_sequence = count().__next__
         self._next_event_id = count(1).__next__
         self._active: bool = False
+        # The Process whose generator is running, else None.
+        self.active_process: Optional[Process] = None
         # None unless a repro.faults.FaultPlan is installed; every
         # injection site guards with one `is not None` check, so the
         # fault-free hot path pays a single branch.

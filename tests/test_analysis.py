@@ -1,10 +1,20 @@
 """Tests for traces, CPU breakdowns, projections and table rendering."""
 
+import inspect
+
 import pytest
 
 from repro.analysis import (CpuBreakdown, LatencyTrace, NULL_TRACE,
                             ScalabilityProjection, format_table,
                             project_cores)
+from repro.core.driver import HdcDriver
+from repro.core.library import HdcLibrary
+from repro.host.drivers.gpu_driver import HostGpuDriver
+from repro.host.drivers.nic_driver import HostNicDriver
+from repro.host.drivers.nvme_driver import HostNvmeDriver
+from repro.host.kernel.kernel import HostKernel
+from repro.schemes import ALL_SCHEMES
+from repro.schemes.base import Scheme
 from repro.sim import Simulator
 from repro.units import usec
 
@@ -81,6 +91,31 @@ class TestLatencyTrace:
             pass
         NULL_TRACE.add("x", 5)
         NULL_TRACE.finish()  # no state, no errors
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestOneAttributionPath:
+    """The request trace rides on the process: no layer below a scheme
+    op, and no scheme op, takes it as an argument."""
+
+    CLASSES = [HostKernel, HostNvmeDriver, HostNicDriver, HostGpuDriver,
+               HdcDriver, HdcLibrary, Scheme, *_subclasses(Scheme)]
+
+    def test_every_scheme_is_scanned(self):
+        assert set(ALL_SCHEMES.values()) <= set(self.CLASSES)
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+    def test_no_method_takes_a_trace_parameter(self, cls):
+        offenders = [
+            name for name, method in inspect.getmembers(
+                cls, inspect.isfunction)
+            if "trace" in inspect.signature(method).parameters]
+        assert offenders == [], f"{cls.__name__}: {offenders}"
 
 
 class TestCpuBreakdown:

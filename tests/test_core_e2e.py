@@ -11,7 +11,7 @@ import zlib
 import pytest
 
 from repro.algos import lz77_decompress
-from repro.analysis import LatencyTrace
+from repro.analysis import traced_op
 from repro.errors import ConfigurationError
 from repro.host.costs import CAT
 from repro.schemes import Testbed
@@ -185,14 +185,15 @@ class TestTraceBreakdown:
         conn = tb.connect_offloaded()
         fd = tb.node0.library.open_file("trace.dat")
         sock0 = tb.node0.library.open_socket(conn.flow0)
-        trace = LatencyTrace(tb.sim)
 
         def sender(sim):
-            yield from tb.node0.library.hdc_sendfile(
-                sock0, fd, 0, len(data), func="md5", trace=trace)
+            with traced_op(sim) as trace:
+                yield from tb.node0.library.hdc_sendfile(
+                    sock0, fd, 0, len(data), func="md5")
+                trace.finish()
+            return trace
 
-        tb.sim.run(until=tb.sim.process(sender(tb.sim)))
-        trace.finish()
+        trace = tb.sim.run(until=tb.sim.process(sender(tb.sim)))
         assert trace.segments[CAT.READ] > 0
         assert trace.segments[CAT.NDP] > 0
         assert trace.segments[CAT.SCOREBOARD] >= 0

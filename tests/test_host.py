@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.analysis import LatencyTrace
+from repro.analysis import traced_op
 from repro.errors import ConfigurationError
 from repro.host import CAT, CpuPool, DEFAULT_COSTS
 from repro.host.kernel import ExtentFilesystem, PageCache
@@ -171,17 +171,36 @@ class TestHostStorage:
         payload = bytes(range(256)) * 64  # 16 KiB
         host.install_file("obj", payload)
         buf = host.alloc_buffer(16 * KIB)
-        trace = LatencyTrace(sim)
 
         def body(sim):
-            yield from host.kernel.file_read_direct("obj", 0, 16 * KIB, buf,
-                                                    trace)
+            with traced_op(sim) as trace:
+                yield from host.kernel.file_read_direct("obj", 0, 16 * KIB,
+                                                        buf)
+            return trace
 
-        sim.run(until=sim.process(body(sim)))
+        trace = sim.run(until=sim.process(body(sim)))
         assert host.fabric.peek(buf, 16 * KIB) == payload
         # Latency components present: FS, device control, read, completion.
         for cat in (CAT.FILESYSTEM, CAT.DEVICE_CONTROL, CAT.READ,
                     CAT.COMPLETION):
+            assert trace.segments[cat] > 0, cat
+
+    def test_split_read_pieces_bill_the_request(self, sim):
+        # A read above MDTS runs as one child process per piece; each
+        # piece inherits the request trace from the process that
+        # spawned it.
+        host = Host(sim, with_gpu=False)
+        size = 2 * host.ssd.config.max_transfer
+        host.install_file("big", bytes(size))
+        buf = host.alloc_buffer(size)
+
+        def body(sim):
+            with traced_op(sim) as trace:
+                yield from host.kernel.file_read_direct("big", 0, size, buf)
+            return trace
+
+        trace = sim.run(until=sim.process(body(sim)))
+        for cat in (CAT.DEVICE_CONTROL, CAT.READ, CAT.COMPLETION):
             assert trace.segments[cat] > 0, cat
 
     def test_direct_write_roundtrip(self, sim):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import NULL_TRACE, current_trace, traced_op
 from repro.errors import SimulationError
 from repro.sim import AllOf, AnyOf, Event, Process, Simulator, Timeout
 from repro.sim.resources import Put, Request, Resource, Store
@@ -453,6 +454,11 @@ class TestSlots:
         with pytest.raises(AttributeError):
             event.stray_attribute = 1
 
+    def test_process_keeps_its_request_trace_in_a_slot(self, sim):
+        assert "request_trace" in Process.__slots__
+        proc = self.make("Process", sim)
+        assert proc.request_trace is None
+
     def test_inline_granted_request_is_born_processed(self, sim):
         req = Resource(sim).request()
         assert req.processed and req.ok
@@ -462,6 +468,110 @@ class TestSlots:
         req = self.make("Request-queued", sim)
         assert req.callbacks == []
         assert not req.triggered
+
+
+class TestRequestContext:
+    """A request's LatencyTrace rides on its process (traced_op)."""
+
+    def test_running_process_is_none_between_steps(self, sim):
+        seen = []
+
+        def body(sim):
+            seen.append(sim.active_process)
+            yield sim.timeout(1)
+            seen.append(sim.active_process)
+
+        proc = sim.process(body(sim))
+        assert sim.active_process is None
+        while sim.peek() is not None:
+            sim.step()
+            assert sim.active_process is None
+        assert seen == [proc, proc]
+
+    def test_spawned_child_inherits_the_trace(self, sim):
+        def child(sim):
+            yield sim.timeout(5)
+            with current_trace(sim).span("child"):
+                yield sim.timeout(7)
+
+        def parent(sim):
+            with traced_op(sim) as trace:
+                yield sim.process(child(sim))
+            return trace
+
+        trace = sim.run(until=sim.process(parent(sim)))
+        assert dict(trace.segments) == {"child": 7}
+
+    def test_process_spawned_from_a_timeout_callback_gets_none(self, sim):
+        spawned = []
+
+        def child(sim):
+            spawned.append(current_trace(sim))
+            yield sim.timeout(1)
+
+        def parent(sim):
+            with traced_op(sim):
+                timer = sim.timeout(3)
+                timer.callbacks.append(
+                    lambda _: spawned.append(sim.process(child(sim))))
+                yield sim.timeout(10)
+
+        sim.process(parent(sim))
+        sim.run()
+        proc, seen = spawned
+        assert proc.request_trace is None and seen is NULL_TRACE
+
+    def test_concurrent_ops_keep_separate_traces(self, sim):
+        def op(sim, category, first, second):
+            with traced_op(sim) as trace:
+                with current_trace(sim).span(category):
+                    yield sim.timeout(first)
+                yield sim.timeout(1)
+                with current_trace(sim).span(category):
+                    yield sim.timeout(second)
+            return trace
+
+        a = sim.process(op(sim, "a", 4, 6))
+        b = sim.process(op(sim, "b", 5, 3))
+        sim.run()
+        assert dict(a.value.segments) == {"a": 10}
+        assert dict(b.value.segments) == {"b": 8}
+        assert a.value is not b.value
+
+    def test_sequential_ops_in_one_process_do_not_leak(self, sim):
+        def body(sim):
+            with traced_op(sim) as first:
+                with current_trace(sim).span("one"):
+                    yield sim.timeout(2)
+                first.finish()
+            assert current_trace(sim) is NULL_TRACE
+            with current_trace(sim).span("between"):
+                yield sim.timeout(50)
+            with traced_op(sim) as second:
+                with current_trace(sim).span("two"):
+                    yield sim.timeout(3)
+                second.finish()
+            return first, second
+
+        first, second = sim.run(until=sim.process(body(sim)))
+        assert dict(first.segments) == {"one": 2}
+        assert dict(second.segments) == {"two": 3}
+        assert (first.total, second.total) == (2, 3)
+
+    def test_trace_restored_when_the_op_fails(self, sim):
+        def body(sim):
+            with pytest.raises(RuntimeError):
+                with traced_op(sim):
+                    yield sim.timeout(1)
+                    raise RuntimeError("boom")
+            return current_trace(sim)
+
+        assert sim.run(until=sim.process(body(sim))) is NULL_TRACE
+
+    def test_traced_op_outside_a_process_is_an_error(self, sim):
+        with pytest.raises(SimulationError):
+            with traced_op(sim):
+                pass
 
 
 class TestKernelChecks:

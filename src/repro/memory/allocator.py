@@ -9,6 +9,7 @@ is also reused for host page-cache pages.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import List
 
 from repro.errors import AllocationError
@@ -85,18 +86,7 @@ class ChunkAllocator:
                 raise AllocationError(
                     f"double free or bad address: chunk {index}")
             self._allocated.remove(index)
-            # Insert keeping the free list sorted.
-            self._insort(index)
-
-    def _insort(self, index: int) -> None:
-        lo, hi = 0, len(self._free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._free[mid] < index:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._free.insert(lo, index)
+            insort(self._free, index)
 
     def chunks_for(self, size: int) -> int:
         """How many chunks a transfer of ``size`` bytes needs."""

@@ -245,3 +245,155 @@ class TestChunkAllocator:
             alloc.free(addr, n)
         assert alloc.free_chunks == total
         assert alloc.allocated_chunks == 0
+
+
+# -- oracle tests: every store against a flat bytearray --------------------
+
+PAGE = SparseBytes.PAGE
+STORE_SIZE = 5 * PAGE + 123   # not a whole number of pages
+
+# Offsets cluster on page boundaries, where the stepping logic lives.
+_offsets = st.one_of(
+    st.integers(min_value=0, max_value=STORE_SIZE),
+    st.builds(lambda page, delta: max(0, page * PAGE + delta),
+              st.integers(min_value=0, max_value=5),
+              st.integers(min_value=-3, max_value=3)))
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("write"), _offsets,
+              st.binary(max_size=3 * PAGE + 10)),
+    st.tuples(st.just("read"), _offsets,
+              st.integers(min_value=0, max_value=3 * PAGE + 10))),
+    min_size=1, max_size=25)
+
+
+def _replay(ops, read, write, flat, base=0):
+    """Apply ``ops`` to a store and to ``flat``; compare as we go."""
+    for kind, offset, arg in ops:
+        length = len(arg) if kind == "write" else arg
+        if offset + length > len(flat):
+            with pytest.raises(AddressError):
+                if kind == "write":
+                    write(base + offset, arg)
+                else:
+                    read(base + offset, length)
+        elif kind == "write":
+            write(base + offset, arg)
+            flat[offset:offset + length] = arg
+        else:
+            got = read(base + offset, length)
+            assert type(got) is bytes
+            assert got == bytes(flat[offset:offset + length])
+    assert read(base, len(flat)) == bytes(flat)
+
+
+def _pages_touched(ops):
+    touched = set()
+    for kind, offset, arg in ops:
+        if kind == "write" and arg and offset + len(arg) <= STORE_SIZE:
+            touched.update(range(offset // PAGE,
+                                 (offset + len(arg) - 1) // PAGE + 1))
+    return touched
+
+
+class TestStoresAgainstFlatOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_ops)
+    def test_sparse_bytes(self, ops):
+        store = SparseBytes(STORE_SIZE)
+        flat = bytearray(STORE_SIZE)
+        _replay(ops, store.read, store.write, flat)
+        # Only pages a write touched are resident; reads allocate none.
+        assert store.resident_bytes == len(_pages_touched(ops)) * PAGE
+
+    @pytest.mark.parametrize("sparse", [False, True],
+                             ids=["dense", "sparse"])
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_ops)
+    def test_memory_region(self, sparse, ops):
+        base = 0x10_0000
+        region = MemoryRegion("r", base=base, size=STORE_SIZE, port="p",
+                              sparse=sparse)
+        _replay(ops, region.read, region.write, bytearray(STORE_SIZE),
+                base=base)
+
+    def test_never_written_pages_read_as_zeroes(self):
+        store = SparseBytes(STORE_SIZE)
+        store.write(2 * PAGE - 2, b"\xff" * 4)   # pages 1 and 2 only
+        data = store.read(0, 4 * PAGE)
+        assert data == (bytes(2 * PAGE - 2) + b"\xff" * 4
+                        + bytes(2 * PAGE - 2))
+        assert store.resident_bytes == 2 * PAGE
+
+    def test_empty_accesses_allocate_nothing(self):
+        store = SparseBytes(STORE_SIZE)
+        store.write(3 * PAGE, b"")
+        assert store.read(STORE_SIZE, 0) == b""
+        assert store.resident_bytes == 0
+
+    def test_write_accepts_a_memoryview(self):
+        store = SparseBytes(STORE_SIZE)
+        payload = bytes(range(256)) * 40
+        store.write(PAGE - 7, memoryview(payload)[3:])
+        assert store.read(PAGE - 7, len(payload) - 3) == payload[3:]
+
+
+class _AllocatorOracle:
+    """A sorted free list with the documented lowest-first policy."""
+
+    def __init__(self, total):
+        self.free = list(range(total))
+
+    def alloc(self):
+        if not self.free:
+            return None
+        return [self.free.pop(0)]
+
+    def alloc_contiguous(self, count):
+        for pos in range(len(self.free) - count + 1):
+            run = self.free[pos:pos + count]
+            if run == list(range(run[0], run[0] + count)):
+                del self.free[pos:pos + count]
+                return run
+        return None
+
+    def release(self, indices):
+        self.free = sorted(self.free + indices)
+
+
+class TestChunkAllocatorAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["alloc", "contiguous", "free"]),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=1_000)),
+        min_size=1, max_size=60))
+    def test_alloc_free_sequences(self, ops):
+        total, chunk = 16, 4 * KIB
+        alloc = ChunkAllocator(base=0x8000, size=total * chunk + 100,
+                               chunk_size=chunk)
+        oracle = _AllocatorOracle(total)
+        held = []   # (first index, count)
+        for kind, count, pick in ops:
+            if kind == "free":
+                if not held:
+                    continue
+                first, n = held.pop(pick % len(held))
+                alloc.free(0x8000 + first * chunk, n)
+                oracle.release(list(range(first, first + n)))
+            else:
+                expect = (oracle.alloc() if kind == "alloc"
+                          else oracle.alloc_contiguous(count))
+                if expect is None:
+                    with pytest.raises(AllocationError):
+                        if kind == "alloc":
+                            alloc.alloc()
+                        else:
+                            alloc.alloc_contiguous(count)
+                    continue
+                addr = (alloc.alloc() if kind == "alloc"
+                        else alloc.alloc_contiguous(count))
+                assert addr == 0x8000 + expect[0] * chunk
+                held.append((expect[0], len(expect)))
+            assert alloc._free == oracle.free
+            assert alloc.free_chunks == len(oracle.free)
+            assert alloc.allocated_chunks == total - len(oracle.free)

@@ -18,7 +18,7 @@ methods (to be driven with ``yield from`` inside simulation processes):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import DeviceTimeout, SimulationError
 from repro.memory.region import MemoryRegion
@@ -51,6 +51,35 @@ class _Port:
     m_db: Optional[object] = None
 
 
+class _Route:
+    """What a DMA from one port to another needs, decoded once.
+
+    ``first``/``second`` are the sending port's TX and the receiving
+    port's RX in the fabric's one global acquire order: by port (= link)
+    name, and on equal names rx before tx.  Transfers contending for
+    overlapping direction pairs therefore never hold-and-wait in a
+    cycle (no deadlock).  The order must not depend on object identity:
+    ``id()`` varies between runs in one process and would break trace
+    determinism.
+    """
+
+    __slots__ = ("src", "dst", "tx", "rx", "first", "second", "first_link",
+                 "second_link", "host", "track", "label")
+
+    def __init__(self, src: _Port, dst: _Port):
+        self.src, self.dst = src, dst
+        self.tx, self.rx = src.link.tx, dst.link.rx
+        if dst.name <= src.name:
+            self.first, self.second = self.rx, self.tx
+            self.first_link, self.second_link = dst.link, src.link
+        else:
+            self.first, self.second = self.tx, self.rx
+            self.first_link, self.second_link = src.link, dst.link
+        self.host = "host" in (src.name, dst.name)
+        self.track = f"link:{src.name}"
+        self.label = f"{src.name}->{dst.name}"
+
+
 class Fabric:
     """A single-switch PCIe fabric with address-routed DMA."""
 
@@ -59,6 +88,7 @@ class Fabric:
         self.name = name
         self.address_map = AddressMap()
         self._ports: Dict[str, _Port] = {}
+        self._routes: Dict[Tuple[str, str], _Route] = {}
         self._msi_handlers: Dict[str, Callable[[str, int], None]] = {}
         self.p2p_bytes = 0       # device<->device traffic (never sees host)
         self.host_bytes = 0      # traffic with the host port on one end
@@ -114,32 +144,9 @@ class Fabric:
         Timing: the initiator's TX and the owner's RX are held for the
         serialization time (bottleneck link dominates via sequential
         holds), plus two switch hops.  Functional: the bytes land in the
-        target region (or fire its MMIO hook).
+        target region (or fire its MMIO hook).  Returns ``len(data)``.
         """
-        region = self.address_map.resolve(addr, len(data))
-        src = self._port(initiator)
-        if region.port == initiator:
-            # Device-local access never crosses the fabric.
-            region.write(addr, data)
-            return len(data)
-        dst = self._port(region.port)
-        tracer = self.sim.tracer
-        span = None if tracer is None else tracer.begin(
-            "dma.write", track=f"pcie:{initiator}",
-            name=f"dma.write -> {region.port}", initiator=initiator,
-            target=region.port, addr=addr, size=len(data))
-        yield self.sim.timeout(2 * HOP_FORWARD_NS + region.access_latency)
-        try:
-            yield from self._occupy_path(src.link, dst.link, len(data))
-        except DeviceTimeout:
-            if span is not None:
-                span.end(failed=True)
-            raise
-        region.write(addr, data)
-        self._account(src, dst, len(data))
-        if span is not None:
-            span.end()
-        return len(data)
+        return self._transfer(initiator, addr, len(data), data)
 
     def dma_read(self, initiator: str, addr: int, length: int):
         """Process: fetch ``length`` bytes at ``addr`` into ``initiator``.
@@ -147,103 +154,114 @@ class Fabric:
         Returns the bytes read.  Timing: non-posted read request to the
         owner, then completion data clocked owner→switch→initiator.
         """
-        region = self.address_map.resolve(addr, length)
-        dst = self._port(initiator)
-        if region.port == initiator:
-            return region.read(addr, length)
-        src = self._port(region.port)
-        tracer = self.sim.tracer
-        span = None if tracer is None else tracer.begin(
-            "dma.read", track=f"pcie:{initiator}",
-            name=f"dma.read <- {region.port}", initiator=initiator,
-            target=region.port, addr=addr, size=length)
-        yield self.sim.timeout(READ_REQUEST_NS + 2 * HOP_FORWARD_NS
-                               + region.access_latency)
-        try:
-            yield from self._occupy_path(src.link, dst.link, length)
-        except DeviceTimeout:
-            if span is not None:
-                span.end(failed=True)
-            raise
-        data = region.read(addr, length)
-        self._account(src, dst, length)
-        if span is not None:
-            span.end()
-        return data
+        return self._transfer(initiator, addr, length, None)
 
-    def _occupy_path(self, src_link, dst_link, size: int):
-        """Hold src TX and dst RX concurrently; the transfer lasts the
+    def _transfer(self, initiator: str, addr: int, length: int,
+                  data: Optional[bytes]):
+        """One DMA: a write when ``data`` is given, else a read.
+
+        Data flows initiator→owner for a write and owner→initiator for
+        a read; either way the sending port's TX and the receiving
+        port's RX are held concurrently.  The transfer lasts the
         bottleneck link's serialization time, but each direction is
         *held* only for its own time — a fast port trickle-receiving
         from a slow sender still has capacity for other peers, which is
         how switched PCIe behaves (TLPs from different sources
-        interleave).
-
-        The two directions are acquired in a single global order (link
-        name + direction, a stable total order over the per-direction
-        resources), so transfers contending for overlapping link pairs
-        can never hold-and-wait in a cycle (no deadlock).  The order
-        must not depend on object identity: ``id()`` varies between
-        runs in one process and would break trace determinism.
-
-        The ``pcie.timeout`` fault site is evaluated once per traversal,
-        before either direction is acquired.
+        interleave).  The ``pcie.timeout`` fault site is evaluated once
+        per traversal, before either direction is taken.
         """
+        region = self.address_map.resolve(addr, length)
+        owner = region.port
+        write = data is not None
+        if owner == initiator:
+            # Device-local access never crosses the fabric.
+            if write:
+                region.write(addr, data)
+                return length
+            return region.read(addr, length)
+        key = (initiator, owner) if write else (owner, initiator)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = _Route(self._port(key[0]),
+                                               self._port(key[1]))
+        if write:
+            kind, arrow = "dma.write", "->"
+            delay = 2 * HOP_FORWARD_NS
+        else:
+            kind, arrow = "dma.read", "<-"
+            delay = READ_REQUEST_NS + 2 * HOP_FORWARD_NS
         sim = self.sim
         tracer = sim.tracer
         span = None if tracer is None else tracer.begin(
-            "tlp.send", track=f"link:{src_link.name}",
-            name=f"{src_link.name}->{dst_link.name} {size}B",
-            src=src_link.name, dst=dst_link.name, size=size)
+            kind, track=f"pcie:{initiator}", name=f"{kind} {arrow} {owner}",
+            initiator=initiator, target=owner, addr=addr, size=length)
+        yield sim.timeout(delay + region.access_latency)
+        tlp = None if tracer is None else tracer.begin(
+            "tlp.send", track=route.track, name=f"{route.label} {length}B",
+            src=route.src.name, dst=route.dst.name, size=length)
         faults = sim.faults
         if faults is not None and faults.fires(
-                "pcie.timeout", src=src_link.name, dst=dst_link.name,
-                size=size):
+                "pcie.timeout", src=route.src.name, dst=route.dst.name,
+                size=length):
             # The TLPs never complete: the requester waits out its
             # completion timer and reports an error.  Neither direction
             # is held and no bytes land.
             yield sim.timeout(COMPLETION_TIMEOUT_NS)
-            if span is not None:
+            if tlp is not None:
+                tlp.end(failed=True)
                 span.end(failed=True)
-            raise DeviceTimeout(
-                f"{src_link.name}->{dst_link.name}: TLP completion "
-                f"timeout ({size} B)")
-        m_src, m_dst = src_link._m_tx, dst_link._m_rx
-        if m_src is not None:
-            m_src.inc(size)
-            m_dst.inc(size)
-        tx = (src_link.tx, src_link.serialization(size), m_src)
-        rx = (dst_link.rx, dst_link.serialization(size), m_dst)
-        # (name, "rx") sorts before (name, "tx"): on equal names rx first.
-        if (dst_link.name or "") <= (src_link.name or ""):
-            first, second = rx, tx
+            raise DeviceTimeout(f"{route.label}: TLP completion timeout "
+                                f"({length} B)")
+        first, second = route.first, route.second
+        tx_meter = route.tx.inflight
+        if tx_meter is not None:
+            tx_meter.inc(length)
+            route.rx.inflight.inc(length)
+        if first.busy:
+            yield first.park()
         else:
-            first, second = tx, rx
-        req_first = first[0].request()
-        yield req_first
-        req_second = second[0].request()
-        yield req_second
+            first.busy = True
+        if second.busy:
+            yield second.park()
+        else:
+            second.busy = True
         # Release each direction after its own serialization time; the
         # transfer as a whole completes with the slower one.  On equal
-        # durations (symmetric links) the first-acquired direction is
+        # durations (symmetric links) the first-taken direction is
         # released first and the second follows in the same step.
-        if second[1] < first[1]:
-            short, short_req = second, req_second
-            long, long_req = first, req_first
+        first_ns = route.first_link.serialization(length)
+        second_ns = route.second_link.serialization(length)
+        if second_ns < first_ns:
+            first, second = second, first
+            first_ns, second_ns = second_ns, first_ns
+        yield sim.timeout(first_ns)
+        first.release()
+        if tx_meter is not None:
+            first.inflight.dec(length)
+        if second_ns != first_ns:
+            yield sim.timeout(second_ns - first_ns)
+        second.release()
+        if tx_meter is not None:
+            second.inflight.dec(length)
+        if tlp is not None:
+            tlp.end()
+        if write:
+            region.write(addr, data)
         else:
-            short, short_req = first, req_first
-            long, long_req = second, req_second
-        yield sim.timeout(short[1])
-        short[0].release(short_req)
-        if m_src is not None:
-            short[2].dec(size)
-        if long[1] != short[1]:
-            yield sim.timeout(long[1] - short[1])
-        long[0].release(long_req)
-        if m_src is not None:
-            long[2].dec(size)
+            data = region.read(addr, length)
+        src, dst = route.src, route.dst
+        src.stats.tx_bytes += length
+        dst.stats.rx_bytes += length
+        if src.m_tx is not None:
+            src.m_tx.inc(length)
+            dst.m_rx.inc(length)
+        if route.host:
+            self.host_bytes += length
+        else:
+            self.p2p_bytes += length
         if span is not None:
             span.end()
+        return length if write else data
 
     def mmio_write(self, initiator: str, addr: int, data: bytes):
         """Process: a small posted register write (doorbell-class).
@@ -298,19 +316,6 @@ class Fabric:
         if span is not None:
             span.end()
         handler(initiator, vector)
-
-    # -- accounting --------------------------------------------------------
-
-    def _account(self, src: _Port, dst: _Port, size: int) -> None:
-        src.stats.tx_bytes += size
-        dst.stats.rx_bytes += size
-        if src.m_tx is not None:
-            src.m_tx.inc(size)
-            dst.m_rx.inc(size)
-        if "host" in (src.name, dst.name):
-            self.host_bytes += size
-        else:
-            self.p2p_bytes += size
 
     # -- functional back door (no timing; for setup and assertions) -------
 

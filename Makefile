@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench experiments examples faults-smoke trace-demo \
+.PHONY: test bench micro experiments examples faults-smoke trace-demo \
         metrics-smoke compare docs-check lint perfbench-test \
         perfbench-check clean
 
@@ -13,6 +13,9 @@ test:            ## tier-1 suite (ROADMAP.md verify command)
 
 bench:           ## regenerate every table & figure with assertions
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+micro:           ## host ns per fabric DMA and kernel timeouts/s (no gate)
+	$(PYTHON) benchmarks/micro.py
 
 experiments:     ## print all reproduced tables/figures
 	$(PYTHON) -m repro.experiments

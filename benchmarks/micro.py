@@ -1,0 +1,123 @@
+"""Layer microbenchmark: what one fabric DMA and one kernel event cost
+in host time.
+
+Usage, from the root of a checkout::
+
+    PYTHONPATH=src python benchmarks/micro.py
+
+Prints host nanoseconds per uncontended cross-fabric ``dma_write`` and
+``dma_read`` (64 B and 4 KiB), per DMA of a contended pair (two
+initiators writing into one target's RX), and bare-kernel timeouts per
+second.  Each figure is the best of a few repeats of a fixed batch, so
+the run takes a few seconds.  It asserts nothing about speed: it is a
+probe for profiling work, and CI runs it only to keep it working.
+"""
+
+from __future__ import annotations
+
+import time
+
+from repro.memory import MemoryRegion
+from repro.pcie import Fabric, LINK_GEN2_X8
+from repro.sim import Simulator
+from repro.units import KIB, MIB
+
+REPEATS = 5
+DMAS = 4_000
+TIMEOUTS = 100_000
+HOST_BASE = 0x0000_0000
+ENGINE_BASE = 0x4000_0000
+
+
+def _fabric():
+    sim = Simulator()
+    fabric = Fabric(sim)
+    for port in ("host", "nic", "engine"):
+        fabric.add_port(port, LINK_GEN2_X8)
+    fabric.add_region(MemoryRegion("host-dram", base=HOST_BASE, size=MIB,
+                                   port="host", sparse=True,
+                                   access_latency=90))
+    fabric.add_region(MemoryRegion("engine-ddr3", base=ENGINE_BASE,
+                                   size=MIB, port="engine", sparse=True))
+    return sim, fabric
+
+
+def _best_ns_per_op(build, ops):
+    """Best host ns per op over ``REPEATS`` runs of ``build()``'s sim."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        sim = build()
+        start = time.perf_counter()
+        sim.run()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e9 / ops
+
+
+def uncontended(kind: str, size: int) -> float:
+    """One initiator, back-to-back DMAs engine -> host memory."""
+
+    def build():
+        sim, fabric = _fabric()
+        payload = bytes(size)
+
+        def body():
+            for _ in range(DMAS):
+                if kind == "write":
+                    yield from fabric.dma_write("engine", HOST_BASE, payload)
+                else:
+                    yield from fabric.dma_read("engine", HOST_BASE, size)
+
+        sim.process(body())
+        return sim
+
+    return _best_ns_per_op(build, DMAS)
+
+
+def contended(size: int) -> float:
+    """Two initiators writing into the engine: every DMA of the pair
+    queues on, or hands over, the engine's RX direction."""
+
+    def build():
+        sim, fabric = _fabric()
+        payload = bytes(size)
+
+        def writer(port):
+            for _ in range(DMAS // 2):
+                yield from fabric.dma_write(port, ENGINE_BASE, payload)
+
+        sim.process(writer("host"))
+        sim.process(writer("nic"))
+        return sim
+
+    return _best_ns_per_op(build, DMAS)
+
+
+def timeouts_per_second() -> float:
+    """Bare kernel: one process yielding 1 ns timeouts."""
+
+    def build():
+        sim = Simulator()
+
+        def body():
+            for _ in range(TIMEOUTS):
+                yield sim.timeout(1)
+
+        sim.process(body())
+        return sim
+
+    return 1e9 / _best_ns_per_op(build, TIMEOUTS)
+
+
+def main() -> None:
+    for kind in ("write", "read"):
+        for size in (64, 4 * KIB):
+            print(f"dma_{kind:5s} {size:5d} B uncontended: "
+                  f"{uncontended(kind, size):8.0f} host ns/DMA")
+    for size in (64, 4 * KIB):
+        print(f"dma_write {size:5d} B contended pair: "
+              f"{contended(size):8.0f} host ns/DMA")
+    print(f"kernel timeouts: {timeouts_per_second():,.0f} per host second")
+
+
+if __name__ == "__main__":
+    main()

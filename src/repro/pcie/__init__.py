@@ -8,9 +8,9 @@ routes by physical address through an :class:`AddressMap` of
 (device→device without touching host DRAM) falls out naturally: the
 route is decided by who owns the target address.
 
-All transfers are *functional* (real bytes move) and *timed* (links are
-FIFO resources; serialization time follows lane count, generation and
-TLP efficiency).
+All transfers are *functional* (real bytes move) and *timed* (each link
+direction is held by one transfer at a time, FIFO; serialization time
+follows lane count, generation and TLP efficiency).
 """
 
 from repro.pcie.address import AddressMap

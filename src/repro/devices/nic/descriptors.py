@@ -84,11 +84,27 @@ class RecvDescriptor(NamedTuple):
 
 
 class RecvCompletion(NamedTuple):
-    """NIC-written record of one received frame."""
+    """NIC-written record of one received frame.
+
+    Every descriptor the NIC takes completes exactly once, in the order
+    taken.  A frame the NIC dropped completes its descriptor with both
+    lengths zero (:meth:`dropped_frame`); the owner tests
+    :attr:`dropped`, recycles the buffer and delivers nothing.
+    """
 
     hdr_len: int
     payload_len: int
     desc_index: int
+
+    @classmethod
+    def dropped_frame(cls, desc_index: int) -> "RecvCompletion":
+        """The completion of a descriptor whose frame was dropped."""
+        return cls(0, 0, desc_index)
+
+    @property
+    def dropped(self) -> bool:
+        """True when the NIC dropped this descriptor's frame."""
+        return self.hdr_len == 0 and self.payload_len == 0
 
     def pack(self) -> bytes:
         return _CMPL.pack(self.hdr_len, self.payload_len, self.desc_index)

@@ -42,6 +42,15 @@ class TestDescriptorFormats:
         cmpl = RecvCompletion(hdr_len=54, payload_len=1460, desc_index=7)
         assert RecvCompletion.unpack(cmpl.pack()) == cmpl
 
+    def test_dropped_frame_encoding(self):
+        dropped = RecvCompletion.unpack(
+            RecvCompletion.dropped_frame(7).pack())
+        assert dropped.dropped and dropped.desc_index == 7
+        # A header-split pure ACK and a non-split frame each have one
+        # zero length; neither reads as dropped.
+        assert not RecvCompletion(HEADER_LEN, 0, 7).dropped
+        assert not RecvCompletion(0, HEADER_LEN, 7).dropped
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(ProtocolError):
             SendDescriptor.unpack(b"\x00" * 31)

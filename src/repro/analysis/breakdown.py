@@ -1,4 +1,4 @@
-"""Latency and CPU breakdown containers.
+"""Latency breakdown containers.
 
 A :class:`LatencyTrace` rides along one request's critical path; every
 pipeline stage wraps itself in ``with current_trace(sim).span(category):``
@@ -157,26 +157,3 @@ def traced_op(sim, op: str = "request", **args) -> Iterator[LatencyTrace]:
         yield trace
     finally:
         process.request_trace = previous
-
-
-class CpuBreakdown:
-    """A normalized CPU-utilization decomposition for reports."""
-
-    def __init__(self, utilization_by_category: Dict[str, float],
-                 cores: int = 1):
-        self.by_category = dict(utilization_by_category)
-        self.cores = cores
-
-    @property
-    def total(self) -> float:
-        return sum(self.by_category.values())
-
-    def normalized_to(self, reference_total: float) -> Dict[str, float]:
-        """Scale so that ``reference_total`` maps to 1.0 (paper's Fig 3b)."""
-        if reference_total <= 0:
-            raise ValueError("reference total must be positive")
-        return {k: v / reference_total for k, v in self.by_category.items()}
-
-    def core_equivalents(self) -> float:
-        """Busy time expressed in whole-core units."""
-        return self.total * self.cores

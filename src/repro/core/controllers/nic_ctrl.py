@@ -13,6 +13,8 @@ NIC's header-split into BRAM header slots + DDR3 staging slots; a pump
 FSM (woken by the NIC's status-block writes into watched BRAM)
 parses headers, tracks per-connection sequence state, and gathers
 payloads into the destination buffers of pending scoreboard entries.
+The ring protocol is the host driver's, in one
+:class:`~repro.devices.nic.client.NicClient`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import Deque, Dict
 from repro.core.buffers import EngineBuffers
 from repro.core.command import DeviceCommand
 from repro.core.scoreboard import Executor
-from repro.devices.nic.descriptors import RecvDescriptor, SendDescriptor
+from repro.devices.nic.client import NicClient
+from repro.devices.nic.descriptors import RecvDescriptor
 from repro.devices.nic.nic import Nic
 from repro.errors import DeviceError, DeviceTimeout, ProtocolError
 from repro.faults import (ENGINE_NIC_RECV_POLICY, ENGINE_NIC_SEND_POLICY,
@@ -32,7 +35,7 @@ from repro.faults import (ENGINE_NIC_RECV_POLICY, ENGINE_NIC_SEND_POLICY,
 from repro.memory.dram import FPGA_DDR3
 from repro.memory.region import MemoryRegion
 from repro.net.headers import EthernetHeader, Ipv4Header, TcpHeader
-from repro.net.packet import Frame, HEADER_LEN, TCP_MSS
+from repro.net.packet import Frame, HEADER_LEN
 from repro.net.tcp import FlowTable, TcpFlow
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
@@ -59,13 +62,9 @@ class _PendingRecv:
 @dataclass
 class _FlowState:
     flow: TcpFlow
-    flow_id: int
-    header_slot: int
     send_lock: object = None   # per-flow Resource: sends serialize
     pending: Deque[_PendingRecv] = field(default_factory=deque)
     backlog: bytearray = field(default_factory=bytearray)
-    bytes_sent: int = 0
-    bytes_received: int = 0
 
 
 class EngineNicController(Executor):
@@ -84,28 +83,21 @@ class EngineNicController(Executor):
         # (§IV-C); TCP_MSS means one descriptor per packet.
         self.max_batch = max_batch
         self.fabric = fabric
-        self.engine_port = engine_port
         self.buffers = buffers
         self.nic = nic
-        self.send_ring = nic.configure_tx(tx_ring_addr, RING_DEPTH,
-                                          tx_status_addr, interrupt=False)
-        self.recv_ring = nic.configure_rx(rx_desc_addr, rx_cmpl_addr,
-                                          RING_DEPTH, rx_status_addr,
-                                          interrupt=False)
+        # 64 BRAM header slots: the in-flight count (slots x window)
+        # stays far below that.  Reposts ring the doorbell once per 32;
+        # the ring holds hundreds of posted buffers of slack.
+        self.client = NicClient(
+            nic, engine_port, RING_DEPTH, tx_ring_addr, tx_status_addr,
+            rx_desc_addr, rx_cmpl_addr, rx_status_addr, tx_hdr_area,
+            hdr_slots=64, ring_every=32, interrupt=False)
         self._rx_hdr_area = rx_hdr_area
-        self._tx_hdr_area = tx_hdr_area
-        self._tx_hdr_cursor = 0
         self._flows_by_id: Dict[int, _FlowState] = {}
         self._flow_table = FlowTable()
         self._flow_state_of: Dict[int, _FlowState] = {}  # flow.uid -> state
         self._next_flow_id = 1
         self._tx_waiters: Dict[int, object] = {}   # send index -> Event
-        # desc ring slot -> (payload staging addr, header slot addr)
-        self._desc_slot_addr: Dict[int, tuple[int, int]] = {}
-        self._slot_pool: list[int] = []
-        self._hdr_pool: list[int] = [rx_hdr_area + i * 64
-                                     for i in range(RING_DEPTH)]
-        self._rx_pump_busy = False
         self.frames_discarded = 0
         # Deadlines for the send-status and receive-gather waits; only
         # armed while a fault plan is active.
@@ -118,21 +110,17 @@ class EngineNicController(Executor):
     # -- bring-up ------------------------------------------------------------
 
     def start(self):
-        """Process: carve staging slots and arm the receive ring."""
-        for _ in range(RING_DEPTH // (64 * KIB // RECV_SLOT) + 1):
-            chunk = self.buffers.take_recv_chunk()
-            for off in range(0, 64 * KIB, RECV_SLOT):
-                self._slot_pool.append(chunk + off)
-        for _ in range(RING_DEPTH - 1):
-            self._post_recv_slot()
-        yield from self.recv_ring.ring(self.engine_port)
-
-    def _post_recv_slot(self) -> None:
-        slot = self._slot_pool.pop()
-        hdr_slot = self._hdr_pool.pop()
-        index = self.recv_ring.post(RecvDescriptor(
-            payload_addr=slot, buf_len=RECV_SLOT, hdr_addr=hdr_slot))
-        self._desc_slot_addr[index % RING_DEPTH] = (slot, hdr_slot)
+        """Process: post DDR3 staging slots, each with a BRAM header slot
+        (both taken from the top down), and arm the receive ring."""
+        chunks = [self.buffers.take_recv_chunk()
+                  for _ in range(RING_DEPTH // (64 * KIB // RECV_SLOT) + 1)]
+        slots = [chunk + off for chunk in chunks
+                 for off in range(0, 64 * KIB, RECV_SLOT)]
+        for i in range(1, RING_DEPTH):
+            self.client.post(RecvDescriptor(
+                payload_addr=slots[-i], buf_len=RECV_SLOT,
+                hdr_addr=self._rx_hdr_area + (RING_DEPTH - i) * 64))
+        yield from self.client.recv_ring.ring(self.client.initiator)
 
     # -- connection offload ---------------------------------------------------
 
@@ -143,13 +131,10 @@ class EngineNicController(Executor):
         inbound frames land on the engine's RX channel, not the host's.
         """
         self.nic.steer_flow(flow.remote.ip, flow.remote.port,
-                            flow.local.port, self.recv_ring.channel)
+                            flow.local.port, self.client.recv_ring.channel)
         flow_id = self._next_flow_id
         self._next_flow_id += 1
-        state = _FlowState(flow=flow, flow_id=flow_id,
-                           header_slot=self._tx_hdr_area
-                           + (flow_id % 64) * 64,
-                           send_lock=Resource(self.sim, capacity=1))
+        state = _FlowState(flow=flow, send_lock=Resource(self.sim, capacity=1))
         self._flows_by_id[flow_id] = state
         self._flow_table.add(flow)
         self._flow_state_of[flow.uid] = state
@@ -181,8 +166,8 @@ class EngineNicController(Executor):
         state = self._state_for(entry.dst)
         # Sends on one connection serialize (TCP stream order), but the
         # batches *within* a send pipeline through a small descriptor
-        # window.  Each in-flight descriptor owns a rotating header
-        # slot, so templates are never overwritten before fetch.
+        # window.  Each in-flight descriptor owns its header slot in the
+        # client, so templates are never overwritten before fetch.
         with state.send_lock.request() as lock:
             yield lock
             sent = 0
@@ -191,24 +176,18 @@ class EngineNicController(Executor):
                 if sent < entry.length and len(inflight) < self.SEND_WINDOW:
                     batch = min(self.max_batch, entry.length - sent)
                     yield self.sim.timeout(HEADER_GEN)
-                    header = self._build_header(state, batch)
-                    hdr_slot = self._next_tx_hdr_slot()
-                    self.fabric.address_map.write(hdr_slot, header)
-                    index = self.send_ring.push(SendDescriptor(
-                        hdr_addr=hdr_slot, hdr_len=HEADER_LEN,
-                        payload_addr=entry.src + sent, payload_len=batch,
-                        lso=True, mss=TCP_MSS))
-                    yield from self.send_ring.ring(self.engine_port)
+                    index = yield from self.client.send(
+                        state.flow.lso_header(batch), entry.src + sent,
+                        batch)
                     waiter = self.sim.event()
                     self._tx_waiters[index] = waiter
                     # The status write may have landed while the doorbell
                     # ring was in flight — re-check before parking.
-                    if (index < self.send_ring.consumer_index()
+                    if (index < self.client.send_ring.consumer_index()
                             and index in self._tx_waiters):
                         self._tx_waiters.pop(index).succeed()
                     inflight.append(waiter)
                     sent += batch
-                    state.bytes_sent += batch
                 else:
                     waiter = inflight.popleft()
                     if active_faults(self.sim) is not None:
@@ -227,28 +206,8 @@ class EngineNicController(Executor):
                         raise
         return None
 
-    def _next_tx_hdr_slot(self) -> int:
-        """Rotate through the 64 BRAM header slots.
-
-        Bounded in-flight count (slots x window) stays far below 64, so
-        a slot is always consumed before reuse.
-        """
-        slot = self._tx_hdr_area + self._tx_hdr_cursor * 64
-        self._tx_hdr_cursor = (self._tx_hdr_cursor + 1) % 64
-        return slot
-
-    def _build_header(self, state: _FlowState, payload_len: int) -> bytes:
-        flow = state.flow
-        header = (flow.eth_header().pack()
-                  + Ipv4Header(src_ip=flow.local.ip, dst_ip=flow.remote.ip,
-                               total_length=40).pack()
-                  + flow.next_header(payload_len).pack(
-                      flow.local.ip, flow.remote.ip, b""))
-        assert len(header) == HEADER_LEN
-        return header
-
     def _on_tx_status(self) -> None:
-        consumed = self.send_ring.consumer_index()
+        consumed = self.client.send_ring.consumer_index()
         ready = [i for i in self._tx_waiters if i < consumed]
         for index in ready:
             waiter = self._tx_waiters.pop(index)
@@ -276,58 +235,39 @@ class EngineNicController(Executor):
             if pending in state.pending:
                 state.pending.remove(pending)
             raise
-        state.bytes_received += entry.length
         return None
 
     def _on_rx_status(self) -> None:
-        if self._rx_pump_busy:
-            return
-        self._rx_pump_busy = True
-        self.sim.process(self._rx_pump())
+        self.client.start_drain(self._rx_pump)
 
     def _rx_pump(self):
-        reposted = 0
+        yield from self.client.drain(self._gather)
+
+    def _gather(self, cmpl, desc: RecvDescriptor):
+        """Process: parse one received frame's split header and steer
+        its payload to its connection."""
+        yield self.sim.timeout(HEADER_PARSE)
+        if cmpl.dropped:
+            return
+        hdr_raw = self.fabric.address_map.read(desc.hdr_addr, HEADER_LEN)
+        payload = self.fabric.address_map.read(desc.payload_addr,
+                                               cmpl.payload_len)
+        frame = _frame_from_split(hdr_raw, payload)
+        flow = self._flow_table.lookup(frame)
+        if flow is None:
+            raise ProtocolError(
+                f"engine received frame for unknown connection "
+                f"{frame.ip.dst_ip}:{frame.tcp.dst_port}")
         try:
-            while (cmpl := self.recv_ring.poll_completion()) is not None:
-                yield self.sim.timeout(HEADER_PARSE)
-                slot_addr, hdr_slot = self._desc_slot_addr.pop(
-                    cmpl.desc_index)
-                if not cmpl.dropped:
-                    hdr_raw = self.fabric.address_map.read(hdr_slot,
-                                                           HEADER_LEN)
-                    payload = self.fabric.address_map.read(slot_addr,
-                                                           cmpl.payload_len)
-                    frame = _frame_from_split(hdr_raw, payload)
-                    flow = self._flow_table.lookup(frame)
-                    if flow is None:
-                        raise ProtocolError(
-                            f"engine received frame for unknown connection "
-                            f"{frame.ip.dst_ip}:{frame.tcp.dst_port}")
-                    state = self._flow_state_of[flow.uid]
-                    try:
-                        data = flow.accept(frame)
-                    except ProtocolError:
-                        # Sequence gap: an upstream frame was lost on the
-                        # wire.  The model has no retransmission, so drop
-                        # the frame and let the recv deadline surface the
-                        # stalled entry.
-                        self.frames_discarded += 1
-                        data = b""
-                    if data:
-                        yield from self._steer(state, data)
-                # Recycle staging slot, header slot and descriptor; the
-                # doorbell is batched (one ring per 32 reposts) — the
-                # ring holds hundreds of posted buffers of slack.
-                self._slot_pool.append(slot_addr)
-                self._hdr_pool.append(hdr_slot)
-                self._post_recv_slot()
-                reposted += 1
-                if reposted % 32 == 0:
-                    yield from self.recv_ring.ring(self.engine_port)
-        finally:
-            self._rx_pump_busy = False
-        if reposted % 32:
-            yield from self.recv_ring.ring(self.engine_port)
+            data = flow.accept(frame)
+        except ProtocolError:
+            # Sequence gap: an upstream frame was lost on the wire.  The
+            # model has no retransmission, so drop the frame and let the
+            # recv deadline surface the stalled entry.
+            self.frames_discarded += 1
+            return
+        if data:
+            yield from self._steer(self._flow_state_of[flow.uid], data)
 
     def _steer(self, state: _FlowState, data: bytes):
         """Process: gather ``data`` into the pending entry or backlog."""

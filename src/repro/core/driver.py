@@ -30,6 +30,7 @@ from repro.faults import D2D_WATCHDOG_POLICY, active_faults, watchdog
 from repro.host.costs import CAT
 from repro.host.machine import Host
 from repro.net.tcp import TcpFlow
+from repro.sim.resources import WaiterTable
 from repro.units import KIB, PAGE
 
 
@@ -45,18 +46,13 @@ class HdcDriver:
         self._next_d2d_id = 1
         self._cmd_tail = 0
         self._cpl_head = 0
-        self._completed = 0
         self._written: set[int] = set()
         self._announced = 0
-        self._waiters: Dict[int, object] = {}
+        # Flow control (at most depth-1 D2D commands in flight) and the
+        # d2d_id -> waiter table; a completion for a command whose
+        # watchdog expired counts as stale.
+        self.commands = WaiterTable(self.sim, COMMAND_QUEUE_DEPTH - 1)
         self._flow_ids: Dict[int, int] = {}  # flow.uid -> engine flow id
-        # Flow-control waiters parked on a full command queue, woken by
-        # the completion path (no busy-polling).
-        self._slot_waiters: list = []
-        # D2D ids whose watchdog expired; a late completion for one is
-        # discarded without double-releasing its queue slot.
-        self._abandoned: set[int] = set()
-        self.late_completions = 0
         self.watchdog_policy = D2D_WATCHDOG_POLICY
         host.irq.register(engine.port, vector=0, handler=self._on_irq)
 
@@ -157,14 +153,9 @@ class HdcDriver:
         """
         costs = self.host.costs
         trace = current_trace(self.sim)
-        # Flow control: at most depth-1 commands in flight.  Full-queue
-        # submitters park on an event the completion path triggers —
-        # no polling quantum, no wasted heap churn at depth.
-        while (self._cmd_tail - self._completed
-               >= COMMAND_QUEUE_DEPTH - 1):
-            gate = self.sim.event()
-            self._slot_waiters.append(gate)
-            yield gate
+        # Full-queue submitters park until a completion hands them its
+        # slot — no polling quantum.
+        yield from self.commands.admit()
         d2d_id = self._next_d2d_id
         self._next_d2d_id += 1
         # Reserve the command slot *before* any yield — concurrent
@@ -195,8 +186,7 @@ class HdcDriver:
             yield from self.host.fabric.mmio_write(
                 "host", self.engine.host_interface.doorbell_addr,
                 (self._announced & 0xFFFFFFFF).to_bytes(4, "little"))
-        waiter = self.sim.event()
-        self._waiters[d2d_id] = waiter
+        waiter = self.commands.expect(d2d_id)
         submit_done = self.sim.now
         # Watchdog (armed only when faults are injectable): a lost
         # MSI/completion surfaces as DeviceTimeout instead of
@@ -208,12 +198,9 @@ class HdcDriver:
         try:
             completion, irq_at = yield waiter
         except DeviceTimeout:
-            # Abandon the command: release its queue slot exactly once
-            # (a late completion for it is discarded, not re-counted).
-            self._waiters.pop(d2d_id, None)
-            self._abandoned.add(d2d_id)
-            self._completed += 1
-            self._release_slots()
+            # Abandon the command: its queue slot is freed now, and a
+            # late completion for it counts as stale.
+            self.commands.forget(d2d_id)
             self.engine.task_stats.pop(d2d_id, {})
             raise
         # Attribute the engine window using its stage profile.
@@ -236,13 +223,6 @@ class HdcDriver:
 
     # -- completion path ----------------------------------------------------------------
 
-    def _release_slots(self) -> None:
-        """Wake every submitter parked on a full command queue."""
-        if self._slot_waiters:
-            waiters, self._slot_waiters = self._slot_waiters, []
-            for gate in waiters:
-                gate.succeed()
-
     def _on_irq(self) -> None:
         self.sim.process(self._irq_handler(self.sim.now))
 
@@ -259,19 +239,7 @@ class HdcDriver:
                 break
             self.host.fabric.address_map.write(addr, bytes(COMPLETION_SIZE))
             self._cpl_head += 1
-            if completion.d2d_id in self._abandoned:
-                # The watchdog already gave up on this command and
-                # released its slot; swallow the straggler.
-                self._abandoned.discard(completion.d2d_id)
-                self.late_completions += 1
-                continue
-            self._completed += 1
-            self._release_slots()
-            waiter = self._waiters.pop(completion.d2d_id, None)
-            if waiter is None or waiter.triggered:
-                self.late_completions += 1
-                continue
-            waiter.succeed((completion, irq_at))
+            self.commands.deliver(completion.d2d_id, (completion, irq_at))
 
     # -- high-level operations -------------------------------------------------------------
 

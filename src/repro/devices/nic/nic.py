@@ -30,7 +30,7 @@ from repro.devices.base import PcieDevice
 from repro.devices.nic.descriptors import (RECV_CMPL_SIZE, RECV_DESC_SIZE,
                                            SEND_DESC_SIZE, RecvCompletion,
                                            RecvDescriptor, SendDescriptor)
-from repro.devices.nic.rings import RecvRing, SendRing
+from repro.devices.nic.rings import RecvRing, SendRing, unwrap32
 from repro.errors import DeviceError, DeviceTimeout, ProtocolError
 from repro.net.packet import (HEADER_LEN, MTU, build_frame, check_frame,
                               segment_payload)
@@ -220,7 +220,7 @@ class Nic(PcieDevice):
                 raise ProtocolError(f"send doorbell for channel {index} "
                                     "before TX configuration")
             channel = self._tx_channels[index]
-            channel.tail = self._unwrap(channel.tail, value)
+            channel.tail = unwrap32(channel.tail, value)
             if channel.m_occ is not None:
                 channel.m_occ.set(channel.tail - channel.consumed)
             channel.wake.notify()
@@ -229,19 +229,11 @@ class Nic(PcieDevice):
                 raise ProtocolError(f"recv doorbell for channel {index} "
                                     "before RX configuration")
             channel = self._rx_channels[index]
-            channel.tail = self._unwrap(channel.tail, value)
+            channel.tail = unwrap32(channel.tail, value)
             if not channel.fetch_busy:
                 channel.fetch_busy = True
                 self.sim.process(self._fetch_rx_descriptors(channel))
         # other registers: configuration writes, ignored
-
-    @staticmethod
-    def _unwrap(previous: int, low32: int) -> int:
-        """Recover a free-running counter from its 32-bit doorbell value."""
-        value = (previous & ~0xFFFFFFFF) | low32
-        if value < previous:
-            value += 1 << 32
-        return value
 
     # -- transmit ------------------------------------------------------------
 

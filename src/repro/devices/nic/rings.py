@@ -18,6 +18,15 @@ from repro.errors import ProtocolError
 from repro.pcie.switch import Fabric
 
 
+def unwrap32(previous: int, low32: int) -> int:
+    """Recover a free-running counter from its 32-bit on-wire value,
+    given the last value recovered (the counter only moves forward)."""
+    value = (previous & ~0xFFFFFFFF) | low32
+    if value < previous:
+        value += 1 << 32
+    return value
+
+
 class SendRing:
     """Submitter-side transmit ring."""
 
@@ -56,14 +65,9 @@ class SendRing:
     def consumer_index(self) -> int:
         """The NIC's progress counter from the status block (functional)."""
         raw = self.fabric.address_map.read(self.status_addr, 4)
-        low = int.from_bytes(raw, "little")
-        # Recover the free-running value from the 32-bit on-wire counter.
-        high = self._consumed_seen & ~0xFFFFFFFF
-        value = high | low
-        if value < self._consumed_seen:
-            value += 1 << 32
-        self._consumed_seen = value
-        return value
+        self._consumed_seen = unwrap32(self._consumed_seen,
+                                       int.from_bytes(raw, "little"))
+        return self._consumed_seen
 
 
 class RecvRing:
@@ -106,13 +110,9 @@ class RecvRing:
     def producer_index(self) -> int:
         """How many completions the NIC has written (functional read)."""
         raw = self.fabric.address_map.read(self.status_addr, 4)
-        low = int.from_bytes(raw, "little")
-        high = self._produced_seen & ~0xFFFFFFFF
-        value = high | low
-        if value < self._produced_seen:
-            value += 1 << 32
-        self._produced_seen = value
-        return value
+        self._produced_seen = unwrap32(self._produced_seen,
+                                       int.from_bytes(raw, "little"))
+        return self._produced_seen
 
     def poll_completion(self) -> Optional[RecvCompletion]:
         """Consume the next completion if the NIC has produced one."""

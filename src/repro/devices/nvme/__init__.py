@@ -3,14 +3,13 @@
 from repro.devices.nvme.commands import (CQE_SIZE, OP_FLUSH, OP_READ, OP_WRITE,
                                          SQE_SIZE, Completion, NvmeCommand,
                                          prp_pages)
-from repro.devices.nvme.queues import CompletionPoller, QueuePair
+from repro.devices.nvme.queues import QueuePair
 from repro.devices.nvme.flash import FlashStore, FlashTiming
 from repro.devices.nvme.ssd import INTEL_750_400GB, NvmeSsd, SsdConfig
 
 __all__ = [
     "CQE_SIZE",
     "Completion",
-    "CompletionPoller",
     "FlashStore",
     "FlashTiming",
     "INTEL_750_400GB",

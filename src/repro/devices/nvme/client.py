@@ -6,7 +6,6 @@ the retry policy and the names; :class:`NvmeClient` is the rest.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import count
 
 from repro.devices.nvme.commands import (LBA_SIZE, NvmeCommand, prp_fields,
@@ -14,14 +13,16 @@ from repro.devices.nvme.commands import (LBA_SIZE, NvmeCommand, prp_fields,
 from repro.devices.nvme.queues import QueuePair
 from repro.errors import DeviceError
 from repro.faults import RetryPolicy, active_faults, watchdog
+from repro.sim.resources import WaiterTable
 
 
-class NvmeClient:
+class NvmeClient(WaiterTable):
     """Submitter side of one NVMe I/O queue pair.
 
     A command holds one of the SQ's ``depth - 1`` usable slots from
     admission until its completion or expired deadline, so the SQ never
-    overflows; admission into a free slot neither yields nor schedules.
+    overflows; :class:`~repro.sim.resources.WaiterTable` does the
+    admission and keeps the cid -> waiter table.
 
     ``on_drain()``, if given, runs whenever forgetting a command leaves
     no command outstanding (a poller's cue to stop polling).
@@ -30,19 +31,14 @@ class NvmeClient:
     def __init__(self, sim, qp: QueuePair, initiator: str, prp_area: int,
                  prp_slot: int, policy: RetryPolicy, label: str, owner: str,
                  on_drain=None):
-        self.sim = sim
+        super().__init__(sim, qp.depth - 1, on_drain)
         self.qp = qp
         self.initiator = initiator      # who rings the doorbells
         self.policy = policy
         self.label = label              # "host NVMe" / "engine NVMe"
         self._prp_area = prp_area
         self._prp_slot = prp_slot
-        self.waiters: dict[int, object] = {}    # cid -> Event
-        self._admitted = 0
-        self._gates: deque = deque()
-        self._on_drain = on_drain
         self.retries = 0
-        self.stale_completions = 0
         metrics = sim.metrics
         if metrics is not None:
             metrics.polled("faults.retries", lambda: self.retries,
@@ -51,11 +47,7 @@ class NvmeClient:
     def admit(self):
         """Process: take an SQ slot (waiting while all are held); returns
         the new command's cid."""
-        if self._admitted < self.qp.depth - 1:
-            self._admitted += 1
-        else:   # the completion that frees a slot hands it to this gate
-            self._gates.append(gate := self.sim.event())
-            yield gate
+        yield from super().admit()
         return self.qp.allocate_cid()
 
     def issue(self, cid: int, opcode: int, slba: int, nbytes: int, buf: int):
@@ -69,8 +61,7 @@ class NvmeClient:
                                  prp2=prp2, slba=slba,
                                  nlb=nbytes // LBA_SIZE - 1))
         yield from self.qp.ring_sq(self.initiator)
-        waiter = self.waiters[cid] = self.sim.event()
-        return waiter
+        return self.expect(cid)
 
     def command(self, issue, slba: int, nbytes: int, settle=None,
                 issued=None):
@@ -101,7 +92,7 @@ class NvmeClient:
             except DeviceError as exc:
                 # A lost command (dropped CQE, dead device) is forgotten;
                 # should its CQE still land it counts as stale.
-                self._forget(cid)
+                self.forget(cid)
                 failure = exc
             if attempt > self.policy.retries:
                 raise failure
@@ -120,21 +111,4 @@ class NvmeClient:
         hand it to the command waiting on it — or, if that command's
         deadline already expired, count it as stale and drop it."""
         yield from self.qp.ring_cq(self.initiator)
-        waiter = self._forget(cqe.cid)
-        if waiter is None or waiter.triggered:
-            self.stale_completions += 1
-        else:
-            waiter.succeed((cqe, completed_at))
-
-    def _forget(self, cid: int):
-        """Drop ``cid``'s waiter, if still there, and free its SQ slot —
-        or hand the slot straight to the first parked submitter."""
-        waiter = self.waiters.pop(cid, None)
-        if waiter is not None:
-            if self._gates:
-                self._gates.popleft().succeed()
-            else:
-                self._admitted -= 1
-            if not self.waiters and self._on_drain is not None:
-                self._on_drain()
-        return waiter
+        self.deliver(cqe.cid, (cqe, completed_at))

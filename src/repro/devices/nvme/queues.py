@@ -92,35 +92,3 @@ class QueuePair:
         """Process: acknowledge consumed CQEs via the CQ head doorbell."""
         data = self.cq_head.to_bytes(4, "little")
         return self.fabric.mmio_write(initiator, self.cq_doorbell, data)
-
-
-class CompletionPoller:
-    """Hardware-style completion polling loop.
-
-    The HDC Engine's NVMe controller does not take interrupts; it polls
-    its BRAM-resident CQ at a fixed cadence (one FPGA polling FSM).
-    ``wait(cid)`` parks until the CQE for that command shows up.
-    """
-
-    def __init__(self, sim, queue_pair: QueuePair, initiator: str,
-                 poll_interval: int = 200):
-        self.sim = sim
-        self.qp = queue_pair
-        self.initiator = initiator
-        self.poll_interval = poll_interval
-
-    def wait(self, cid: int):
-        """Process: poll until the completion for ``cid`` arrives.
-
-        Completions for other commands observed while polling raise —
-        callers that interleave commands must drain in order.
-        """
-        while True:
-            cqe = self.qp.poll_completion()
-            if cqe is not None:
-                if cqe.cid != cid:
-                    raise ProtocolError(
-                        f"expected completion for cid {cid}, got {cqe.cid}")
-                yield from self.qp.ring_cq(self.initiator)
-                return cqe
-            yield self.sim.timeout(self.poll_interval)

@@ -24,8 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.host.drivers.nic_driver import HostNicDriver
     from repro.host.drivers.nvme_driver import HostNvmeDriver
 from repro.host.kernel.page_cache import PageCache
-from repro.net.headers import Ipv4Header
-from repro.net.packet import Frame, HEADER_LEN, TCP_MSS
+from repro.net.packet import Frame, TCP_MSS
 from repro.net.tcp import FlowTable, TcpFlow
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
@@ -63,8 +62,7 @@ class HostKernel:
                  page_cache: PageCache,
                  nvme_drivers: list["HostNvmeDriver"],
                  nic: Optional["HostNicDriver"],
-                 gpu: Optional["HostGpuDriver"],
-                 header_pool_addr: int):
+                 gpu: Optional["HostGpuDriver"]):
         self.sim = sim
         self.fabric = fabric
         self.cpu = cpu
@@ -75,11 +73,9 @@ class HostKernel:
         self.nvme = nvme_drivers[0]
         self.nic = nic
         self.gpu = gpu
-        self._header_pool_addr = header_pool_addr
         self._flows = FlowTable()
         self._streams: Dict[int, _RxStream] = {}   # flow.uid -> stream
-        self._header_slots: Dict[int, int] = {}    # flow.uid -> header addr
-        self._next_header_slot = 0
+        self.frames_discarded = 0
         if nic is not None:
             nic.deliver = self._deliver_frame
 
@@ -171,19 +167,16 @@ class HostKernel:
             raise ProtocolError(
                 f"frame for unknown flow {frame.ip.dst_ip}:"
                 f"{frame.tcp.dst_port}")
-        payload = flow.accept(frame)
+        try:
+            payload = flow.accept(frame)
+        except ProtocolError:
+            # Sequence gap: an earlier frame of the stream was lost.  The
+            # model has no retransmission, so drop the frame (as the
+            # engine does) and keep NAPI alive for other connections.
+            self.frames_discarded += 1
+            return
         if payload:
             self._streams[flow.uid].append(payload)
-
-    def _build_header(self, flow: TcpFlow, payload_len: int) -> bytes:
-        """The LSO header template for the next send on ``flow``."""
-        header = (flow.eth_header().pack()
-                  + Ipv4Header(src_ip=flow.local.ip, dst_ip=flow.remote.ip,
-                               total_length=40).pack()
-                  + flow.next_header(payload_len).pack(
-                      flow.local.ip, flow.remote.ip, b""))
-        assert len(header) == HEADER_LEN
-        return header
 
     def socket_send(self, flow: TcpFlow, payload_addr: int, size: int,
                     copy_from_user: bool = False):
@@ -213,8 +206,8 @@ class HostKernel:
                 yield from self.cpu.run(
                     self.costs.skb_alloc + nsegs * self.costs.tcp_per_segment,
                     CAT.NETWORK)
-            header = self._build_header(flow, batch)
-            yield from self.nic.send(header, payload_addr + sent, batch)
+            yield from self.nic.send(flow.lso_header(batch),
+                                     payload_addr + sent, batch)
             sent += batch
             if size == 0:
                 break

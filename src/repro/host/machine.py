@@ -132,8 +132,12 @@ class Host:
 
         self.kernel = HostKernel(
             sim, self.fabric, self.cpu, costs, self.fs, self.page_cache,
-            self.nvme_drivers, self.nic_driver, self.gpu_driver,
-            header_pool_addr=self.control.take(64 * 1024, align=64))
+            self.nvme_drivers, self.nic_driver, self.gpu_driver)
+        # 64 KiB nothing uses.  It stays because dropping it moves the HDC
+        # completion ring allocated after it, which changes the golden
+        # trace digests and fig11.jsonl (their `addr` fields only); that
+        # waits for a deliberate golden update.
+        self.control.take(64 * 1024, align=64)
 
     # -- wiring ---------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from itertools import count
 from typing import Optional
 
 from repro.errors import ProtocolError
-from repro.net.headers import EthernetHeader, TcpHeader
+from repro.net.headers import EthernetHeader, Ipv4Header, TcpHeader
 from repro.net.packet import Frame
 
 # Monotonic flow identifiers, assigned at construction.  Keying
@@ -70,6 +70,17 @@ class TcpFlow:
         self.snd_nxt += payload_len
         return header
 
+    def lso_header(self, payload_len: int) -> bytes:
+        """The 54-byte Ethernet/IPv4/TCP template for the next
+        ``payload_len`` bytes (advances snd_nxt).  The NIC recomputes
+        lengths and checksums per segment, so the template carries a
+        dummy 40-byte IPv4 length."""
+        return (self.eth_header().pack()
+                + Ipv4Header(src_ip=self.local.ip, dst_ip=self.remote.ip,
+                             total_length=40).pack()
+                + self.next_header(payload_len).pack(
+                    self.local.ip, self.remote.ip, b""))
+
     # -- receive ----------------------------------------------------------
 
     def matches(self, frame: Frame) -> bool:
@@ -82,8 +93,11 @@ class TcpFlow:
     def accept(self, frame: Frame) -> bytes:
         """Accept an in-order frame; returns its payload.
 
-        Raises :class:`ProtocolError` on a sequence gap or overlap —
-        the simulated wire never reorders, so a gap means a model bug.
+        Raises :class:`ProtocolError` on a sequence gap or overlap.  The
+        simulated wire never reorders, but it can lose a frame (a
+        ``nic.wire_drop`` fault, or a receive DMA lost to a link fault);
+        with no retransmission modelled, the receivers discard every
+        later frame of the stream.
         """
         if not self.matches(frame):
             raise ProtocolError(

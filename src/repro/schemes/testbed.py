@@ -108,19 +108,17 @@ class Testbed:
     # -- leak accounting -------------------------------------------------------
 
     def _leak_state(self) -> dict:
-        """Snapshot every conserved resource the engines own."""
+        """Snapshot every conserved resource the nodes own."""
         state = {}
         for index, node in enumerate(self.nodes):
+            state[f"node{index}.host_rx_posted"] = len(
+                node.host.nic_driver.client.posted)
             if node.engine is None:
                 continue
-            engine = node.engine
-            nic_ctrl = engine.nic_ctrl
-            inflight = len(nic_ctrl._desc_slot_addr)
-            state[f"node{index}.ddr_free_chunks"] = engine.buffers.free_chunks
-            state[f"node{index}.rx_staging_slots"] = (
-                len(nic_ctrl._slot_pool) + inflight)
-            state[f"node{index}.rx_header_slots"] = (
-                len(nic_ctrl._hdr_pool) + inflight)
+            state[f"node{index}.ddr_free_chunks"] = (
+                node.engine.buffers.free_chunks)
+            state[f"node{index}.engine_rx_posted"] = len(
+                node.engine.nic_ctrl.client.posted)
         return state
 
     def assert_no_leaks(self) -> None:
@@ -147,10 +145,10 @@ class Testbed:
                 if busy:
                     problems.append(
                         f"node{index}: controllers still busy: {busy}")
-            if node.driver is not None and node.driver._waiters:
+            if node.driver is not None and node.driver.commands.waiters:
                 problems.append(
                     f"node{index}: driver still waits on D2D ids "
-                    f"{sorted(node.driver._waiters)}")
+                    f"{sorted(node.driver.commands.waiters)}")
             for nvme in [*node.host.nvme_drivers,
                          *(node.engine.nvme_ctrls if node.engine else ())]:
                 if nvme.client.waiters:

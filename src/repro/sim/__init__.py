@@ -19,7 +19,7 @@ Typical use::
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Process, Simulator
-from repro.sim.resources import PriorityStore, Resource, Signal, Store
+from repro.sim.resources import Resource, Signal, Store, WaiterTable
 from repro.sim.stats import BusyTracker, Histogram, Meter
 from repro.sim.rng import RngHub, empirical, exponential_interarrivals
 
@@ -30,7 +30,6 @@ __all__ = [
     "Event",
     "Histogram",
     "Meter",
-    "PriorityStore",
     "Process",
     "Resource",
     "RngHub",
@@ -38,6 +37,7 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
+    "WaiterTable",
     "empirical",
     "exponential_interarrivals",
 ]

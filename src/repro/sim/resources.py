@@ -9,18 +9,17 @@
 * :class:`Store` — an unbounded-or-bounded FIFO channel of items, the
   basic building block for queues between hardware blocks.  A put into
   a store with room is accepted inside ``put()``, the same way.
-* :class:`PriorityStore` — a store whose ``get`` returns the smallest
-  item first (items must be orderable).
 * :class:`Signal` — a reusable wake-up: processes park on ``wait()``
   until the next ``notify()``, which schedules nothing when none is
   parked.
+* :class:`WaiterTable` — bounded admission plus one completion waiter
+  per outstanding command id, for a device queue's submitter side.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import _PENDING, Event
@@ -165,7 +164,7 @@ class Store:
         if self.is_full:
             self._putters.append((event, item))
         else:
-            self._insert(item)
+            self._items.append(item)
             event._value = None
             event.callbacks = None
             self._wake_getters()
@@ -178,35 +177,15 @@ class Store:
         self._wake_getters()
         return event
 
-    def _insert(self, item: Any) -> None:
-        self._items.append(item)
-
-    def _extract(self) -> Any:
-        return self._items.popleft()
-
     def _wake_getters(self) -> None:
         while self._getters and self._items:
             getter = self._getters.popleft()
-            getter.succeed(self._extract())
+            getter.succeed(self._items.popleft())
             # A slot opened: admit a blocked putter, if any.
             while self._putters and not self.is_full:
                 putter, item = self._putters.popleft()
-                self._insert(item)
+                self._items.append(item)
                 putter.succeed()
-
-
-class PriorityStore(Store):
-    """A store whose ``get`` returns the smallest item first."""
-
-    def _insert(self, item: Any) -> None:
-        heapq.heappush(self._items, item)  # type: ignore[arg-type]
-
-    def _extract(self) -> Any:
-        return heapq.heappop(self._items)  # type: ignore[arg-type]
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None):
-        super().__init__(sim, capacity)
-        self._items = []  # type: ignore[assignment]
 
 
 class Signal:
@@ -238,3 +217,66 @@ class Signal:
         if event is not None:
             self._event = None
             event.succeed()
+
+
+class WaiterTable:
+    """Bounded admission plus one waiter per outstanding command id.
+
+    At most ``capacity`` commands hold a slot at once.  :meth:`admit`
+    into a free slot neither yields nor schedules; with every slot held
+    the submitter parks, and the slot a :meth:`forget` frees goes
+    straight to the first parked submitter (FIFO).  The first
+    :meth:`forget` of an id — its completion, or its expired deadline —
+    frees its slot; any later one frees nothing, and a completion
+    delivered for an id already forgotten counts in
+    :attr:`stale_completions`.
+
+    ``on_drain()``, if given, runs whenever a forget leaves no waiter
+    (a poller's cue to stop polling).
+    """
+
+    def __init__(self, sim: Simulator, capacity: int,
+                 on_drain: Optional[Callable[[], None]] = None):
+        self.sim = sim
+        self.capacity = capacity
+        self.waiters: dict[int, Event] = {}
+        self.stale_completions = 0
+        self._admitted = 0
+        self._gates: Deque[Event] = deque()
+        self._on_drain = on_drain
+
+    def admit(self):
+        """Process: take a slot, waiting while all are held."""
+        if self._admitted < self.capacity:
+            self._admitted += 1
+        else:   # the forget that frees a slot hands it to this gate
+            self._gates.append(gate := self.sim.event())
+            yield gate
+
+    def expect(self, key: int) -> Event:
+        """The event the completion of admitted command ``key`` triggers."""
+        waiter = self.waiters[key] = self.sim.event()
+        return waiter
+
+    def forget(self, key: int) -> Optional[Event]:
+        """Drop ``key``'s waiter, if still there, and free its slot (or
+        hand it to the first parked submitter); returns the waiter."""
+        waiter = self.waiters.pop(key, None)
+        if waiter is not None:
+            if self._gates:
+                self._gates.popleft().succeed()
+            else:
+                self._admitted -= 1
+            if not self.waiters and self._on_drain is not None:
+                self._on_drain()
+        return waiter
+
+    def deliver(self, key: int, value: Any) -> None:
+        """Complete command ``key`` with ``value`` — or, if it was
+        already forgotten or its deadline expired, count a stale
+        completion."""
+        waiter = self.forget(key)
+        if waiter is None or waiter.triggered:
+            self.stale_completions += 1
+        else:
+            waiter.succeed(value)

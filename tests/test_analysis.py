@@ -1,12 +1,11 @@
-"""Tests for traces, CPU breakdowns, projections and table rendering."""
+"""Tests for traces, projections and table rendering."""
 
 import inspect
 
 import pytest
 
-from repro.analysis import (CpuBreakdown, LatencyTrace, NULL_TRACE,
-                            ScalabilityProjection, format_table,
-                            project_cores)
+from repro.analysis import (LatencyTrace, NULL_TRACE, ScalabilityProjection,
+                            format_table, project_cores)
 from repro.core.driver import HdcDriver
 from repro.core.library import HdcLibrary
 from repro.host.drivers.gpu_driver import HostGpuDriver
@@ -116,19 +115,6 @@ class TestOneAttributionPath:
                 cls, inspect.isfunction)
             if "trace" in inspect.signature(method).parameters]
         assert offenders == [], f"{cls.__name__}: {offenders}"
-
-
-class TestCpuBreakdown:
-    def test_total_and_normalization(self):
-        breakdown = CpuBreakdown({"a": 0.2, "b": 0.3}, cores=6)
-        assert breakdown.total == pytest.approx(0.5)
-        normalized = breakdown.normalized_to(0.5)
-        assert normalized["a"] == pytest.approx(0.4)
-        assert breakdown.core_equivalents() == pytest.approx(3.0)
-
-    def test_bad_reference_rejected(self):
-        with pytest.raises(ValueError):
-            CpuBreakdown({"a": 0.1}).normalized_to(0.0)
 
 
 class TestProjection:

@@ -182,6 +182,26 @@ class TestDriverEdgeCases:
             completion = tb.sim.run(until=proc)
             assert completion.ok
 
+    def test_full_command_queue_parks_submitters_until_a_slot_frees(self):
+        """More ioctls than usable command slots: the rest park, and
+        each completion hands its slot to the oldest parked one."""
+        tb = Testbed(seed=64)
+        lib = tb.node0.library
+        n = COMMAND_QUEUE_DEPTH + 6
+        tb.node0.host.install_file("q.dat", bytes(4 * KIB))
+        fd = lib.open_file("q.dat")
+        bufs = [tb.node0.host.alloc_buffer(4 * KIB) for _ in range(n)]
+        procs = [tb.sim.process(lib.hdc_readfile(fd, 0, 4 * KIB, buf))
+                 for buf in bufs]
+        commands = tb.node0.driver.commands
+        peak = 0
+        while not all(proc.triggered for proc in procs):
+            tb.sim.step()
+            peak = max(peak, len(commands.waiters))
+        assert peak == COMMAND_QUEUE_DEPTH - 1
+        assert all(proc.ok and proc.value.ok for proc in procs)
+        tb.assert_no_leaks()
+
     def test_engine_flow_ids_are_stable(self):
         tb = Testbed(seed=63)
         conn1 = tb.connect_offloaded()

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.devices.nic import (Nic, RecvCompletion, RecvDescriptor,
+from repro.devices.nic import (RECV_CMPL_SIZE, RECV_DESC_SIZE, Nic,
+                               NicClient, RecvCompletion, RecvDescriptor,
                                SendDescriptor)
+from repro.devices.nic.rings import unwrap32
 from repro.errors import DeviceError, ProtocolError
 from repro.net import (HEADER_LEN, Ipv4Header, TCP_MSS, TcpEndpoint, TcpFlow,
                        Wire, parse_frame)
@@ -247,3 +249,125 @@ class TestTransmitReceive:
             tx.push(desc)
         with pytest.raises(ProtocolError, match="full"):
             tx.push(desc)
+
+
+class TestUnwrap32:
+    """The one 32-bit counter unwrap the NIC and both ring views use."""
+
+    def test_counter_survives_the_32_bit_wrap(self):
+        assert unwrap32(5, 7) == 7
+        assert unwrap32(0xFFFF_FFFE, 1) == (1 << 32) + 1
+        assert unwrap32((1 << 32) + 3, 3) == (1 << 32) + 3
+
+    def test_status_block_reads_unwrap(self, sim, fabric, pair):
+        left, right, tx, rx = pair
+        for status, read in ((TX_STATUS, tx.consumer_index),
+                             (RX_STATUS, rx.producer_index)):
+            for low in (0xFFFF_FFF0, 0x10):
+                fabric.poke(status, low.to_bytes(4, "little"))
+                value = read()
+            assert value == (1 << 32) + 0x10
+
+
+class TestNicClient:
+    """The submitter side both NIC owners share: completions are faked
+    by writing the completion ring and status block directly."""
+
+    BUF = 2 * KIB
+
+    @pytest.fixture
+    def client(self, sim, fabric):
+        nic = Nic(sim, fabric, "nic-c", bar_base=NIC_BAR)
+        client = NicClient(nic, "host", DEPTH, TX_RING, TX_STATUS, RX_DESC,
+                           RX_CMPL, RX_STATUS, HDR_BUF, hdr_slots=DEPTH,
+                           ring_every=3, interrupt=False)
+        for i in range(DEPTH - 1):
+            client.post(RecvDescriptor(payload_addr=RX_PAYLOAD_BUF
+                                       + i * self.BUF, buf_len=self.BUF))
+        return client
+
+    @staticmethod
+    def _land(fabric, completions):
+        """The NIC wrote these completions, in ring order from slot 0."""
+        for slot, cmpl in enumerate(completions):
+            fabric.poke(RX_CMPL + slot * RECV_CMPL_SIZE, cmpl.pack())
+        fabric.poke(RX_STATUS, len(completions).to_bytes(4, "little"))
+
+    @staticmethod
+    def _drain(sim, client, handle):
+        client.draining = True
+        process = sim.process(client.drain(handle))
+        sim.run()
+        return process
+
+    def test_dropped_completion_reposts_the_same_buffer(self, sim, fabric,
+                                                         client):
+        first = client.posted[0]
+        self._land(fabric, [RecvCompletion.dropped_frame(0)])
+        seen = []
+
+        def handle(cmpl, desc):
+            seen.append((cmpl.dropped, desc))
+            yield sim.timeout(10)
+
+        assert self._drain(sim, client, handle).ok
+        assert seen == [(True, first)]
+        assert 0 not in client.posted
+        assert client.posted[DEPTH - 1] == first
+        assert len(client.posted) == DEPTH - 1
+        assert RecvDescriptor.unpack(fabric.peek(
+            RX_DESC + (DEPTH - 1) * RECV_DESC_SIZE, RECV_DESC_SIZE)) == first
+
+    def test_doorbell_every_ring_every_reposts_plus_a_trailing_one(
+            self, sim, fabric, client):
+        self._land(fabric, [RecvCompletion(0, 100, slot)
+                            for slot in range(7)])
+        tails = []
+        ring = client.recv_ring.ring
+
+        def counting_ring(initiator):
+            tails.append(client.recv_ring.tail)
+            return ring(initiator)
+
+        client.recv_ring.ring = counting_ring
+
+        def handle(cmpl, desc):
+            yield sim.timeout(10)
+
+        assert self._drain(sim, client, handle).ok
+        base = DEPTH - 1
+        assert tails == [base + 3, base + 6, base + 7]
+        assert not client.draining
+
+    def test_draining_clears_when_the_handler_raises(self, sim, fabric,
+                                                     client):
+        self._land(fabric, [RecvCompletion(0, 100, 0)])
+
+        def handle(cmpl, desc):
+            yield sim.timeout(10)
+            raise ProtocolError("bad frame")
+
+        process = self._drain(sim, client, handle)
+        assert not process.ok
+        with pytest.raises(ProtocolError, match="bad frame"):
+            _ = process.value
+        assert not client.draining
+
+    def test_start_drain_is_single_flight(self, sim, fabric, client):
+        self._land(fabric, [RecvCompletion(0, 100, 0)])
+        pumps = []
+
+        def handle(cmpl, desc):
+            yield sim.timeout(10)
+
+        def pump():
+            pumps.append(sim.now)
+            yield from client.drain(handle)
+
+        client.start_drain(pump)
+        client.start_drain(pump)   # a drain is running: it sees this too
+        sim.run()
+        assert pumps == [0] and not client.draining
+        client.start_drain(pump)
+        sim.run()
+        assert len(pumps) == 2

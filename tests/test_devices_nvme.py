@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.devices.nvme import (Completion, CompletionPoller, FlashStore,
-                                INTEL_750_400GB, NvmeCommand, NvmeSsd,
-                                OP_FLUSH, OP_READ, OP_WRITE, QueuePair,
-                                prp_pages)
+from repro.devices.nvme import (Completion, FlashStore, INTEL_750_400GB,
+                                NvmeCommand, NvmeSsd, OP_FLUSH, OP_READ,
+                                OP_WRITE, QueuePair, prp_pages)
 from repro.devices.nvme.commands import (LBA_SIZE, prp_fields,
                                          unpack_prp_list)
 from repro.errors import DeviceError, ProtocolError
@@ -103,16 +102,25 @@ def _read_cmd(qp, slba, nbytes, buf_addr, fabric, prp_list_addr=PRP_LIST_ADDR):
                        nlb=nbytes // LBA_SIZE - 1)
 
 
+def _wait_cqe(sim, qp, cid, poll_interval=200):
+    """Process: poll the CQ ring until the next CQE lands, check that it
+    completes ``cid``, acknowledge it (CQ head doorbell) and return it."""
+    while (cqe := qp.poll_completion()) is None:
+        yield sim.timeout(poll_interval)
+    assert cqe.cid == cid
+    yield from qp.ring_cq("host")
+    return cqe
+
+
 class TestNvmeSsd:
     def test_read_4k(self, sim, fabric, ssd):
         ssd.flash.write_blocks(5, b"\xab" * LBA_SIZE)
         qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
 
         def body(sim):
             cmd = _read_cmd(qp, 5, LBA_SIZE, DATA_ADDR, fabric)
             yield from _submit(fabric, qp, cmd)
-            cqe = yield from poller.wait(cmd.cid)
+            cqe = yield from _wait_cqe(sim, qp, cmd.cid)
             return cqe
 
         cqe = sim.run(until=sim.process(body(sim)))
@@ -123,19 +131,17 @@ class TestNvmeSsd:
         """A 4 KiB read should land in the ~11-25 us envelope."""
         ssd.flash.write_blocks(0, bytes(LBA_SIZE))
         qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
 
         def body(sim):
             cmd = _read_cmd(qp, 0, LBA_SIZE, DATA_ADDR, fabric)
             yield from _submit(fabric, qp, cmd)
-            yield from poller.wait(cmd.cid)
+            yield from _wait_cqe(sim, qp, cmd.cid)
 
         sim.run(until=sim.process(body(sim)))
         assert usec(11) < sim.now < usec(25)
 
     def test_write_then_read_roundtrip(self, sim, fabric, ssd):
         qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
         payload = bytes(range(256)) * 16  # 4096 bytes
         fabric.poke(DATA_ADDR, payload)
 
@@ -143,10 +149,10 @@ class TestNvmeSsd:
             wcmd = NvmeCommand(opcode=OP_WRITE, cid=qp.allocate_cid(), nsid=1,
                                prp1=DATA_ADDR, prp2=0, slba=9, nlb=0)
             yield from _submit(fabric, qp, wcmd)
-            yield from poller.wait(wcmd.cid)
+            yield from _wait_cqe(sim, qp, wcmd.cid)
             rcmd = _read_cmd(qp, 9, LBA_SIZE, DATA_ADDR + 64 * KIB, fabric)
             yield from _submit(fabric, qp, rcmd)
-            yield from poller.wait(rcmd.cid)
+            yield from _wait_cqe(sim, qp, rcmd.cid)
 
         sim.run(until=sim.process(body(sim)))
         assert fabric.peek(DATA_ADDR + 64 * KIB, LBA_SIZE) == payload
@@ -157,26 +163,24 @@ class TestNvmeSsd:
         pattern = bytes(range(256)) * (size // 256)
         ssd.flash.write_blocks(100, pattern)
         qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
 
         def body(sim):
             cmd = _read_cmd(qp, 100, size, DATA_ADDR, fabric)
             assert cmd.prp2 == PRP_LIST_ADDR  # really took the list path
             yield from _submit(fabric, qp, cmd)
-            yield from poller.wait(cmd.cid)
+            yield from _wait_cqe(sim, qp, cmd.cid)
 
         sim.run(until=sim.process(body(sim)))
         assert fabric.peek(DATA_ADDR, size) == pattern
 
     def test_flush_completes(self, sim, fabric, ssd):
         qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
 
         def body(sim):
             cmd = NvmeCommand(opcode=OP_FLUSH, cid=qp.allocate_cid(), nsid=1,
                               prp1=0, prp2=0, slba=0, nlb=0)
             yield from _submit(fabric, qp, cmd)
-            cqe = yield from poller.wait(cmd.cid)
+            cqe = yield from _wait_cqe(sim, qp, cmd.cid)
             return cqe
 
         cqe = sim.run(until=sim.process(body(sim)))
@@ -184,13 +188,12 @@ class TestNvmeSsd:
 
     def test_invalid_opcode_fails_status(self, sim, fabric, ssd):
         qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
 
         def body(sim):
             cmd = NvmeCommand(opcode=0x7F, cid=qp.allocate_cid(), nsid=1,
                               prp1=DATA_ADDR, prp2=0, slba=0, nlb=0)
             yield from _submit(fabric, qp, cmd)
-            cqe = yield from poller.wait(cmd.cid)
+            cqe = yield from _wait_cqe(sim, qp, cmd.cid)
             return cqe
 
         cqe = sim.run(until=sim.process(body(sim)))
@@ -200,13 +203,12 @@ class TestNvmeSsd:
         hits = []
         fabric.register_msi_handler("host", lambda src, vec: hits.append(vec))
         qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH, interrupt=True)
-        poller = CompletionPoller(sim, qp, "host")
         ssd.flash.write_blocks(0, bytes(LBA_SIZE))
 
         def body(sim):
             cmd = _read_cmd(qp, 0, LBA_SIZE, DATA_ADDR, fabric)
             yield from _submit(fabric, qp, cmd)
-            yield from poller.wait(cmd.cid)
+            yield from _wait_cqe(sim, qp, cmd.cid)
 
         sim.run(until=sim.process(body(sim)))
         assert hits == [1]
@@ -227,14 +229,13 @@ class TestNvmeSsd:
 
     def test_oversized_transfer_fails_status(self, sim, fabric, ssd):
         qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
 
         def body(sim):
             nlb = (INTEL_750_400GB.max_transfer // LBA_SIZE) + 1
             cmd = NvmeCommand(opcode=OP_READ, cid=qp.allocate_cid(), nsid=1,
                               prp1=DATA_ADDR, prp2=0, slba=0, nlb=nlb)
             yield from _submit(fabric, qp, cmd)
-            cqe = yield from poller.wait(cmd.cid)
+            cqe = yield from _wait_cqe(sim, qp, cmd.cid)
             return cqe
 
         cqe = sim.run(until=sim.process(body(sim)))
@@ -248,17 +249,15 @@ class TestNvmeSsd:
         def one(sim, fabric, ssd):
             q = ssd.create_io_queue(2, SQ_ADDR + 0x8000, CQ_ADDR + 0x8000,
                                     DEPTH)
-            poller = CompletionPoller(sim, q, "host")
             cmd = _read_cmd(q, 0, LBA_SIZE, DATA_ADDR, fabric)
             yield from _submit(fabric, q, cmd)
-            yield from poller.wait(cmd.cid)
+            yield from _wait_cqe(sim, q, cmd.cid)
             return sim.now
 
         single = sim.process(one(sim, fabric, ssd))
         single_time = sim.run(until=single)
 
         def two(sim, fabric, ssd, qp):
-            poller = CompletionPoller(sim, qp, "host")
             c1 = _read_cmd(qp, 0, LBA_SIZE, DATA_ADDR, fabric)
             c2 = _read_cmd(qp, 1, LBA_SIZE, DATA_ADDR + PAGE, fabric,
                            prp_list_addr=PRP_LIST_ADDR + PAGE)
@@ -266,8 +265,8 @@ class TestNvmeSsd:
             qp.push(c1)
             qp.push(c2)
             yield from qp.ring_sq("host")
-            yield from poller.wait(c1.cid)
-            yield from poller.wait(c2.cid)
+            yield from _wait_cqe(sim, qp, c1.cid)
+            yield from _wait_cqe(sim, qp, c2.cid)
             return sim.now - start
 
         pair_time = sim.run(until=sim.process(two(sim, fabric, ssd, qp)))

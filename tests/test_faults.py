@@ -351,7 +351,7 @@ class TestNicReceiveUnderLinkFaults:
         tb.sim.run()
         assert plan.injected == 1
         driver = tb.node1.host.nic_driver
-        assert len(driver._desc_buf) == driver.RING_DEPTH - 1
+        assert len(driver.client.posted) == driver.RING_DEPTH - 1
         assert tb.node1.host.nic.frames_dropped == 0
 
     def test_dropped_frame_completes_its_descriptor_in_order(self):
@@ -415,6 +415,30 @@ class TestNicReceiveUnderLinkFaults:
         assert tb.sim.peek() is None
         assert plans and plans[0].injected > 0
         assert nic.frames_dropped > 0
+
+
+class TestHostReceiveSequenceGap:
+    def test_gap_discards_frames_and_later_connections_still_receive(self):
+        """The first frame of an 8 KiB kernel-path send dies on the wire.
+        The host discards the five frames after the gap, as the engine
+        does; its receive path used to die on the first of them, and
+        every later receive on the node deadlocked."""
+        tb = Testbed(seed=3)
+        scheme = SwOptScheme(tb)
+        TestNicReceiveUnderLinkFaults._transfer(tb, scheme, 4 * KIB)
+        tb.sim.run()
+        plan = _plan(FaultRule("nic.wire_drop", occurrences={1})
+                     ).install(tb.sim, tb.rng)
+        tb.sim.process(scheme.client_send(tb.node0, scheme.connect(),
+                                          8 * KIB))
+        tb.sim.run()
+        assert plan.injected == 1
+        assert TestNicReceiveUnderLinkFaults._transfer(
+            tb, scheme, 4 * KIB).ok
+        assert tb.node1.host.kernel.frames_discarded == 5
+        driver = tb.node1.host.nic_driver
+        assert len(driver.client.posted) == driver.RING_DEPTH - 1
+        tb.assert_no_leaks()
 
 
 class TestStatusNames:

@@ -1,11 +1,11 @@
-"""Unit and property tests for Resource / Store / PriorityStore."""
+"""Unit and property tests for Resource / Store / Signal / WaiterTable."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import PriorityStore, Resource, Signal, Simulator, Store
+from repro.sim import Resource, Signal, Simulator, Store, WaiterTable
 
 
 @pytest.fixture
@@ -406,21 +406,6 @@ class TestStore:
         with pytest.raises(SimulationError):
             Store(sim, capacity=0)
 
-    def test_priority_store_orders_items(self, sim):
-        store = PriorityStore(sim)
-        got = []
-
-        def consumer(sim, store):
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        for item in (5, 1, 3):
-            store.put(item)
-        sim.process(consumer(sim, store))
-        sim.run()
-        assert got == [1, 3, 5]
-
 
 class TestStoreProperties:
     @settings(max_examples=50, deadline=None)
@@ -470,3 +455,51 @@ class TestStoreProperties:
         sim.run()
         assert peak[0] <= capacity
         assert active[0] == 0
+
+
+class TestWaiterTable:
+    @staticmethod
+    def _admit(table):
+        """Run ``table.admit()`` to its first yield: None if it admitted
+        at once, else the gate it parked on."""
+        return next(table.admit(), None)
+
+    def test_free_slot_admits_without_a_yield_or_an_event(self, sim):
+        table = WaiterTable(sim, capacity=2)
+        first_eid = sim.event().eid
+        assert self._admit(table) is None
+        assert sim.event().eid == first_eid + 1   # no event created
+
+    def test_freed_slot_goes_fifo_to_the_first_parked_submitter(self, sim):
+        table = WaiterTable(sim, capacity=1)
+        assert self._admit(table) is None
+        table.expect(1)
+        gates = [self._admit(table), self._admit(table)]
+        assert table.forget(1) is not None
+        assert gates[0].triggered and not gates[1].triggered
+        # The slot was handed over, not freed: a newcomer still parks.
+        assert self._admit(table) is not None
+
+    def test_forget_frees_a_slot_once_and_a_late_completion_is_stale(
+            self, sim):
+        drained = []
+        table = WaiterTable(sim, capacity=1,
+                            on_drain=lambda: drained.append(True))
+        assert self._admit(table) is None
+        waiter = table.expect(7)
+        assert table.forget(7) is waiter
+        assert table.forget(7) is None
+        assert drained == [True]
+        assert self._admit(table) is None   # the one slot is free again
+        assert self._admit(table) is not None
+        table.deliver(7, "late")
+        assert table.stale_completions == 1
+        assert not waiter.triggered
+
+    def test_deliver_succeeds_the_waiter_with_the_value(self, sim):
+        table = WaiterTable(sim, capacity=1)
+        assert self._admit(table) is None
+        waiter = table.expect(3)
+        table.deliver(3, ("cqe", 42))
+        assert waiter.triggered and waiter.value == ("cqe", 42)
+        assert table.stale_completions == 0 and not table.waiters

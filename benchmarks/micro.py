@@ -7,8 +7,10 @@ Usage, from the root of a checkout::
 
 Prints host nanoseconds per uncontended cross-fabric ``dma_write`` and
 ``dma_read`` (64 B and 4 KiB), per DMA of a contended pair (two
-initiators writing into one target's RX), and bare-kernel timeouts per
-second.  Each figure is the best of a few repeats of a fixed batch, so
+initiators writing into one target's RX), bare-kernel timeouts per
+second, and host nanoseconds per spawn-and-finish of an empty process,
+per uncontended ``CpuPool.run``, per ``Resource`` request/release pair
+and per ``LatencyTrace.span`` block.  Each figure is the best of a few repeats of a fixed batch, so
 the run takes a few seconds.  It asserts nothing about speed: it is a
 probe for profiling work, and CI runs it only to keep it working.
 """
@@ -17,14 +19,17 @@ from __future__ import annotations
 
 import time
 
+from repro.analysis import LatencyTrace
+from repro.host import CpuPool
 from repro.memory import MemoryRegion
 from repro.pcie import Fabric, LINK_GEN2_X8
-from repro.sim import Simulator
+from repro.sim import Resource, Simulator
 from repro.units import KIB, MIB
 
 REPEATS = 5
 DMAS = 4_000
 TIMEOUTS = 100_000
+OPS = 50_000
 HOST_BASE = 0x0000_0000
 ENGINE_BASE = 0x4000_0000
 
@@ -108,6 +113,79 @@ def timeouts_per_second() -> float:
     return 1e9 / _best_ns_per_op(build, TIMEOUTS)
 
 
+def spawn_and_finish() -> float:
+    """Spawn an empty process and run it to its end."""
+
+    def build():
+        sim = Simulator()
+
+        def empty():
+            return
+            yield  # a generator that ends at its first resumption
+
+        for _ in range(OPS):
+            sim.spawn(empty())
+        return sim
+
+    return _best_ns_per_op(build, OPS)
+
+
+def cpu_run() -> float:
+    """One stage after another on a free core, ``cost`` 1 ns each (the
+    timeout it waits on included)."""
+
+    def build():
+        sim = Simulator()
+        pool = CpuPool(sim, cores=1)
+
+        def body():
+            for _ in range(OPS):
+                yield from pool.run(1, "work")
+
+        sim.process(body())
+        return sim
+
+    return _best_ns_per_op(build, OPS)
+
+
+def resource_request_release() -> float:
+    """Claim a free ``Resource``, yield the grant, release it."""
+
+    def build():
+        sim = Simulator()
+        resource = Resource(sim)
+
+        def body():
+            for _ in range(OPS):
+                request = resource.request()
+                yield request
+                resource.release(request)
+
+        sim.process(body())
+        return sim
+
+    return _best_ns_per_op(build, OPS)
+
+
+def latency_span() -> float:
+    """An empty ``with trace.span(category):`` block."""
+
+    def build():
+        sim = Simulator()
+        trace = LatencyTrace(sim)
+
+        def body():
+            for _ in range(OPS):
+                with trace.span("stage"):
+                    pass
+            yield sim.timeout(0)
+
+        sim.process(body())
+        return sim
+
+    return _best_ns_per_op(build, OPS)
+
+
 def main() -> None:
     for kind in ("write", "read"):
         for size in (64, 4 * KIB):
@@ -117,6 +195,11 @@ def main() -> None:
         print(f"dma_write {size:5d} B contended pair: "
               f"{contended(size):8.0f} host ns/DMA")
     print(f"kernel timeouts: {timeouts_per_second():,.0f} per host second")
+    print(f"spawn + finish, empty process: {spawn_and_finish():8.0f} host ns")
+    print(f"CpuPool.run, uncontended:      {cpu_run():8.0f} host ns")
+    print(f"Resource request + release:    "
+          f"{resource_request_release():8.0f} host ns")
+    print(f"LatencyTrace.span block:       {latency_span():8.0f} host ns")
 
 
 if __name__ == "__main__":

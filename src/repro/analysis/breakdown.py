@@ -21,6 +21,8 @@ from typing import Dict, Iterator, Optional, Union
 from repro.errors import SimulationError
 from repro.units import to_usec
 
+_new = object.__new__
+
 
 class LatencyTrace:
     """Per-request latency segments, by component category.
@@ -63,20 +65,17 @@ class LatencyTrace:
                                   duration=duration, name=category,
                                   parent=self._root)
 
-    @contextmanager
-    def span(self, category: str):
+    def span(self, category: str) -> "_Span":
         """Attribute the wall time spent inside the block to ``category``.
 
         Safe to wrap around ``yield``-ing simulation code: only the
         simulated clock is sampled.
         """
-        start = self.sim.now
-        try:
-            yield
-        finally:
-            self.segments[category] += self.sim.now - start
-            if self._tracer is not None:
-                self._emit_phase(category, start, self.sim.now - start)
+        span = _new(_Span)
+        span.trace = self
+        span.category = category
+        span.start = self.sim.now
+        return span
 
     def add(self, category: str, duration: int) -> None:
         """Attribute ``duration`` ns directly (after-the-fact, e.g. the
@@ -116,12 +115,43 @@ class LatencyTrace:
         return max(0, self.total - sum(self.segments.values()))
 
 
+class _Span:
+    """One ``with trace.span(category):`` block of a
+    :class:`LatencyTrace`, built flat by :meth:`LatencyTrace.span`."""
+
+    __slots__ = ("trace", "category", "start")
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info) -> None:
+        trace, start = self.trace, self.start
+        duration = trace.sim.now - start
+        trace.segments[self.category] += duration
+        if trace._tracer is not None:
+            trace._emit_phase(self.category, start, duration)
+
+
+class _NullSpan:
+    """The block of a :class:`NullTrace` span: records nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+
+_NULL_SPAN = _NullSpan()
+
+
 class NullTrace:
     """A trace that records nothing (for untraced requests)."""
 
-    @contextmanager
-    def span(self, category: str):
-        yield
+    def span(self, category: str) -> _NullSpan:
+        return _NULL_SPAN
 
     def add(self, category: str, duration: int) -> None:
         pass

@@ -81,7 +81,7 @@ class EngineNvmeController(Executor):
             ENGINE_NVME_POLICY, "engine NVMe",
             owner=f"{fabric.name}:{engine_port}:nvme:{ssd.name}",
             on_drain=self._cq_changed.notify)
-        sim.process(self._completion_fsm())
+        sim.spawn(self._completion_fsm())
 
     # -- executor interface ------------------------------------------------
 

@@ -224,7 +224,7 @@ class HdcDriver:
     # -- completion path ----------------------------------------------------------------
 
     def _on_irq(self) -> None:
-        self.sim.process(self._irq_handler(self.sim.now))
+        self.sim.spawn(self._irq_handler(self.sim.now))
 
     def _irq_handler(self, irq_at: int):
         costs = self.host.costs

@@ -151,7 +151,7 @@ class HDCEngine:
         self.host_interface = HostInterface(
             sim, self.bar, completion_ring_addr, port, fabric,
             self._on_command)
-        sim.process(self._completion_pump())
+        sim.spawn(self._completion_pump())
         self.tasks_completed = 0
         self.tasks_failed = 0
         self.task_stats: dict[int, dict[str, int]] = {}
@@ -183,7 +183,7 @@ class HDCEngine:
     # -- command handling --------------------------------------------------------
 
     def _on_command(self, command: D2DCommand) -> None:
-        self.sim.process(self._handle(command))
+        self.sim.spawn(self._handle(command))
 
     def _handle(self, command: D2DCommand):
         tracer = self.sim.tracer

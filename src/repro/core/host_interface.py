@@ -54,8 +54,8 @@ class HostInterface:
         self.interrupts_lost = 0
         bar.on_mmio_write = self._on_bar_write
         self.outbox: Store = Store(sim)   # completions awaiting delivery
-        sim.process(self._parser())
-        sim.process(self._interrupt_generator())
+        sim.spawn(self._parser())
+        sim.spawn(self._interrupt_generator())
 
     # -- host-facing side --------------------------------------------------------
 

@@ -98,7 +98,7 @@ class Scoreboard:
                                                 engine=owner)
             metrics.polled("engine.scoreboard_issued",
                            lambda: self.entries_issued, engine=owner)
-        sim.process(self._scheduler())
+        sim.spawn(self._scheduler())
 
     # -- configuration -----------------------------------------------------
 
@@ -203,7 +203,7 @@ class Scoreboard:
             yield self.sim.timeout(SCOREBOARD_DECISION)
             self.decisions += 1
             self.entries_issued += 1
-            self.sim.process(self._run_entry(task, entry, executor))
+            self.sim.spawn(self._run_entry(task, entry, executor))
 
     def _run_entry(self, task: _Task, entry: DeviceCommand,
                    executor: Executor):

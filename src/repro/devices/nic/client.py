@@ -76,7 +76,7 @@ class NicClient:
         drain is already running: that one will see the new completions."""
         if not self.draining:
             self.draining = True
-            self._sim.process(pump())
+            self._sim.spawn(pump())
 
     def drain(self, handle):
         """Process: consume every new completion.

@@ -136,7 +136,7 @@ class Nic(PcieDevice):
         if metrics is not None:
             metrics.polled("nic.frames_lost", lambda: self.frames_lost,
                            node=fabric.name, dev=name)
-        sim.process(self._egress_loop())
+        sim.spawn(self._egress_loop())
 
     # -- wiring ------------------------------------------------------------
 
@@ -232,7 +232,7 @@ class Nic(PcieDevice):
             channel.tail = unwrap32(channel.tail, value)
             if not channel.fetch_busy:
                 channel.fetch_busy = True
-                self.sim.process(self._fetch_rx_descriptors(channel))
+                self.sim.spawn(self._fetch_rx_descriptors(channel))
         # other registers: configuration writes, ignored
 
     # -- transmit ------------------------------------------------------------
@@ -310,7 +310,7 @@ class Nic(PcieDevice):
             yield self._egress.put(frame)
             return
         chunks = Store(self.sim, capacity=4)
-        self.sim.process(self._fetch_payload(desc, chunks))
+        self.sim.spawn(self._fetch_payload(desc, chunks))
         buffer = bytearray()
         sent = 0
         while sent < desc.payload_len:
@@ -418,7 +418,7 @@ class Nic(PcieDevice):
             if rx.m_buf is not None:
                 rx.m_buf.set(len(rx.buffers))
             done = self.sim.event()
-            self.sim.process(self._receive(rx, raw_frame, index, desc,
+            self.sim.spawn(self._receive(rx, raw_frame, index, desc,
                                            rx.prev_done, done))
             rx.prev_done = done
 

@@ -146,7 +146,7 @@ class NvmeSsd(PcieDevice):
             state.m_cq = metrics.timegauge("nvme.cq_depth", **labels)
             state.m_inflight = metrics.timegauge("nvme.inflight", **labels)
         self._queues[qid] = state
-        self.sim.process(self._queue_loop(state))
+        self.sim.spawn(self._queue_loop(state))
         return QueuePair(
             self.fabric, owner_port=self.name, qid=qid,
             sq_addr=sq_addr, cq_addr=cq_addr, depth=depth,
@@ -214,7 +214,7 @@ class NvmeSsd(PcieDevice):
             state.inflight += 1
             if state.m_inflight is not None:
                 state.m_inflight.set(state.inflight)
-            self.sim.process(self._execute(state, command))
+            self.sim.spawn(self._execute(state, command))
 
     _OPCODE_NAMES = {OP_READ: "read", OP_WRITE: "write", OP_FLUSH: "flush"}
 

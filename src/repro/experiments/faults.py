@@ -61,7 +61,7 @@ def _run_cell(scheme_cls, rate: float) -> dict:
                 yield from tb.node1.host.kernel.socket_recv(
                     conn.flow1, REQUEST_SIZE, dst)
 
-            tb.sim.process(receiver(tb.sim))
+            tb.sim.spawn(receiver(tb.sim))
         tb.sim.run()   # drain: failed chains must also settle
         warmup = index == 0
         if proc.triggered and proc.ok:

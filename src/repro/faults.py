@@ -49,6 +49,9 @@ from repro.units import msec, usec
 #: The injection sites wired into the device/fabric models.
 FAULT_SITES = ("flash.read", "nvme.cqe_drop", "nic.wire_drop",
                "pcie.timeout")
+#: The sites that pass a ``key`` to :meth:`ActiveFaults.fires`, the only
+#: ones a ``permanent`` rule can stick to.
+KEYED_SITES = ("flash.read",)
 
 
 def fault_site_names() -> frozenset:
@@ -74,7 +77,8 @@ class FaultRule:
     it deterministically at those 1-based occurrence numbers of the
     site.  Both may be combined.  ``permanent`` records the occurrence
     *key* (e.g. the LBA) so every later access to the same key fails
-    too — a dead block rather than a transient flip.  ``max_fires``
+    too — a dead block rather than a transient flip; it is rejected on
+    a site that fires without a key (see :data:`KEYED_SITES`).  ``max_fires``
     bounds how many times the rule triggers in total.
     """
 
@@ -92,6 +96,11 @@ class FaultRule:
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigurationError(
                 f"fault probability must be in [0, 1]: {self.probability}")
+        if self.permanent and self.site not in KEYED_SITES:
+            raise ConfigurationError(
+                f"fault site {self.site!r} fires without a key, so "
+                "permanent=True has nothing to stick to; permanent rules "
+                f"need a keyed site ({', '.join(KEYED_SITES)})")
         object.__setattr__(self, "occurrences",
                            frozenset(self.occurrences))
 

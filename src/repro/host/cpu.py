@@ -6,7 +6,7 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import Lanes
 from repro.sim.stats import BusyTracker
 
 
@@ -16,7 +16,7 @@ class CpuPool:
     Software stages call :meth:`run` (a process) to consume CPU time:
     the stage holds one core for ``cost`` ns and the time is accounted
     to its category.  Contention between concurrent kernel paths falls
-    out of the core Resource being FIFO-fair.
+    out of the cores being FIFO-fair :class:`~repro.sim.resources.Lanes`.
     """
 
     def __init__(self, sim: Simulator, cores: int = 1,
@@ -27,7 +27,7 @@ class CpuPool:
         self.sim = sim
         self.cores = cores
         self.tracker = tracker if tracker is not None else BusyTracker(sim)
-        self._cores = Resource(sim, capacity=cores)
+        self._cores = Lanes(sim, cores)
         metrics = sim.metrics
         if metrics is not None and owner is not None:
             self.tracker.register("host.cpu.busy_ns", node=owner)
@@ -38,9 +38,15 @@ class CpuPool:
         """Process: execute ``cost`` ns of work accounted to ``category``."""
         if cost < 0:
             raise ConfigurationError(f"negative CPU cost: {cost}")
-        with self._cores.request() as core:
-            yield core
+        cores = self._cores
+        if cores.busy < cores.capacity:
+            cores.busy += 1
+        else:
+            yield from cores.wait()
+        try:
             yield self.sim.timeout(cost)
+        finally:
+            cores.release()
         self.tracker.add(category, cost)
         return cost
 

@@ -82,7 +82,7 @@ class HostNicDriver:
                                                 payload_len))
 
     def _on_tx_irq(self) -> None:
-        self.sim.process(self._tx_irq_handler(self.sim.now))
+        self.sim.spawn(self._tx_irq_handler(self.sim.now))
 
     def _tx_irq_handler(self, irq_at: int):
         yield from self.cpu.run(self.costs.interrupt_entry, CAT.COMPLETION)

@@ -113,7 +113,7 @@ class HostNvmeDriver:
         if self._irq_busy:
             return  # handler already draining; it will pick the CQE up
         self._irq_busy = True
-        self.sim.process(self._irq_handler(self.sim.now))
+        self.sim.spawn(self._irq_handler(self.sim.now))
 
     def _irq_handler(self, irq_at: int):
         yield from self.cpu.run(self.costs.interrupt_entry, CAT.COMPLETION)

@@ -9,7 +9,8 @@ examples):
   simulation code.
 * **SIM** — scheduling: the event queue belongs to
   :mod:`repro.sim.kernel`; model code must neither manipulate it
-  directly nor block the host thread.
+  directly nor block the host thread, and starts a process nobody
+  waits on with ``sim.spawn``.
 * **PLANE** — plane contracts: metric names, trace event types and
   fault sites are closed, documented catalogs; a string literal that
   is not in its catalog would raise at runtime (or worse, silently
@@ -476,6 +477,38 @@ class BlockingCall(Rule):
                 yield node, (f"{func.value.id}.{func.attr}() blocks the "
                              "host thread; simulation code waits on "
                              "yielded Events")
+
+
+@register
+class DiscardedProcess(Rule):
+    id = "SIM004"
+    name = "discarded-process"
+    rationale = ("a process whose handle is discarded has no waiter, yet "
+                 "sim.process() schedules an event for its end; "
+                 "sim.spawn() starts it the same way and schedules "
+                 "nothing when it ends")
+    example = "self.sim.process(self._handle(command))"
+
+    # Receivers that name a simulator: ``sim``, ``<expr>.sim``,
+    # ``<expr>._sim``.
+    _SIM_NAMES = frozenset({"sim", "_sim"})
+
+    def applies_to(self, ctx: ModuleContext) -> bool:
+        # Model code only: a test may start an unwatched process on
+        # purpose, to pin what such a process does.
+        leaf = ctx.module.rsplit(".", 1)[-1]
+        return not (leaf.startswith("test_") or leaf == "conftest")
+
+    def check_Expr(self, node: ast.Expr, ctx: ModuleContext) -> Hit:
+        call = node.value
+        if not isinstance(call, ast.Call) or _attr_call(call) != "process":
+            return
+        receiver = call.func.value
+        if (isinstance(receiver, ast.Name) and receiver.id == "sim") or (
+                isinstance(receiver, ast.Attribute)
+                and receiver.attr in self._SIM_NAMES):
+            yield node, ("the process this starts is discarded; start a "
+                         "process nobody waits on with sim.spawn()")
 
 
 # ---------------------------------------------------------------------------

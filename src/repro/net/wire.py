@@ -12,8 +12,8 @@ from typing import Dict, Optional
 from repro.errors import SimulationError
 from repro.net.packet import wire_bytes
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource, Store
-from repro.units import Rate, gbps, usec
+from repro.sim.resources import Lanes, Store
+from repro.units import SEC, Rate, gbps, usec
 
 
 class Wire:
@@ -24,7 +24,8 @@ class Wire:
         self.sim = sim
         self.rate = rate if rate is not None else gbps(10)
         self.propagation = propagation
-        self._tx: Dict[str, Resource] = {}
+        # Each endpoint's TX direction: one lane.
+        self._tx: Dict[str, Lanes] = {}
         self._ingress: Dict[str, Store] = {}
 
     def attach(self, name: str) -> Store:
@@ -33,7 +34,7 @@ class Wire:
             raise SimulationError(f"endpoint {name!r} already attached")
         if len(self._ingress) >= 2:
             raise SimulationError("a Wire is point-to-point (two endpoints)")
-        self._tx[name] = Resource(self.sim, capacity=1)
+        self._tx[name] = Lanes(self.sim)
         self._ingress[name] = Store(self.sim)
         return self._ingress[name]
 
@@ -52,9 +53,17 @@ class Wire:
         what caps effective TCP goodput below line rate.
         """
         ingress = self._ingress[self._peer(sender)]
-        with self._tx[sender].request() as req:
-            yield req
-            yield self.sim.timeout(self.rate.duration(wire_bytes(len(frame))))
+        tx = self._tx[sender]
+        if tx.busy:
+            yield from tx.wait()
+        else:
+            tx.busy = 1
+        try:
+            # Rate.duration written out, saving a frame per frame.
+            yield self.sim.timeout(round(
+                wire_bytes(len(frame)) * SEC / self.rate.bytes_per_sec))
+        finally:
+            tx.release()
         # Propagation pipelines with the next frame's serialization, so
         # delivery is a timeout callback rather than part of this
         # process.  Order is preserved: the timeouts are created in

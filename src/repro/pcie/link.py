@@ -9,13 +9,12 @@ as credit-based flow control at full load.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Optional
 
-from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.units import Rate
+from repro.sim.resources import Lanes
+from repro.units import SEC, Rate
 from repro.pcie.transaction import tlp_efficiency
 
 
@@ -42,48 +41,22 @@ LINK_GEN2_X8 = LinkConfig("gen2-x8", lanes=8, raw_per_lane_mbytes=500.0)
 LINK_GEN2_X16 = LinkConfig("gen2-x16", lanes=16, raw_per_lane_mbytes=500.0)
 
 
-class LinkDirection:
+class LinkDirection(Lanes):
     """One direction of a link, held by one transfer at a time.
 
-    A ``busy`` flag plus a FIFO of parked transfers.  The fabric takes a
-    free direction by setting the flag, which schedules nothing; a
-    transfer that finds it busy yields :meth:`park`.  :meth:`release`
-    hands the direction to the oldest parked transfer with one
-    ``succeed()`` (it resumes on the releasing tick, after the events
-    already queued for it) or, with nobody parked, clears the flag.
+    One :class:`~repro.sim.resources.Lanes` lane.  The fabric takes a
+    free direction by setting ``busy``, which schedules nothing; a
+    transfer that finds it busy yields :meth:`park`, and
+    :meth:`release` hands the direction to the oldest parked transfer
+    or frees it.
     """
 
-    __slots__ = ("sim", "busy", "_parked", "inflight")
+    __slots__ = ("inflight",)
 
     def __init__(self, sim: Simulator, inflight: Optional[object] = None):
-        self.sim = sim
-        self.busy = False
-        self._parked: Deque[Event] = deque()
+        super().__init__(sim)
         # pcie.link.inflight_bytes instrument; None without metrics.
         self.inflight = inflight
-
-    @property
-    def count(self) -> int:
-        """Transfers holding the direction (0 or 1)."""
-        return 1 if self.busy else 0
-
-    @property
-    def queue_length(self) -> int:
-        """Transfers parked waiting for the direction."""
-        return len(self._parked)
-
-    def park(self) -> Event:
-        """The event that fires when a busy direction is handed over."""
-        event = Event(self.sim)
-        self._parked.append(event)
-        return event
-
-    def release(self) -> None:
-        """Hand the direction to the oldest parked transfer, or free it."""
-        if self._parked:
-            self._parked.popleft().succeed()
-        else:
-            self.busy = False
 
 
 class PcieLink:
@@ -108,5 +81,8 @@ class PcieLink:
                 dir="rx"))
 
     def serialization(self, size: int) -> int:
-        """Time (ns) to clock ``size`` payload bytes through one direction."""
-        return self.rate.duration(size)
+        """Time (ns) to clock ``size`` payload bytes through one direction.
+
+        ``Rate.duration`` written out, saving a frame per DMA direction.
+        """
+        return round(size * SEC / self.rate.bytes_per_sec)

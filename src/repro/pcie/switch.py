@@ -220,11 +220,11 @@ class Fabric:
         if first.busy:
             yield first.park()
         else:
-            first.busy = True
+            first.busy = 1
         if second.busy:
             yield second.park()
         else:
-            second.busy = True
+            second.busy = 1
         # Release each direction after its own serialization time; the
         # transfer as a whole completes with the slower one.  On equal
         # durations (symmetric links) the first-taken direction is

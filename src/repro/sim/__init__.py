@@ -19,7 +19,7 @@ Typical use::
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Process, Simulator
-from repro.sim.resources import Resource, Signal, Store, WaiterTable
+from repro.sim.resources import Lanes, Resource, Signal, Store, WaiterTable
 from repro.sim.stats import BusyTracker, Histogram, Meter
 from repro.sim.rng import RngHub, empirical, exponential_interarrivals
 
@@ -29,6 +29,7 @@ __all__ = [
     "BusyTracker",
     "Event",
     "Histogram",
+    "Lanes",
     "Meter",
     "Process",
     "Resource",

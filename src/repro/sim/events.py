@@ -14,10 +14,12 @@ Composites :class:`AllOf` / :class:`AnyOf` wait on several events at once.
 Every event class declares ``__slots__``: one event is created per
 scheduled occurrence, so an instance ``__dict__`` would be pure overhead.
 
-Flat construction: the two kinds built most often, :class:`Timeout` and
-:class:`~repro.sim.resources.Request`, set :class:`Event`'s five slots
-in their own ``__init__`` instead of calling ``super().__init__``; a
-second Python call per event would cost more than the assignments.
+Flat construction: the kinds built most often set :class:`Event`'s five
+slots themselves instead of calling ``super().__init__``, since a
+second Python frame per event would cost more than the assignments:
+:class:`~repro.sim.resources.Request` and
+:class:`~repro.sim.kernel.Process` in their own ``__init__``, and
+:class:`Timeout` inside :meth:`~repro.sim.kernel.Simulator.timeout`.
 """
 
 from __future__ import annotations
@@ -108,14 +110,6 @@ class Event:
         self.sim._enqueue(0, self)
         return self
 
-    # -- kernel hook -----------------------------------------------------
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
@@ -123,31 +117,17 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers automatically after a fixed delay."""
+    """An event that triggers automatically after a fixed delay.
 
-    __slots__ = ("delay", "_scheduled_value")
+    Built only by :meth:`Simulator.timeout`, which sets every slot and
+    schedules the timeout in one frame.  It stays pending until the
+    kernel reaches it, which then gives it its value.
+    """
 
-    def __init__(self, sim: "Simulator", delay: int, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        # Event's slots, set flat (see "Flat construction" in the module
-        # docstring).
-        self.sim = sim
-        self.eid = sim._next_event_id()
-        self.callbacks = []
-        self._value = _PENDING
-        self._exception = None
-        self.delay = delay
-        self._scheduled_value = value
-        heappush(sim._heap, (sim.now + delay, sim._next_sequence(), self))
+    __slots__ = ("_scheduled_value",)
 
-    def _run_callbacks(self) -> None:
-        # A timeout only counts as triggered once it actually fires.
-        self._value = self._scheduled_value
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
+    def __init__(self, *args: Any, **kwargs: Any):
+        raise TypeError("create timeouts with Simulator.timeout(delay)")
 
 
 class _Condition(Event):

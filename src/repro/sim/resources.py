@@ -6,6 +6,10 @@
   uncontended request is granted inside ``request()`` and the yielding
   process continues within the same step, with no trip through the
   event queue.
+* :class:`Lanes` — ``capacity`` interchangeable lanes (CPU cores, one
+  direction of a wire or a link) held without a request object: a busy
+  count plus a FIFO of parked holders.  Taking a free lane is an
+  increment, so the hot path creates no event at all.
 * :class:`Store` — an unbounded-or-bounded FIFO channel of items, the
   basic building block for queues between hardware blocks.  A put into
   a store with room is accepted inside ``put()``, the same way.
@@ -33,10 +37,11 @@ class Request(Event):
     yield req`` releases on exit even if the process body raises.
 
     A processed request has been granted, so a process yielding one
-    continues inline rather than waiting for a fresh tick.
+    continues inline rather than waiting for a fresh tick.  ``_held``
+    is True from the grant until the release.
     """
 
-    __slots__ = ("resource",)
+    __slots__ = ("resource", "_held")
 
     _inline = True
 
@@ -55,6 +60,7 @@ class Request(Event):
             self._value = _PENDING
         self._exception = None
         self.resource = resource
+        self._held = granted
 
     def __enter__(self) -> "Request":
         return self
@@ -76,20 +82,24 @@ class Put(Event):
 
 
 class Resource:
-    """A counted, FIFO-fair resource with ``capacity`` concurrent users."""
+    """A counted, FIFO-fair resource with ``capacity`` concurrent users.
+
+    It counts its grants rather than keeping the granted requests: a
+    request knows whether it is held, and the waiting ones queue FIFO.
+    """
 
     def __init__(self, sim: Simulator, capacity: int = 1):
         if capacity < 1:
             raise SimulationError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self._users: set[Request] = set()
+        self._granted = 0
         self._waiting: Deque[Request] = deque()
 
     @property
     def count(self) -> int:
         """Number of requests currently holding the resource."""
-        return len(self._users)
+        return self._granted
 
     @property
     def queue_length(self) -> int:
@@ -104,30 +114,97 @@ class Resource:
         costs no queue round trip.  Contended requests queue FIFO and
         are triggered by :meth:`release`.
         """
-        if len(self._users) < self.capacity and not self._waiting:
-            req = Request(self, granted=True)
-            self._users.add(req)
-        else:
-            req = Request(self)
-            self._waiting.append(req)
+        if self._granted < self.capacity and not self._waiting:
+            self._granted += 1
+            return Request(self, True)
+        req = Request(self)
+        self._waiting.append(req)
         return req
 
     def release(self, req: Request) -> None:
-        """Release a previously granted (or still-waiting) request."""
-        if req in self._users:
-            self._users.remove(req)
-            self._grant_next()
+        """Release a previously granted (or still-waiting) request.
+
+        A held request's slot goes straight to the oldest waiter, if
+        any: waiters exist only while every slot is held.
+        """
+        if req._held and req.resource is self:
+            req._held = False
+            if self._waiting:
+                nxt = self._waiting.popleft()
+                nxt._held = True
+                nxt.succeed()
+            else:
+                self._granted -= 1
         else:
             try:
                 self._waiting.remove(req)
             except ValueError:
                 raise SimulationError("release() of a request not held or queued")
 
-    def _grant_next(self) -> None:
-        while self._waiting and len(self._users) < self.capacity:
-            nxt = self._waiting.popleft()
-            self._users.add(nxt)
-            nxt.succeed()
+
+class Lanes:
+    """``capacity`` interchangeable lanes, each held by one holder.
+
+    A ``busy`` count plus a FIFO of parked holders.  A holder takes a
+    free lane itself (``if lanes.busy < lanes.capacity: lanes.busy +=
+    1``), which schedules nothing; with every lane held it runs
+    ``yield from lanes.wait()`` (or yields :meth:`park`).
+    :meth:`release` hands the lane to the oldest parked holder with one
+    ``succeed()`` — it resumes on the releasing tick, after the events
+    already queued for it — or, with nobody parked, decrements the
+    count.  Holders park only while every lane is busy, so a free lane
+    never has a holder parked on it.
+    """
+
+    __slots__ = ("sim", "capacity", "busy", "_parked")
+
+    def __init__(self, sim: Simulator, capacity: int = 1):
+        if capacity < 1:
+            raise SimulationError(f"capacity must be >= 1, got {capacity}")
+        self.sim = sim
+        self.capacity = capacity
+        self.busy = 0
+        self._parked: Deque[Event] = deque()
+
+    @property
+    def count(self) -> int:
+        """Lanes held."""
+        return self.busy
+
+    @property
+    def queue_length(self) -> int:
+        """Holders parked waiting for a lane."""
+        return len(self._parked)
+
+    def park(self) -> Event:
+        """The event that fires when a lane is handed over."""
+        gate = Event(self.sim)
+        self._parked.append(gate)
+        return gate
+
+    def wait(self):
+        """Process: park until a lane is handed over.
+
+        A holder interrupted while parked (an exception thrown into it,
+        or ``close()``) leaves the queue, or passes on the lane it was
+        handed before it could resume.
+        """
+        gate = self.park()
+        try:
+            yield gate
+        except BaseException:
+            if gate.triggered:
+                self.release()
+            else:
+                self._parked.remove(gate)
+            raise
+
+    def release(self) -> None:
+        """Hand a lane to the oldest parked holder, or free it."""
+        if self._parked:
+            self._parked.popleft().succeed()
+        else:
+            self.busy -= 1
 
 
 class Store:
@@ -161,20 +238,23 @@ class Store:
     def put(self, item: Any) -> Put:
         """Offer an item; the event triggers once the store accepts it."""
         event = Put(self.sim)
-        if self.is_full:
+        items = self._items
+        if self.capacity is not None and len(items) >= self.capacity:
             self._putters.append((event, item))
         else:
-            self._items.append(item)
+            items.append(item)
             event._value = None
             event.callbacks = None
-            self._wake_getters()
+            if self._getters:
+                self._wake_getters()
         return event
 
     def get(self) -> Event:
         """Take the oldest item; the event triggers with that item."""
         event = Event(self.sim)
         self._getters.append(event)
-        self._wake_getters()
+        if self._items:
+            self._wake_getters()
         return event
 
     def _wake_getters(self) -> None:

@@ -70,6 +70,15 @@ class TestFaultPlan:
         assert faults.fires("flash.read", key="lba7")      # sticky
         assert not faults.fires("flash.read", key="lba9")  # other key fine
 
+    @pytest.mark.parametrize("site", ["nvme.cqe_drop", "nic.wire_drop",
+                                      "pcie.timeout"])
+    def test_permanent_rule_on_a_keyless_site_is_rejected(self, site):
+        # These sites call fires() without a key: a sticky rule there
+        # would silently behave as a transient one.
+        with pytest.raises(ConfigurationError, match="without a key"):
+            FaultPlan([FaultRule(site, occurrences={1}, permanent=True)])
+        FaultPlan([FaultRule(site, occurrences={1})])
+
     def test_max_fires_caps_a_probability_rule(self):
         tb = Testbed(seed=11, faults=_plan(
             FaultRule("flash.read", probability=1.0, max_fires=2)))

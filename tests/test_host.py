@@ -322,3 +322,37 @@ class TestHostNetwork:
         proc = sim.process(body(sim))
         sim.run()
         assert not proc.ok
+
+
+class TestCpuPoolHolds:
+    """A core held or awaited by an interrupted stage comes back."""
+
+    def test_stage_interrupted_while_parked_frees_nothing_twice(self, sim):
+        pool = CpuPool(sim, cores=1)
+        sim.process(pool.run(10, "a"))
+        sim.run(until=1)
+        parked = pool.run(5, "b")
+        next(parked)
+        assert pool._cores.queue_length == 1
+        parked.close()
+        sim.run()
+        assert (pool._cores.count, pool._cores.queue_length) == (0, 0)
+
+    def test_stage_interrupted_after_the_hand_over_frees_the_core(self, sim):
+        pool = CpuPool(sim, cores=1)
+        sim.process(pool.run(10, "a"))
+        sim.run(until=1)
+        parked = pool.run(5, "b")
+        next(parked)
+        sim.run()                # "a" ends and hands its core over
+        assert pool._cores.count == 1
+        parked.close()
+        assert (pool._cores.count, pool._cores.queue_length) == (0, 0)
+
+    def test_stage_interrupted_while_holding_frees_the_core(self, sim):
+        pool = CpuPool(sim, cores=2)
+        holding = pool.run(5, "a")
+        next(holding)
+        assert pool._cores.count == 1
+        holding.close()
+        assert pool._cores.count == 0

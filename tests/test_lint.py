@@ -73,6 +73,21 @@ class TestRuleScoping:
         findings = _lint(snippet, "src/repro/devices/nvme.py")
         assert set(_rules_of(findings)) == {"DET002", "SIM003"}
 
+    def test_discarded_process_is_flagged_only_on_a_simulator(self):
+        snippet = ("def start(self, sim, tb, bank, work):\n"
+                   "    sim.process(work())\n"
+                   "    self._sim.process(work())\n"
+                   "    tb.sim.process(work())\n"
+                   "    bank.process(work())\n"
+                   "    proc = sim.process(work())\n"
+                   "    sim.spawn(work())\n"
+                   "    return proc\n")
+        findings = _lint(snippet, "src/repro/devices/nvme.py")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("SIM004", 2), ("SIM004", 3), ("SIM004", 4)]
+        # A test may start an unwatched process on purpose.
+        assert _lint(snippet, "tests/test_devices.py") == []
+
     def test_sim_package_owns_heapq(self):
         assert _lint("import heapq\n", "src/repro/sim/kernel.py") == []
         assert _rules_of(_lint("import heapq\n",

@@ -413,6 +413,158 @@ class TestKernelOrder:
         assert [event.eid for event in events] == [1, 2, 3, 5, 6, 7, 8]
 
 
+def unheld_same_tick_scenario(start_unheld):
+    """Processes nobody waits on -- children that end on the tick they
+    start, one that raises, a parent and a gate opener -- interleaved
+    with same-tick timeouts, a gate and a held process, logged in
+    callback order.  ``start_unheld(sim, generator)`` starts each one."""
+    sim = Simulator()
+    log = []
+
+    def note(tag):
+        return lambda ev: log.append((sim.now, tag, ev.eid))
+
+    gate = sim.event()
+    gate.callbacks.append(note("gate"))
+
+    def child(name, delay):
+        log.append((sim.now, f"{name}:start", None))
+        yield sim.timeout(delay)
+        log.append((sim.now, f"{name}:end", None))
+        return name
+
+    def failing(name):
+        log.append((sim.now, f"{name}:start", None))
+        yield sim.timeout(0)
+        raise RuntimeError(name)
+
+    def parent(name):
+        log.append((sim.now, f"{name}:start", None))
+        start_unheld(sim, child(f"{name}.c0", 0))
+        start_unheld(sim, failing(f"{name}.f"))
+        tick = sim.timeout(0)
+        tick.callbacks.append(note(f"{name}:tick"))
+        yield tick
+        start_unheld(sim, child(f"{name}.c1", 2))
+        got = yield gate
+        log.append((sim.now, f"{name}:gate={got}", None))
+        later = sim.timeout(2)
+        later.callbacks.append(note(f"{name}:later"))
+        yield later
+        log.append((sim.now, f"{name}:done", None))
+
+    def opener():
+        yield sim.timeout(0)
+        yield sim.timeout(0)
+        gate.succeed("open")
+        log.append((sim.now, "opener:fired", None))
+
+    held = sim.process(parent("p"))
+    held.callbacks.append(note("p:exit"))
+    start_unheld(sim, parent("q"))
+    start_unheld(sim, opener())
+    sim.run()
+    return log, sim.now, sim.event().eid
+
+
+def _steps_to_drain(sim):
+    steps = 0
+    while sim.peek() is not None:
+        sim.step()
+        steps += 1
+    return steps
+
+
+class TestSpawn:
+    """``Simulator.spawn``: a process nobody waits on."""
+
+    # The log of unheld_same_tick_scenario with every unheld process
+    # started by process(), as the kernel gave it before spawn existed.
+    UNHELD_LOG = [
+        (0, "p:start", None), (0, "q:start", None),
+        (0, "p.c0:start", None), (0, "p.f:start", None),
+        (0, "p:tick", 12),
+        (0, "q.c0:start", None), (0, "q.f:start", None),
+        (0, "q:tick", 17),
+        (0, "p.c0:end", None), (0, "p.c1:start", None),
+        (0, "q.c0:end", None), (0, "q.c1:start", None),
+        (0, "opener:fired", None), (0, "gate", 1),
+        (0, "p:gate=open", None), (0, "q:gate=open", None),
+        (2, "p.c1:end", None), (2, "q.c1:end", None),
+        (2, "p:later", 30), (2, "p:done", None),
+        (2, "q:later", 31), (2, "q:done", None),
+        (2, "p:exit", 2),
+    ]
+
+    @pytest.mark.parametrize("start", ["process", "spawn"])
+    def test_same_tick_order_and_eids_match_an_unheld_process(self, start):
+        log, now, next_eid = unheld_same_tick_scenario(
+            lambda sim, generator: getattr(sim, start)(generator))
+        assert log == self.UNHELD_LOG
+        assert (now, next_eid) == (2, 32)
+
+    def test_spawned_end_schedules_nothing(self, sim):
+        def body():
+            yield sim.timeout(3)
+            return "ignored"
+
+        assert sim.spawn(body()) is None
+        # The bootstrap and the timeout; no third event for the end.
+        assert _steps_to_drain(sim) == 2
+        assert sim.now == 3
+        # Ids: the process and its bootstrap, the timeout, then this.
+        assert sim.event().eid == 4
+
+        held = Simulator()
+
+        def held_body():
+            yield held.timeout(3)
+
+        proc = held.process(held_body())
+        assert _steps_to_drain(held) == 3
+        assert proc.value is None
+        assert held.event().eid == 4
+
+    def test_spawned_process_is_counted_and_started_like_process(self, sim):
+        seen = []
+
+        def body():
+            seen.append(sim.active_process)
+            yield sim.timeout(1)
+
+        sim.spawn(body())
+        sim.run()
+        assert isinstance(seen[0], Process)
+        assert not seen[0].is_alive and seen[0].processed
+
+    def test_spawned_generator_that_raises_ends_quietly(self, sim):
+        def bad():
+            yield sim.timeout(1)
+            raise RuntimeError("nobody is listening")
+
+        def survivor():
+            yield sim.timeout(5)
+            return "still here"
+
+        sim.spawn(bad())
+        unobserved = Simulator()
+
+        def unobserved_bad():
+            yield unobserved.timeout(1)
+            raise RuntimeError("nobody is listening")
+
+        unobserved.process(unobserved_bad())
+        # Neither run raises: an unobserved failure ends its process.
+        unobserved.run()
+        proc = sim.process(survivor())
+        assert sim.run(until=proc) == "still here"
+        assert sim.now == 5
+
+    def test_spawn_rejects_a_non_generator(self, sim):
+        with pytest.raises(SimulationError, match="generator"):
+            sim.spawn(lambda: None)
+
+
 class TestSlots:
     @staticmethod
     def make(case, sim):

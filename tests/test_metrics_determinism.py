@@ -1,6 +1,8 @@
 """Golden-metrics determinism: same seed => byte-identical CSV, and
 sampling never perturbs the event order of the run it observes."""
 
+import hashlib
+
 from repro.core.command import D2DKind
 from repro.experiments.common import measure_send
 from repro.faults import FaultPlan, FaultRule
@@ -9,6 +11,32 @@ from repro.metrics import jsonl_lines as metrics_jsonl_lines
 from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
 from repro.trace import TraceSession, jsonl_lines
 from repro.units import KIB
+
+# sha256 of the "\n"-joined CSV and JSONL export of each pinned run.
+# Values are ints or floats (CSV ``%.9g``, JSONL ``repr``), so the
+# digests are stable across Python versions; a change that moves any
+# sample, value or series fails here.
+GOLDEN_METRICS_SHA256 = {
+    "dcs-ctrl-md5": (
+        "a17bff3c54f8ca405e498be43dec460d41ddc10db80ca16522af3942b172c5b9",
+        "93e40016f77a1dde4b41c4d036818611b67619e4e5b57630c9ef05a4efe83e2e"),
+    "dcs-ctrl": (
+        "05df593559ab2d6e5bd4b5eb94644af5d94393aa638128d3e931cb9a6259cd6a",
+        "f86dc3de47c25d2377109011b3bffd48e02f49a8d116b52bf2e792c4fc6e4a7c"),
+    "sw-opt": (
+        "5dda27c32542fdfeed8b2b0cfb250343e6c1abce2d969ee4f1ff1693d57e36d8",
+        "11a0252324e008beb673a9de55295c1ada3bdc8ff1534d22c51633a19412547c"),
+    "faulty": (
+        "1c69c33f6b58bbadf7c2d2701c9e16ac98f3a97436b7bceaf2bef9adae00cf29",
+        "95622304b3914e2f7aa39ee9389b5b90ae2de5acd0c4b50021ab632c54412f80"),
+}
+
+
+def _digests(session):
+    """(CSV sha256, JSONL sha256) of one metered run."""
+    return tuple(hashlib.sha256("\n".join(lines).encode()).hexdigest()
+                 for lines in (csv_lines(session),
+                               metrics_jsonl_lines(session)))
 
 
 def _metered_run(scheme_cls, processing):
@@ -63,6 +91,23 @@ class TestDeterminism:
         second = "\n".join(
             metrics_jsonl_lines(_metered_run(DcsCtrlScheme, None)))
         assert first == second
+
+
+class TestGoldenDigests:
+    def test_dcs_ctrl_md5_pinned(self):
+        assert (_digests(_metered_run(DcsCtrlScheme, "md5"))
+                == GOLDEN_METRICS_SHA256["dcs-ctrl-md5"])
+
+    def test_dcs_ctrl_pinned(self):
+        assert (_digests(_metered_run(DcsCtrlScheme, None))
+                == GOLDEN_METRICS_SHA256["dcs-ctrl"])
+
+    def test_sw_opt_pinned(self):
+        assert (_digests(_metered_run(SwOptScheme, None))
+                == GOLDEN_METRICS_SHA256["sw-opt"])
+
+    def test_faulty_run_pinned(self):
+        assert _digests(_faulty_run()) == GOLDEN_METRICS_SHA256["faulty"]
 
 
 class TestSamplingDoesNotPerturb:

@@ -10,20 +10,27 @@ Prints host nanoseconds per uncontended cross-fabric ``dma_write`` and
 initiators writing into one target's RX), bare-kernel timeouts per
 second, and host nanoseconds per spawn-and-finish of an empty process,
 per uncontended ``CpuPool.run``, per ``Resource`` request/release pair
-and per ``LatencyTrace.span`` block.  Each figure is the best of a few repeats of a fixed batch, so
-the run takes a few seconds.  It asserts nothing about speed: it is a
+and per ``LatencyTrace.span`` block.  With the observation planes on,
+it prints host nanoseconds per uncontended 64 B ``dma_write`` under a
+``TraceSession`` and a ``MetricsSession``, per ``Tracer.begin`` +
+``Span.end`` pair and per ``TimeWeightedGauge.inc``.  Each figure is
+the best of a few repeats of a fixed batch, so the run takes a few
+seconds.  It asserts nothing about speed: it is a
 probe for profiling work, and CI runs it only to keep it working.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager, nullcontext
 
 from repro.analysis import LatencyTrace
 from repro.host import CpuPool
 from repro.memory import MemoryRegion
+from repro.metrics import MetricSet, MetricsSession
 from repro.pcie import Fabric, LINK_GEN2_X8
 from repro.sim import Resource, Simulator
+from repro.trace import Tracer, TraceSession
 from repro.units import KIB, MIB
 
 REPEATS = 5
@@ -47,18 +54,27 @@ def _fabric():
     return sim, fabric
 
 
-def _best_ns_per_op(build, ops):
-    """Best host ns per op over ``REPEATS`` runs of ``build()``'s sim."""
+@contextmanager
+def _planes():
+    """Trace and metrics sessions installed around the block."""
+    with TraceSession(label="micro"), MetricsSession(label="micro"):
+        yield
+
+
+def _best_ns_per_op(build, ops, planes=False):
+    """Best host ns per op over ``REPEATS`` runs of ``build()``'s sim,
+    built and run with both observation planes on when ``planes``."""
     best = float("inf")
     for _ in range(REPEATS):
-        sim = build()
-        start = time.perf_counter()
-        sim.run()
-        best = min(best, time.perf_counter() - start)
+        with _planes() if planes else nullcontext():
+            sim = build()
+            start = time.perf_counter()
+            sim.run()
+            best = min(best, time.perf_counter() - start)
     return best * 1e9 / ops
 
 
-def uncontended(kind: str, size: int) -> float:
+def uncontended(kind: str, size: int, planes: bool = False) -> float:
     """One initiator, back-to-back DMAs engine -> host memory."""
 
     def build():
@@ -75,7 +91,7 @@ def uncontended(kind: str, size: int) -> float:
         sim.process(body())
         return sim
 
-    return _best_ns_per_op(build, DMAS)
+    return _best_ns_per_op(build, DMAS, planes)
 
 
 def contended(size: int) -> float:
@@ -186,6 +202,44 @@ def latency_span() -> float:
     return _best_ns_per_op(build, OPS)
 
 
+def span_begin_end() -> float:
+    """Open a span and close it at once, on a bare tracer."""
+
+    def build():
+        sim = Simulator()
+        tracer = Tracer(sim, label="micro")
+
+        def body():
+            for _ in range(OPS):
+                tracer.begin("tlp.send", track="link:engine").end()
+            yield sim.timeout(0)
+
+        sim.process(body())
+        return sim
+
+    return _best_ns_per_op(build, OPS)
+
+
+def timegauge_inc() -> float:
+    """Raise a time-weighted gauge, as a DMA does per link direction."""
+
+    def build():
+        sim = Simulator()
+        gauge = MetricSet(sim, label="micro", interval_ns=1).timegauge(
+            "pcie.link.inflight_bytes", node="fabric", link="engine",
+            dir="tx")
+
+        def body():
+            for _ in range(OPS):
+                gauge.inc(64)
+            yield sim.timeout(0)
+
+        sim.process(body())
+        return sim
+
+    return _best_ns_per_op(build, OPS)
+
+
 def main() -> None:
     for kind in ("write", "read"):
         for size in (64, 4 * KIB):
@@ -200,6 +254,11 @@ def main() -> None:
     print(f"Resource request + release:    "
           f"{resource_request_release():8.0f} host ns")
     print(f"LatencyTrace.span block:       {latency_span():8.0f} host ns")
+    print("with the trace and metrics planes on:")
+    print(f"dma_write    64 B uncontended: "
+          f"{uncontended('write', 64, planes=True):8.0f} host ns/DMA")
+    print(f"Tracer.begin + Span.end:       {span_begin_end():8.0f} host ns")
+    print(f"TimeWeightedGauge.inc:         {timegauge_inc():8.0f} host ns")
 
 
 if __name__ == "__main__":

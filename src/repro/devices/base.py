@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.memory.region import MemoryRegion
 from repro.pcie.link import LinkConfig
 from repro.pcie.switch import Fabric
@@ -13,7 +15,10 @@ class PcieDevice:
 
     Subclasses register BAR windows with :meth:`add_region` and initiate
     traffic through the thin DMA wrappers, which fix the initiator to
-    this device's port.
+    this device's port.  ``dma_read(addr, length)`` and
+    ``dma_write(addr, data)`` are the fabric's own methods with the
+    initiator bound (``functools.partial``), so a device DMA enters one
+    Python frame before the transfer generator, not two.
     """
 
     def __init__(self, sim: Simulator, fabric: Fabric, name: str,
@@ -22,6 +27,9 @@ class PcieDevice:
         self.fabric = fabric
         self.name = name
         fabric.add_port(name, link)
+        # Timed DMA as this device; generators, drive with ``yield from``.
+        self.dma_read = partial(fabric.dma_read, name)
+        self.dma_write = partial(fabric.dma_write, name)
 
     def add_region(self, suffix: str, base: int, size: int,
                    sparse: bool = False) -> MemoryRegion:
@@ -30,15 +38,7 @@ class PcieDevice:
                               port=self.name, sparse=sparse)
         return self.fabric.add_region(region)
 
-    # -- DMA wrappers (generators; drive with ``yield from``) -------------
-
-    def dma_read(self, addr: int, length: int):
-        """Read ``length`` bytes at ``addr`` as this device (timed)."""
-        return self.fabric.dma_read(self.name, addr, length)
-
-    def dma_write(self, addr: int, data: bytes):
-        """Write ``data`` at ``addr`` as this device (timed)."""
-        return self.fabric.dma_write(self.name, addr, data)
+    # -- MMIO and interrupt wrappers (generators; drive with ``yield from``)
 
     def mmio_write(self, addr: int, data: bytes):
         """Small register write as this device (timed)."""

@@ -296,7 +296,14 @@ class Nic(PcieDevice):
             raise ProtocolError(
                 f"non-LSO payload of {desc.payload_len} exceeds MTU")
         yield self.sim.timeout(self.config.desc_overhead)
-        header = yield from self.dma_read(desc.hdr_addr, desc.hdr_len)
+        try:
+            header = yield from self.dma_read(desc.hdr_addr, desc.hdr_len)
+        except DeviceError:
+            # Header template lost to a link fault: no frame can be
+            # built, so the descriptor is consumed with nothing sent
+            # (a TCP sequence gap the receiver sees).
+            self.tx_faults += 1
+            return
         if len(header) != HEADER_LEN:
             raise ProtocolError(
                 f"header template must be {HEADER_LEN} bytes, "

@@ -215,7 +215,9 @@ class Simulator:
         # MetricsSession is installed (repro.sim.session), guarded the
         # same way.  Metrics sampling is driven from step() (see below)
         # rather than by scheduled events, so the metrics plane can
-        # never perturb event order or keep a drain-mode run() alive.
+        # never perturb event order or keep a drain-mode run() alive;
+        # step() calls MetricSet.advance() only on the step that
+        # reaches the set's next sampling boundary.
         equip(self)
 
     # -- event construction ---------------------------------------------
@@ -282,7 +284,7 @@ class Simulator:
             raise SimulationError("event queue corrupted: time went backwards")
         self.now = when
         metrics = self.metrics
-        if metrics is not None:
+        if metrics is not None and when >= metrics._next_sample:
             metrics.advance(when)
         if type(event) is Timeout:
             # A timeout only counts as triggered once it fires.

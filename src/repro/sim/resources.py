@@ -152,11 +152,12 @@ class Lanes:
     :meth:`release` hands the lane to the oldest parked holder with one
     ``succeed()`` — it resumes on the releasing tick, after the events
     already queued for it — or, with nobody parked, decrements the
-    count.  Holders park only while every lane is busy, so a free lane
-    never has a holder parked on it.
+    count; a holder may do the latter itself when ``parked`` is empty.
+    Holders park only while every lane is busy, so a free lane never
+    has a holder parked on it.
     """
 
-    __slots__ = ("sim", "capacity", "busy", "_parked")
+    __slots__ = ("sim", "capacity", "busy", "parked")
 
     def __init__(self, sim: Simulator, capacity: int = 1):
         if capacity < 1:
@@ -164,7 +165,7 @@ class Lanes:
         self.sim = sim
         self.capacity = capacity
         self.busy = 0
-        self._parked: Deque[Event] = deque()
+        self.parked: Deque[Event] = deque()
 
     @property
     def count(self) -> int:
@@ -174,12 +175,12 @@ class Lanes:
     @property
     def queue_length(self) -> int:
         """Holders parked waiting for a lane."""
-        return len(self._parked)
+        return len(self.parked)
 
     def park(self) -> Event:
         """The event that fires when a lane is handed over."""
         gate = Event(self.sim)
-        self._parked.append(gate)
+        self.parked.append(gate)
         return gate
 
     def wait(self):
@@ -196,13 +197,13 @@ class Lanes:
             if gate.triggered:
                 self.release()
             else:
-                self._parked.remove(gate)
+                self.parked.remove(gate)
             raise
 
     def release(self) -> None:
         """Hand a lane to the oldest parked holder, or free it."""
-        if self._parked:
-            self._parked.popleft().succeed()
+        if self.parked:
+            self.parked.popleft().succeed()
         else:
             self.busy -= 1
 

@@ -426,6 +426,33 @@ class TestNicReceiveUnderLinkFaults:
         assert nic.frames_dropped > 0
 
 
+class TestNicTransmitUnderLinkFaults:
+    def test_lost_header_template_fetch_keeps_the_tx_channel_serving(self):
+        """Occurrence 2 after a warm transfer times out the node0 NIC's
+        fetch of an LSO header template.  The frame is not sent and the
+        fault is counted; the fetch used to raise out of the TX loop,
+        and every later send on node0 deadlocked."""
+        tb = Testbed(seed=3)
+        scheme = SwOptScheme(tb)
+        TestNicReceiveUnderLinkFaults._transfer(tb, scheme, 4 * KIB)
+        tb.sim.run()
+        plan = _plan(FaultRule("pcie.timeout", occurrences={2})
+                     ).install(tb.sim, tb.rng)
+        nic = tb.node0.host.nic
+        sent = nic.frames_sent
+        tb.sim.process(scheme.client_send(tb.node0, scheme.connect(),
+                                          4 * KIB))
+        tb.sim.run()
+        assert plan.injected == 1
+        assert nic.tx_faults == 1
+        assert nic.frames_sent == sent
+        recv = TestNicReceiveUnderLinkFaults._transfer(tb, scheme, 4 * KIB)
+        assert recv.value == 4 * KIB
+        assert nic.tx_faults == 1
+        tb.sim.run()
+        tb.assert_no_leaks()
+
+
 class TestHostReceiveSequenceGap:
     def test_gap_discards_frames_and_later_connections_still_receive(self):
         """The first frame of an 8 KiB kernel-path send dies on the wire.

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import AddressError, DeviceTimeout, SimulationError
 from repro.faults import FaultPlan, FaultRule
 from repro.memory import MemoryRegion
+from repro.metrics import MetricsSession
 from repro.pcie import (AddressMap, Fabric, LINK_GEN2_X4, LINK_GEN2_X8,
                         tlp_efficiency)
 from repro.pcie.transaction import (COMPLETION_TIMEOUT_NS, DOORBELL_WRITE_NS,
@@ -332,3 +333,118 @@ class TestCompletionTimeoutFault:
         assert sim.run(until=sim.process(body())) == bytes(4096)
         assert faults.occurrences("pcie.timeout") == 0
         assert stream.getstate() == before
+
+
+class TestInterruptedDma:
+    """A DMA closed at any point of its hold gives back the link
+    directions it holds or is queued for, and its bytes leave the
+    ``pcie.link.inflight_bytes`` gauges, as ``Lanes.wait()`` does for
+    a CPU core.  Each case ends with every direction free, nobody
+    parked and every gauge at zero."""
+
+    ENGINE = 0x4000_0000
+    HOST = 0x0000_1000
+
+    @pytest.fixture
+    def metered(self):
+        session = MetricsSession(label="t").install()
+        try:
+            sim = Simulator()
+            fab = Fabric(sim)
+            for port, link in (("host", LINK_GEN2_X8), ("ssd", LINK_GEN2_X4),
+                               ("nic", LINK_GEN2_X8),
+                               ("engine", LINK_GEN2_X8)):
+                fab.add_port(port, link)
+            fab.add_region(MemoryRegion("host-dram", base=0, size=MIB,
+                                        port="host"))
+            fab.add_region(MemoryRegion("engine-ddr3", base=self.ENGINE,
+                                        size=MIB, port="engine"))
+        finally:
+            session.uninstall()
+        return sim, fab
+
+    @staticmethod
+    def _direction(fab, port, direction):
+        return getattr(fab._port(port).link, direction)
+
+    @staticmethod
+    def _start(sim, fab, initiator, addr):
+        """A 4 KiB write as its own process; returns the generator."""
+        transfer = fab.dma_write(initiator, addr, bytes(4 * KIB))
+        sim.process(transfer)
+        return transfer
+
+    @staticmethod
+    def _step_until(sim, condition):
+        while not condition():
+            sim.step()
+
+    def _assert_settled(self, sim, fab):
+        sim.run()
+        for port in ("host", "ssd", "nic", "engine"):
+            for direction in ("tx", "rx"):
+                lane = self._direction(fab, port, direction)
+                assert (port, direction, lane.busy, len(lane.parked),
+                        lane.inflight.value) == (port, direction, 0, 0, 0)
+        # The directions still work: a fresh transfer over them ends.
+        proc = sim.process(fab.dma_write("nic", self.ENGINE, b"next"))
+        sim.run()
+        assert proc.ok and fab.peek(self.ENGINE, 4) == b"next"
+
+    def test_closed_while_parked(self, metered):
+        sim, fab = metered
+        engine_rx = self._direction(fab, "engine", "rx")
+        self._start(sim, fab, "host", self.ENGINE)
+        parked = self._start(sim, fab, "nic", self.ENGINE)
+        self._step_until(sim, lambda: engine_rx.parked)
+        parked.close()
+        assert not engine_rx.parked
+        self._assert_settled(sim, fab)
+
+    def test_closed_after_the_hand_over(self, metered):
+        """Two DMAs into the engine; the parked one is closed after the
+        host's transfer handed it the engine RX, before it resumed."""
+        sim, fab = metered
+        engine_rx = self._direction(fab, "engine", "rx")
+        self._start(sim, fab, "host", self.ENGINE)
+        parked = self._start(sim, fab, "nic", self.ENGINE)
+        self._step_until(sim, lambda: engine_rx.parked)
+        gate = engine_rx.parked[0]
+        self._step_until(sim, lambda: gate.triggered)
+        parked.close()
+        self._assert_settled(sim, fab)
+
+    def test_closed_while_holding_both_directions(self, metered):
+        sim, fab = metered
+        engine_rx = self._direction(fab, "engine", "rx")
+        holder = self._start(sim, fab, "host", self.ENGINE)
+        self._start(sim, fab, "nic", self.ENGINE)
+        self._step_until(sim, lambda: engine_rx.parked)
+        holder.close()
+        self._assert_settled(sim, fab)
+
+    def test_closed_while_queued_for_its_second_direction(self, metered):
+        """ssd -> host takes the host RX first ("host" < "ssd"), then
+        queues for the ssd TX an ssd -> engine transfer holds."""
+        sim, fab = metered
+        ssd_tx = self._direction(fab, "ssd", "tx")
+        host_rx = self._direction(fab, "host", "rx")
+        self._start(sim, fab, "ssd", self.ENGINE)
+        queued = self._start(sim, fab, "ssd", self.HOST)
+        self._step_until(sim, lambda: ssd_tx.parked)
+        assert host_rx.busy == 1
+        queued.close()
+        self._assert_settled(sim, fab)
+
+    def test_closed_between_its_two_releases(self, metered):
+        """ssd -> engine: the x8 engine RX is released before the x4
+        ssd TX; closing in between leaves only the ssd TX to give back."""
+        sim, fab = metered
+        ssd_tx = self._direction(fab, "ssd", "tx")
+        engine_rx = self._direction(fab, "engine", "rx")
+        transfer = self._start(sim, fab, "ssd", self.ENGINE)
+        self._step_until(sim, lambda: ssd_tx.busy and engine_rx.busy)
+        self._step_until(sim, lambda: not engine_rx.busy)
+        assert ssd_tx.busy == 1
+        transfer.close()
+        self._assert_settled(sim, fab)

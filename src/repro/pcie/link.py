@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Lanes
-from repro.units import SEC, Rate
+from repro.units import Rate
 from repro.pcie.transaction import tlp_efficiency
 
 
@@ -45,10 +45,10 @@ class LinkDirection(Lanes):
     """One direction of a link, held by one transfer at a time.
 
     One :class:`~repro.sim.resources.Lanes` lane.  The fabric takes a
-    free direction by setting ``busy``, which schedules nothing; a
-    transfer that finds it busy yields :meth:`park`, and
-    :meth:`release` hands the direction to the oldest parked transfer
-    or frees it.
+    free direction by setting ``busy``, which schedules nothing, and
+    frees it by clearing ``busy`` when nobody is ``parked``; a transfer
+    that finds it busy runs :meth:`wait`, and :meth:`release` hands the
+    direction to the oldest parked transfer.
     """
 
     __slots__ = ("inflight",)
@@ -81,8 +81,5 @@ class PcieLink:
                 dir="rx"))
 
     def serialization(self, size: int) -> int:
-        """Time (ns) to clock ``size`` payload bytes through one direction.
-
-        ``Rate.duration`` written out, saving a frame per DMA direction.
-        """
-        return round(size * SEC / self.rate.bytes_per_sec)
+        """Time (ns) to clock ``size`` payload bytes through one direction."""
+        return self.rate.duration(size)

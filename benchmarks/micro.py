@@ -9,11 +9,11 @@ Prints host nanoseconds per uncontended cross-fabric ``dma_write`` and
 ``dma_read`` (64 B and 4 KiB), per DMA of a contended pair (two
 initiators writing into one target's RX), bare-kernel timeouts per
 second, and host nanoseconds per spawn-and-finish of an empty process,
-per uncontended ``CpuPool.run``, per ``Resource`` request/release pair
-and per ``LatencyTrace.span`` block.  With the observation planes on,
-it prints host nanoseconds per uncontended 64 B ``dma_write`` under a
-``TraceSession`` and a ``MetricsSession``, per ``Tracer.begin`` +
-``Span.end`` pair and per ``TimeWeightedGauge.inc``.  Each figure is
+per uncontended ``CpuPool.run``, per uncontended ``Lanes.acquire()`` /
+``release()`` pair and per ``LatencyTrace.span`` block.  With the
+observation planes on, it prints host nanoseconds per uncontended 64 B
+``dma_write`` under a ``TraceSession`` and a ``MetricsSession``, per
+``Tracer.begin`` + ``Span.end`` pair and per ``TimeWeightedGauge.inc``.  Each figure is
 the best of a few repeats of a fixed batch, so the run takes a few
 seconds.  It asserts nothing about speed: it is a
 probe for profiling work, and CI runs it only to keep it working.
@@ -29,7 +29,7 @@ from repro.host import CpuPool
 from repro.memory import MemoryRegion
 from repro.metrics import MetricSet, MetricsSession
 from repro.pcie import Fabric, LINK_GEN2_X8
-from repro.sim import Resource, Simulator
+from repro.sim import Lanes, Simulator
 from repro.trace import Tracer, TraceSession
 from repro.units import KIB, MIB
 
@@ -164,18 +164,17 @@ def cpu_run() -> float:
     return _best_ns_per_op(build, OPS)
 
 
-def resource_request_release() -> float:
-    """Claim a free ``Resource``, yield the grant, release it."""
+def lanes_acquire_release() -> float:
+    """Take a free lane with ``Lanes.acquire()``, release it."""
 
     def build():
         sim = Simulator()
-        resource = Resource(sim)
+        lanes = Lanes(sim)
 
         def body():
             for _ in range(OPS):
-                request = resource.request()
-                yield request
-                resource.release(request)
+                yield from lanes.acquire()
+                lanes.release()
 
         sim.process(body())
         return sim
@@ -251,8 +250,8 @@ def main() -> None:
     print(f"kernel timeouts: {timeouts_per_second():,.0f} per host second")
     print(f"spawn + finish, empty process: {spawn_and_finish():8.0f} host ns")
     print(f"CpuPool.run, uncontended:      {cpu_run():8.0f} host ns")
-    print(f"Resource request + release:    "
-          f"{resource_request_release():8.0f} host ns")
+    print(f"Lanes acquire + release:       "
+          f"{lanes_acquire_release():8.0f} host ns")
     print(f"LatencyTrace.span block:       {latency_span():8.0f} host ns")
     print("with the trace and metrics planes on:")
     print(f"dma_write    64 B uncontended: "

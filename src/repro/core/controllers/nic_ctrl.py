@@ -39,7 +39,7 @@ from repro.net.packet import Frame, HEADER_LEN
 from repro.net.tcp import FlowTable, TcpFlow
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import Lanes
 from repro.units import KIB, nsec
 
 HEADER_GEN = nsec(100)     # TCP/IP header generation FSM, per batch
@@ -62,7 +62,7 @@ class _PendingRecv:
 @dataclass
 class _FlowState:
     flow: TcpFlow
-    send_lock: object = None   # per-flow Resource: sends serialize
+    send_lock: object = None   # per-flow Lanes: sends serialize
     pending: Deque[_PendingRecv] = field(default_factory=deque)
     backlog: bytearray = field(default_factory=bytearray)
 
@@ -134,7 +134,7 @@ class EngineNicController(Executor):
                             flow.local.port, self.client.recv_ring.channel)
         flow_id = self._next_flow_id
         self._next_flow_id += 1
-        state = _FlowState(flow=flow, send_lock=Resource(self.sim, capacity=1))
+        state = _FlowState(flow=flow, send_lock=Lanes(self.sim))
         self._flows_by_id[flow_id] = state
         self._flow_table.add(flow)
         self._flow_state_of[flow.uid] = state
@@ -168,8 +168,8 @@ class EngineNicController(Executor):
         # batches *within* a send pipeline through a small descriptor
         # window.  Each in-flight descriptor owns its header slot in the
         # client, so templates are never overwritten before fetch.
-        with state.send_lock.request() as lock:
-            yield lock
+        yield from state.send_lock.acquire()
+        try:
             sent = 0
             inflight = deque()
             while sent < entry.length or inflight:
@@ -204,6 +204,8 @@ class EngineNicController(Executor):
                             if parked is waiter or parked in inflight:
                                 self._tx_waiters.pop(index)
                         raise
+        finally:
+            state.send_lock.release()
         return None
 
     def _on_tx_status(self) -> None:

@@ -25,7 +25,7 @@ from repro.errors import ConfigurationError, DeviceError
 from repro.memory.dram import FPGA_DDR3
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import Lanes
 from repro.units import nsec
 
 # Engine-internal fixed key/nonce for the AES unit; real deployments
@@ -71,8 +71,7 @@ class NdpUnit:
                                       / spec.per_unit_rate.gbps()))
         effective = (spec.per_unit_rate.bytes_per_sec * self.instances)
         self._rate_bps = effective
-        self._pipeline = Resource(sim, capacity=1)
-        self._cores = self._pipeline  # kept for introspection/tests
+        self._pipeline = Lanes(sim)
         self.operations = 0
         self.bytes_processed = 0
 
@@ -90,8 +89,8 @@ class NdpUnit:
         """
         if size <= 0:
             raise DeviceError(f"NDP input size must be positive: {size}")
-        with self._pipeline.request() as core:
-            yield core
+        yield from self._pipeline.acquire()
+        try:
             yield self.sim.timeout(self.duration(size)
                                    + FPGA_DDR3.duration(size))
             data = fabric.address_map.read(buf_addr, size)
@@ -101,6 +100,8 @@ class NdpUnit:
                 out_len = len(output)
             else:
                 out_len = size
+        finally:
+            self._pipeline.release()
         self.operations += 1
         self.bytes_processed += size
         return NdpResult(digest=digest, output_length=out_len)

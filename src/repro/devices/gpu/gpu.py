@@ -25,7 +25,7 @@ from repro.errors import DeviceError
 from repro.pcie.link import LINK_GEN2_X16, LinkConfig
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import Lanes
 from repro.units import MIB, Rate, gbps, usec
 
 
@@ -72,8 +72,8 @@ class Gpu(PcieDevice):
         # The GPUDirect-exposed device memory window: peers may DMA here.
         self.dram = self.add_region("dram", bar_base, config.memory_bytes,
                                     sparse=True)
-        self._copy_engines = Resource(sim, capacity=config.copy_engines)
-        self._exec_engine = Resource(sim, capacity=1)
+        self._copy_engines = Lanes(sim, config.copy_engines)
+        self._exec_engine = Lanes(sim)
         self.kernels_launched = 0
         metrics = sim.metrics
         if metrics is None:
@@ -100,16 +100,16 @@ class Gpu(PcieDevice):
         span = None if tracer is None else tracer.begin(
             "gpu.copy", track=f"dev:{self.name}", name=f"copy-in {size}B",
             direction="in", size=size)
-        with self._copy_engines.request() as engine:
-            yield engine
+        yield from self._copy_engines.acquire()
+        if self._m_copy is not None:
+            self._m_copy.inc()
+        try:
+            data = yield from self.dma_read(src_addr, size)
+            self.dram.write(self.mem_addr(gpu_offset), data)
+        finally:
             if self._m_copy is not None:
-                self._m_copy.inc()
-            try:
-                data = yield from self.dma_read(src_addr, size)
-                self.dram.write(self.mem_addr(gpu_offset), data)
-            finally:
-                if self._m_copy is not None:
-                    self._m_copy.dec()
+                self._m_copy.dec()
+            self._copy_engines.release()
         if span is not None:
             span.end()
 
@@ -119,16 +119,16 @@ class Gpu(PcieDevice):
         span = None if tracer is None else tracer.begin(
             "gpu.copy", track=f"dev:{self.name}", name=f"copy-out {size}B",
             direction="out", size=size)
-        with self._copy_engines.request() as engine:
-            yield engine
+        yield from self._copy_engines.acquire()
+        if self._m_copy is not None:
+            self._m_copy.inc()
+        try:
+            data = self.dram.read(self.mem_addr(gpu_offset), size)
+            yield from self.dma_write(dst_addr, data)
+        finally:
             if self._m_copy is not None:
-                self._m_copy.inc()
-            try:
-                data = self.dram.read(self.mem_addr(gpu_offset), size)
-                yield from self.dma_write(dst_addr, data)
-            finally:
-                if self._m_copy is not None:
-                    self._m_copy.dec()
+                self._m_copy.dec()
+            self._copy_engines.release()
         if span is not None:
             span.end()
 
@@ -156,19 +156,19 @@ class Gpu(PcieDevice):
         span = None if tracer is None else tracer.begin(
             "gpu.exec", track=f"dev:{self.name}",
             name=f"{kernel} {size}B", kernel=kernel, size=size)
-        with self._exec_engine.request() as engine:
-            yield engine
+        yield from self._exec_engine.acquire()
+        if self._m_exec is not None:
+            self._m_exec.inc()
+        try:
+            yield self.sim.timeout(self.config.launch_overhead
+                                   + spec.rate.duration(size))
+            data = self.dram.read(self.mem_addr(in_offset), size)
+            digest = spec.fn(data)
+            self.dram.write(self.mem_addr(out_offset), digest)
+        finally:
             if self._m_exec is not None:
-                self._m_exec.inc()
-            try:
-                yield self.sim.timeout(self.config.launch_overhead
-                                       + spec.rate.duration(size))
-                data = self.dram.read(self.mem_addr(in_offset), size)
-                digest = spec.fn(data)
-                self.dram.write(self.mem_addr(out_offset), digest)
-            finally:
-                if self._m_exec is not None:
-                    self._m_exec.dec()
+                self._m_exec.dec()
+            self._exec_engine.release()
         self.kernels_launched += 1
         if span is not None:
             span.end()

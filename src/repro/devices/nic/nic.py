@@ -248,19 +248,20 @@ class Nic(PcieDevice):
                 raw = yield from self.dma_read(
                     tx.ring_addr + slot * SEND_DESC_SIZE, SEND_DESC_SIZE)
             except DeviceError:
-                # Descriptor fetch lost to a link fault: abandon the
-                # descriptor; the submitter's deadline recovers it.
+                # Descriptor fetch lost to a link fault: as with a lost
+                # header template, the descriptor is consumed with
+                # nothing sent, so its ring slot still comes back.
                 self.tx_faults += 1
-                continue
-            desc = SendDescriptor.unpack(raw)
-            tracer = self.sim.tracer
-            span = None if tracer is None else tracer.begin(
-                "nic.tx", track=f"dev:{self.name}",
-                name=f"tx{index} {desc.payload_len}B",
-                channel=index, size=desc.payload_len, lso=bool(desc.lso))
-            yield from self._transmit(desc)
-            if span is not None:
-                span.end()
+            else:
+                desc = SendDescriptor.unpack(raw)
+                tracer = self.sim.tracer
+                span = None if tracer is None else tracer.begin(
+                    "nic.tx", track=f"dev:{self.name}",
+                    name=f"tx{index} {desc.payload_len}B", channel=index,
+                    size=desc.payload_len, lso=bool(desc.lso))
+                yield from self._transmit(desc)
+                if span is not None:
+                    span.end()
             tx.consumed += 1
             if tx.m_occ is not None:
                 tx.m_occ.set(tx.tail - tx.consumed)

@@ -36,7 +36,7 @@ from repro.errors import DeviceError, ProtocolError
 from repro.pcie.link import LINK_GEN2_X4, LinkConfig
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource, Signal
+from repro.sim.resources import Lanes, Signal
 from repro.units import KIB, PAGE, gib, usec
 
 
@@ -81,7 +81,7 @@ class _QueueState:
     wake: Optional[Signal] = None  # notified when the doorbell moves
     inflight: int = 0
     completed: int = 0
-    post_lock: Optional[Resource] = None
+    post_lock: Optional[Lanes] = None
     # Metric instruments; None unless a MetricsSession is installed.
     m_sq: Optional[object] = None
     m_cq: Optional[object] = None
@@ -105,11 +105,11 @@ class NvmeSsd(PcieDevice):
         self._regs = self.add_region("regs", bar_base, 64 * KIB)
         self._regs.on_mmio_write = self._on_doorbell
         self._queues: Dict[int, _QueueState] = {}
-        self._channels = Resource(sim, capacity=config.channels)
+        self._channels = Lanes(sim, config.channels)
         # Media bandwidth is shared: access latencies overlap across
         # channels, but the array's aggregate transfer rate (the
         # datasheet's 17.2/7.2 Gbps) is one pipe.
-        self._media = Resource(sim, capacity=1)
+        self._media = Lanes(sim)
         self.commands_processed = 0
         self.cqes_dropped = 0
         metrics = sim.metrics
@@ -137,7 +137,7 @@ class NvmeSsd(PcieDevice):
             raise DeviceError("I/O queue ids start at 1")
         state = _QueueState(qid=qid, sq_addr=sq_addr, cq_addr=cq_addr,
                             depth=depth, interrupt=interrupt)
-        state.post_lock = Resource(self.sim, capacity=1)
+        state.post_lock = Lanes(self.sim)
         state.wake = Signal(self.sim)
         metrics = self.sim.metrics
         if metrics is not None:
@@ -226,8 +226,8 @@ class NvmeSsd(PcieDevice):
                  f"{command.byte_length}B",
             qid=state.qid, cid=command.cid, opcode=command.opcode,
             slba=command.slba, size=command.byte_length)
-        with self._channels.request() as channel:
-            yield channel
+        yield from self._channels.acquire()
+        try:
             yield self.sim.timeout(self.config.command_overhead)
             status = 0
             try:
@@ -241,6 +241,8 @@ class NvmeSsd(PcieDevice):
                     status = 1  # invalid opcode
             except (DeviceError, ProtocolError):
                 status = 2  # internal error surfaced as failed status
+        finally:
+            self._channels.release()
         yield from self._post_completion(state, command, status)
         if span is not None:
             span.end(status=status)
@@ -278,9 +280,11 @@ class NvmeSsd(PcieDevice):
         return spans
 
     def _media_transfer(self, duration: int):
-        with self._media.request() as pipe:
-            yield pipe
+        yield from self._media.acquire()
+        try:
             yield self.sim.timeout(duration)
+        finally:
+            self._media.release()
 
     def _do_read(self, command: NvmeCommand):
         spans = yield from self._transfer_addresses(command)
@@ -318,8 +322,8 @@ class NvmeSsd(PcieDevice):
         if not dropped:
             # CQE posting serializes per queue to keep tail/phase
             # coherent.
-            with state.post_lock.request() as lock:
-                yield lock
+            yield from state.post_lock.acquire()
+            try:
                 cqe = Completion(cid=command.cid, sq_head=state.sq_head,
                                  status=status, phase=state.cq_phase,
                                  sq_id=state.qid)
@@ -334,6 +338,8 @@ class NvmeSsd(PcieDevice):
                     yield from self.dma_write(addr, cqe.pack())
                 except DeviceError:
                     dropped = True
+            finally:
+                state.post_lock.release()
         if not dropped:
             tracer = self.sim.tracer
             if tracer is not None:

@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.host.drivers.gpu_driver import HostGpuDriver
     from repro.host.drivers.nic_driver import HostNicDriver
     from repro.host.drivers.nvme_driver import HostNvmeDriver
-from repro.host.kernel.page_cache import PageCache
 from repro.net.packet import Frame, TCP_MSS
 from repro.net.tcp import FlowTable, TcpFlow
 from repro.pcie.switch import Fabric
@@ -59,7 +58,6 @@ class HostKernel:
 
     def __init__(self, sim: Simulator, fabric: Fabric, cpu: CpuPool,
                  costs: SoftwareCosts, fs: "MultiVolumeFs",
-                 page_cache: PageCache,
                  nvme_drivers: list["HostNvmeDriver"],
                  nic: Optional["HostNicDriver"],
                  gpu: Optional["HostGpuDriver"]):
@@ -68,7 +66,6 @@ class HostKernel:
         self.cpu = cpu
         self.costs = costs
         self.fs = fs
-        self.page_cache = page_cache
         self.nvme_drivers = nvme_drivers
         self.nvme = nvme_drivers[0]
         self.nic = nic

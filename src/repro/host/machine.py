@@ -131,8 +131,8 @@ class Host:
             if self.gpu is not None else None)
 
         self.kernel = HostKernel(
-            sim, self.fabric, self.cpu, costs, self.fs, self.page_cache,
-            self.nvme_drivers, self.nic_driver, self.gpu_driver)
+            sim, self.fabric, self.cpu, costs, self.fs, self.nvme_drivers,
+            self.nic_driver, self.gpu_driver)
         # 64 KiB nothing uses.  It stays because dropping it moves the HDC
         # completion ring allocated after it, which changes the golden
         # trace digests and fig11.jsonl (their `addr` fields only); that

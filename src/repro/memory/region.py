@@ -94,7 +94,6 @@ class SparseBytes:
 _ZERO_PAGE = bytes(SparseBytes.PAGE)
 
 MmioWriteHook = Callable[[int, bytes], None]
-MmioReadHook = Callable[[int, int], bytes]
 WriteWatcher = Callable[[], None]
 
 
@@ -122,7 +121,6 @@ class MemoryRegion:
         self._backing = SparseBytes(size) if sparse else bytearray(size)
         self._sparse = sparse
         self.on_mmio_write: Optional[MmioWriteHook] = None
-        self.on_mmio_read: Optional[MmioReadHook] = None
         self._watchers: List[Tuple[int, int, WriteWatcher]] = []
 
     @property
@@ -158,8 +156,6 @@ class MemoryRegion:
         off = addr - self.base  # _offset, inlined on the DMA path
         if off < 0 or off + length > self.size:
             raise self._outside(addr, length)
-        if self.on_mmio_read is not None:
-            return self.on_mmio_read(off, length)
         if self._sparse:
             return self._backing.read(off, length)
         return bytes(memoryview(self._backing)[off:off + length])

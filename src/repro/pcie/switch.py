@@ -9,8 +9,8 @@ methods (to be driven with ``yield from`` inside simulation processes):
   address.  Peer-to-peer transfers (initiator and owner both devices)
   never touch the host port — this is the data-path property the whole
   paper builds on.
-* :meth:`mmio_write` / :meth:`mmio_read` — small register transactions
-  (doorbells); writes trigger a region's MMIO hook.
+* :meth:`mmio_write` — small posted register writes (doorbells); they
+  trigger a region's MMIO hook.
 * :meth:`msi` — message-signalled interrupt delivery to a registered
   handler.
 """
@@ -343,21 +343,6 @@ class Fabric:
         region.write(addr, data)
         if span is not None:
             span.end()
-
-    def mmio_read(self, initiator: str, addr: int, length: int):
-        """Process: a small non-posted register read; returns the bytes."""
-        region = self.address_map.resolve(addr, length)
-        tracer = self.sim.tracer
-        span = None if tracer is None else tracer.begin(
-            "mmio.read", track=f"pcie:{initiator}",
-            name=f"mmio.read <- {region.port}", initiator=initiator,
-            target=region.port, addr=addr, size=length)
-        if region.port != initiator:
-            # Round trip: request out, completion back.
-            yield self.sim.timeout(READ_REQUEST_NS + DOORBELL_WRITE_NS)
-        if span is not None:
-            span.end()
-        return region.read(addr, length)
 
     def msi(self, initiator: str, target_port: str = "host", vector: int = 0):
         """Process: deliver a message-signalled interrupt."""

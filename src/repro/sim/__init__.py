@@ -19,7 +19,7 @@ Typical use::
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Process, Simulator
-from repro.sim.resources import Lanes, Resource, Signal, Store, WaiterTable
+from repro.sim.resources import Lanes, Signal, Store, WaiterTable
 from repro.sim.stats import BusyTracker, Histogram, Meter
 from repro.sim.rng import RngHub, empirical, exponential_interarrivals
 
@@ -32,7 +32,6 @@ __all__ = [
     "Lanes",
     "Meter",
     "Process",
-    "Resource",
     "RngHub",
     "Signal",
     "Simulator",

@@ -17,8 +17,7 @@ scheduled occurrence, so an instance ``__dict__`` would be pure overhead.
 Flat construction: the kinds built most often set :class:`Event`'s five
 slots themselves instead of calling ``super().__init__``, since a
 second Python frame per event would cost more than the assignments:
-:class:`~repro.sim.resources.Request` and
-:class:`~repro.sim.kernel.Process` in their own ``__init__``, and
+:class:`~repro.sim.kernel.Process` in its own ``__init__``, and
 :class:`Timeout` inside :meth:`~repro.sim.kernel.Simulator.timeout`.
 """
 

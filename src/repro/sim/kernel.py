@@ -133,7 +133,7 @@ class Process(Event):
         sim.active_process = self
         try:
             # Continuation loop: a yield the kernel can answer without a
-            # trip through the queue (an inline-granted resource request, a
+            # trip through the queue (a put a store accepted inline, a
             # non-Event) is fed straight back into the generator.
             while True:
                 try:
@@ -172,7 +172,7 @@ class Process(Event):
                     callbacks.append(self._wake)
                     return
                 if target._inline:
-                    # Granted inside Resource.request(): continue this step.
+                    # Accepted inside Store.put(): continue this step.
                     exception = target._exception
                     value = target._value
                     continue

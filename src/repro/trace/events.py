@@ -29,7 +29,6 @@ EVENT_TYPES: Dict[str, str] = {
     "dma.read": "bulk non-posted read through the switch (request+completion)",
     "dma.write": "bulk posted write through the switch",
     "doorbell.ring": "small posted register write (doorbell-class MMIO)",
-    "mmio.read": "small non-posted register read round trip",
     "irq.deliver": "message-signalled interrupt delivery to the host",
     # -- NVMe SSD ----------------------------------------------------------
     "nvme.doorbell": "submission-queue tail doorbell observed by the SSD",

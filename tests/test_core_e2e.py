@@ -210,7 +210,7 @@ class TestTraceBreakdown:
         # Simulate a buffered write that left page 0 dirty in the cache
         # with *different* content than flash.
         fresh = bytes(b ^ 0xFF for b in data[:4096])
-        tb.node0.host.page_cache.insert("dirty.dat", 0, fresh, dirty=True)
+        tb.node0.host.page_cache.mark_dirty("dirty.dat", 0, fresh)
         buf = tb.node0.host.alloc_buffer(8 * KIB)
         fd = tb.node0.library.open_file("dirty.dat")
 

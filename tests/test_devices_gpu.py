@@ -50,6 +50,31 @@ class TestCopyEngine:
         sim.run(until=sim.process(body(sim)))
         assert gpu.dram.read(gpu.mem_addr(0x100), 12) == b"direct write"
 
+    def test_copies_closed_holding_or_awaiting_an_engine_free_it(
+            self, sim, fabric, gpu):
+        """Close one copy while it holds a copy engine and one parked
+        behind both; the other copy lands, and the engines and the
+        links it crossed end free."""
+        data = bytes(range(256)) * 16
+        fabric.poke(SRC, data)
+        copies = [gpu.copy_in(SRC, index * len(data), len(data))
+                  for index in range(TESLA_K20M.copy_engines + 1)]
+        for copy in copies:
+            sim.process(copy)
+        sim.run(until=1)
+        engines = gpu._copy_engines
+        assert (engines.count, engines.queue_length) == (
+            TESLA_K20M.copy_engines, 1)
+        copies[0].close()
+        copies[-1].close()
+        sim.run()
+        assert (engines.count, engines.queue_length) == (0, 0)
+        assert gpu.dram.read(gpu.mem_addr(len(data)), len(data)) == data
+        for port in ("host", "gpu"):
+            link = fabric._port(port).link
+            for direction in (link.tx, link.rx):
+                assert (direction.count, direction.queue_length) == (0, 0)
+
     def test_bad_offset_rejected(self, gpu):
         with pytest.raises(DeviceError):
             gpu.mem_addr(TESLA_K20M.memory_bytes)

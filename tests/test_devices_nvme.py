@@ -158,6 +158,32 @@ class TestNvmeSsd:
         assert fabric.peek(DATA_ADDR + 64 * KIB, LBA_SIZE) == payload
         assert ssd.flash.read_blocks(9, 1) == payload
 
+    def test_commands_closed_holding_or_awaiting_a_channel_free_it(
+            self, sim, fabric, ssd):
+        """Close one command while it holds a flash channel and one
+        parked behind the full set; the rest complete and every
+        channel and the media pipe end free."""
+        ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
+        state = ssd._queues[1]
+        commands = [ssd._execute(state, NvmeCommand(
+            opcode=OP_READ, cid=cid, nsid=1, prp1=DATA_ADDR + cid * PAGE,
+            prp2=0, slba=cid, nlb=0))
+            for cid in range(ssd.config.channels + 1)]
+        for command in commands:
+            sim.process(command)
+        sim.run(until=1)
+        channels = ssd._channels
+        assert (channels.count, channels.queue_length) == (
+            ssd.config.channels, 1)
+        commands[0].close()
+        commands[-1].close()
+        assert (channels.count, channels.queue_length) == (
+            ssd.config.channels - 1, 0)
+        sim.run()
+        assert state.completed == ssd.config.channels - 1
+        assert (channels.count, channels.queue_length) == (0, 0)
+        assert (ssd._media.count, ssd._media.queue_length) == (0, 0)
+
     def test_multi_page_read_uses_prp_list(self, sim, fabric, ssd):
         size = 32 * KIB
         pattern = bytes(range(256)) * (size // 256)

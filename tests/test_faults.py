@@ -452,6 +452,32 @@ class TestNicTransmitUnderLinkFaults:
         tb.sim.run()
         tb.assert_no_leaks()
 
+    def test_lost_descriptor_fetch_returns_its_send_ring_slot(self):
+        """Occurrence 1 after a warm transfer times out the node0 NIC's
+        fetch of the send descriptor itself.  The descriptor is consumed
+        with nothing sent and its status written, so the ring slot comes
+        back; the loop used to skip it, leaving ``consumed`` one behind
+        ``head`` and the send ring one slot short for good."""
+        tb = Testbed(seed=3)
+        scheme = SwOptScheme(tb)
+        TestNicReceiveUnderLinkFaults._transfer(tb, scheme, 4 * KIB)
+        tb.sim.run()
+        plan = _plan(FaultRule("pcie.timeout", occurrences={1})
+                     ).install(tb.sim, tb.rng)
+        nic = tb.node0.host.nic
+        sent = nic.frames_sent
+        tb.sim.process(scheme.client_send(tb.node0, scheme.connect(),
+                                          4 * KIB))
+        tb.sim.run()
+        assert plan.injected == 1
+        assert nic.tx_faults == 1
+        assert nic.frames_sent == sent
+        channel = nic._tx_channels[0]
+        assert channel.consumed == channel.head == channel.tail
+        ring = tb.node0.host.nic_driver.client.send_ring
+        assert ring.slots_free() == ring.depth
+        tb.assert_no_leaks()
+
 
 class TestHostReceiveSequenceGap:
     def test_gap_discards_frames_and_later_connections_still_receive(self):

@@ -120,49 +120,18 @@ class TestExtentFilesystem:
 
 
 class TestPageCache:
-    def test_hit_miss_accounting(self):
-        cache = PageCache(capacity_pages=8)
-        assert cache.lookup("f", 0) is None
-        cache.insert("f", 0, bytes(PAGE))
-        assert cache.lookup("f", 0) == bytes(PAGE)
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_lru_eviction(self):
-        cache = PageCache(capacity_pages=2)
-        cache.insert("f", 0, bytes(PAGE))
-        cache.insert("f", 1, bytes(PAGE))
-        cache.lookup("f", 0)              # 0 becomes MRU
-        cache.insert("f", 2, bytes(PAGE))  # evicts 1
-        assert cache.lookup("f", 1) is None
-        assert cache.lookup("f", 0) is not None
-
     def test_dirty_tracking(self):
         cache = PageCache()
-        cache.insert("f", 3, b"\x01" * PAGE, dirty=True)
+        cache.mark_dirty("f", 3, b"\x01" * PAGE)
         assert cache.dirty_pages("f", 0, 10) == [3]
         assert cache.dirty_data("f", 3) == b"\x01" * PAGE
         cache.mark_clean("f", 3)
         assert cache.dirty_pages("f", 0, 10) == []
 
-    def test_dirty_eviction_refused(self):
-        cache = PageCache(capacity_pages=1)
-        cache.insert("f", 0, bytes(PAGE), dirty=True)
-        with pytest.raises(ConfigurationError):
-            cache.insert("f", 1, bytes(PAGE))
-
     def test_partial_page_rejected(self):
         cache = PageCache()
         with pytest.raises(ConfigurationError):
-            cache.insert("f", 0, b"small")
-
-    def test_invalidate_keeps_dirty(self):
-        cache = PageCache()
-        cache.insert("f", 0, bytes(PAGE))
-        cache.insert("f", 1, bytes(PAGE), dirty=True)
-        dropped = cache.invalidate("f")
-        assert dropped == 1
-        assert cache.dirty_pages("f", 0, 4) == [1]
+            cache.mark_dirty("f", 0, b"small")
 
 
 class TestHostStorage:

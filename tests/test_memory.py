@@ -133,11 +133,6 @@ class TestMemoryRegion:
         with pytest.raises(AddressError):
             region.watch(0x1ff0, 32, lambda: None)
 
-    def test_mmio_read_hook(self):
-        region = MemoryRegion("regs", base=0, size=4096, port="dev")
-        region.on_mmio_read = lambda off, length: bytes([off % 256] * length)
-        assert region.read(8, 2) == b"\x08\x08"
-
     def test_sparse_region(self):
         region = MemoryRegion("flash", base=0, size=1024 * MIB, port="ssd",
                               sparse=True)

@@ -208,17 +208,6 @@ class TestFabric:
         assert rung == [(DOORBELL_WRITE_NS, 0x10, b"\x05\x00\x00\x00")]
         assert fabric.stats("engine").doorbells == 1
 
-    def test_mmio_read_round_trip(self, sim, fabric):
-        fabric.poke(0x0000_0040, b"\xaa\xbb\xcc\xdd")
-
-        def body(sim, fabric):
-            data = yield from fabric.mmio_read("ssd", 0x0000_0040, 4)
-            return data
-
-        proc = sim.process(body(sim, fabric))
-        assert sim.run(until=proc) == b"\xaa\xbb\xcc\xdd"
-        assert sim.now > 0
-
     def test_msi_delivery(self, sim, fabric):
         hits = []
         fabric.register_msi_handler("host", lambda src, vec: hits.append((src, vec)))

@@ -3,9 +3,10 @@
 A test-local reference fabric keeps the original timing model spelled
 out step by step: the hop (or read-request) latency, one
 ``pcie.timeout`` check, then the source's TX and the target's RX held
-as two FIFO :class:`~repro.sim.resources.Resource`\\ s, acquired in one
-global order (link name, rx before tx on equal names) and each released
-after its own serialization time.  The real :class:`Fabric` must agree
+as two test-local FIFO holds (:class:`tests.fifo_oracle.SetResource`,
+independent of the fabric's :class:`~repro.sim.resources.Lanes`),
+acquired in one global order (link name, rx before tx on equal names)
+and each released after its own serialization time.  The real :class:`Fabric` must agree
 with it on every drawn batch of concurrent DMAs: finish ticks,
 outcomes, the order DMAs finish and bytes land (same-tick ties
 included), and every byte counter.
@@ -23,9 +24,9 @@ from repro.pcie.address import AddressMap
 from repro.pcie.transaction import (COMPLETION_TIMEOUT_NS, HOP_FORWARD_NS,
                                     READ_REQUEST_NS)
 from repro.sim import Simulator
-from repro.sim.resources import Resource
 from repro.sim.rng import RngHub
 from repro.units import KIB
+from tests.fifo_oracle import SetResource
 
 # Asymmetric on purpose: the SSD's x4 link is the slow end of any
 # transfer it takes part in.
@@ -61,8 +62,8 @@ class _RefLink:
     def __init__(self, sim, name, config):
         self.name = name
         self.rate = config.effective_rate()
-        self.tx = Resource(sim, capacity=1)
-        self.rx = Resource(sim, capacity=1)
+        self.tx = SetResource(sim)
+        self.rx = SetResource(sim)
 
 
 class _RefPort:
@@ -74,7 +75,7 @@ class _RefPort:
 
 
 class ReferenceFabric:
-    """The oracle: per-DMA port lookups and a two-Resource path hold."""
+    """The oracle: per-DMA port lookups and a two-hold path."""
 
     def __init__(self, sim):
         self.sim = sim

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import NULL_TRACE, current_trace, traced_op
 from repro.errors import SimulationError
 from repro.sim import AllOf, AnyOf, Event, Process, Simulator, Timeout
-from repro.sim.resources import Put, Request, Resource, Store
+from repro.sim.resources import Put, Store
 from repro.units import usec
 
 
@@ -405,9 +405,9 @@ class TestKernelOrder:
         def body():
             yield sim.timeout(1)
 
-        resource = Resource(sim)
+        store = Store(sim)
         events = [sim.event(), sim.timeout(3), sim.process(body()),
-                  sim.all_of([]), sim.any_of([]), resource.request(),
+                  sim.all_of([]), sim.any_of([]), store.put(1),
                   sim.event()]
         # A process draws one extra id for its bootstrap event.
         assert [event.eid for event in events] == [1, 2, 3, 5, 6, 7, 8]
@@ -571,25 +571,17 @@ class TestSlots:
         def body():
             yield sim.timeout(1)
 
-        def queued_request():
-            resource = Resource(sim)
-            resource.request()
-            return resource.request()
-
         return {
             "Event": lambda: sim.event(),
             "Timeout": lambda: sim.timeout(1),
             "Process": lambda: sim.process(body()),
             "AllOf": lambda: sim.all_of([]),
             "AnyOf": lambda: sim.any_of([]),
-            "Request": lambda: Resource(sim).request(),
-            "Request-queued": queued_request,
             "Put": lambda: Store(sim).put(1),
         }[case]()
 
     CASES = {"Event": Event, "Timeout": Timeout, "Process": Process,
-             "AllOf": AllOf, "AnyOf": AnyOf, "Request": Request,
-             "Request-queued": Request, "Put": Put}
+             "AllOf": AllOf, "AnyOf": AnyOf, "Put": Put}
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_event_classes_have_no_instance_dict(self, sim, case):
@@ -599,7 +591,7 @@ class TestSlots:
         assert not hasattr(event, "__dict__")
         for klass in kind.__mro__[:-1]:
             assert "__slots__" in vars(klass), klass.__name__
-            # Timeout and Request set Event's slots flat: none may be
+            # Timeout and Process set Event's slots flat: none may be
             # left unset by a constructor that skips super().__init__.
             for slot in vars(klass)["__slots__"]:
                 assert hasattr(event, slot), f"{klass.__name__}.{slot}"
@@ -611,15 +603,17 @@ class TestSlots:
         proc = self.make("Process", sim)
         assert proc.request_trace is None
 
-    def test_inline_granted_request_is_born_processed(self, sim):
-        req = Resource(sim).request()
-        assert req.processed and req.ok
-        assert req.callbacks is None
+    def test_accepted_put_is_born_processed(self, sim):
+        put = Store(sim).put(1)
+        assert put.processed and put.ok
+        assert put.callbacks is None
 
-    def test_queued_request_waits_with_a_callbacks_list(self, sim):
-        req = self.make("Request-queued", sim)
-        assert req.callbacks == []
-        assert not req.triggered
+    def test_parked_put_waits_with_a_callbacks_list(self, sim):
+        store = Store(sim, capacity=1)
+        store.put(1)
+        put = store.put(2)
+        assert put.callbacks == []
+        assert not put.triggered
 
 
 class TestRequestContext:

@@ -1,15 +1,13 @@
-"""Unit and property tests for Resource / Store / Signal / WaiterTable."""
-
-from collections import deque
+"""Unit and property tests for Lanes / Store / Signal / WaiterTable."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import (Lanes, Resource, Signal, Simulator, Store,
-                       WaiterTable)
-from repro.sim.resources import Request
+from repro.sim import Lanes, Signal, Simulator, Store, WaiterTable
+
+from tests.fifo_oracle import SetResource
 
 
 @pytest.fixture
@@ -17,146 +15,171 @@ def sim():
     return Simulator()
 
 
-class TestResource:
-    def test_grant_immediately_when_free(self, sim):
-        res = Resource(sim, capacity=1)
+def _hold(lanes, sim, ticks):
+    """Process: take a lane, keep it ``ticks``, give it back."""
+    yield from lanes.acquire()
+    try:
+        yield sim.timeout(ticks)
+    finally:
+        lanes.release()
 
-        def body(sim, res):
-            req = res.request()
-            yield req
-            res.release(req)
+
+class TestResource:
+    """:class:`Lanes` as a counted FIFO hold: ``yield from
+    lanes.acquire()``, then ``lanes.release()``."""
+
+    def test_grant_immediately_when_free(self, sim):
+        lanes = Lanes(sim, 1)
+
+        def body(sim, lanes):
+            yield from lanes.acquire()
+            lanes.release()
             return sim.now
 
-        proc = sim.process(body(sim, res))
+        proc = sim.process(body(sim, lanes))
         sim.run()
         assert proc.value == 0
 
     def test_mutual_exclusion(self, sim):
-        res = Resource(sim, capacity=1)
+        lanes = Lanes(sim, 1)
         active = []
         max_active = []
 
-        def body(sim, res):
-            with res.request() as req:
-                yield req
+        def body(sim, lanes):
+            yield from lanes.acquire()
+            try:
                 active.append(1)
                 max_active.append(len(active))
                 yield sim.timeout(10)
                 active.pop()
+            finally:
+                lanes.release()
 
         for _ in range(5):
-            sim.process(body(sim, res))
+            sim.process(body(sim, lanes))
         sim.run()
         assert max(max_active) == 1
         assert sim.now == 50
 
     def test_capacity_allows_parallelism(self, sim):
-        res = Resource(sim, capacity=3)
-
-        def body(sim, res):
-            with res.request() as req:
-                yield req
-                yield sim.timeout(10)
-
+        lanes = Lanes(sim, 3)
         for _ in range(6):
-            sim.process(body(sim, res))
+            sim.process(_hold(lanes, sim, 10))
         sim.run()
         assert sim.now == 20  # two waves of three
 
     def test_fifo_grant_order(self, sim):
-        res = Resource(sim, capacity=1)
+        lanes = Lanes(sim, 1)
         order = []
 
-        def body(sim, res, name):
-            with res.request() as req:
-                yield req
+        def body(sim, lanes, name):
+            yield from lanes.acquire()
+            try:
                 order.append(name)
                 yield sim.timeout(1)
+            finally:
+                lanes.release()
 
         for name in "abcd":
-            sim.process(body(sim, res, name))
+            sim.process(body(sim, lanes, name))
         sim.run()
         assert order == list("abcd")
 
     def test_release_unheld_raises(self, sim):
-        res = Resource(sim)
-        other = Resource(sim)
-        req = other.request()
+        lanes = Lanes(sim, 2)
         with pytest.raises(SimulationError):
-            res.release(req)
+            lanes.release()
+        next(lanes.acquire(), None)
+        lanes.release()
+        with pytest.raises(SimulationError):
+            lanes.release()
+        assert lanes.count == 0
 
     def test_cancel_waiting_request(self, sim):
-        res = Resource(sim, capacity=1)
-        held = res.request()          # granted
-        waiting = res.request()       # queued
-        res.release(waiting)          # cancel from the queue
-        res.release(held)
-        assert res.count == 0
-        assert res.queue_length == 0
+        """Closing an acquire parked behind the held lane takes it out
+        of the queue; the holder's release then frees the lane."""
+        lanes = Lanes(sim, 1)
+        assert next(lanes.acquire(), None) is None      # held
+        waiting = lanes.acquire()
+        gate = next(waiting)                             # parked
+        waiting.close()
+        assert not gate.triggered
+        lanes.release()
+        assert lanes.count == 0
+        assert lanes.queue_length == 0
 
     def test_bad_capacity_rejected(self, sim):
         with pytest.raises(SimulationError):
-            Resource(sim, capacity=0)
+            Lanes(sim, 0)
 
     def test_count_and_queue_length(self, sim):
-        res = Resource(sim, capacity=2)
-        r1, r2, r3 = res.request(), res.request(), res.request()
-        assert res.count == 2
-        assert res.queue_length == 1
-        res.release(r1)
-        assert res.count == 2  # r3 was promoted
-        assert res.queue_length == 0
-        res.release(r2)
-        res.release(r3)
+        lanes = Lanes(sim, 2)
+        holders = [lanes.acquire() for _ in range(3)]
+        gates = [next(holder, None) for holder in holders]
+        assert gates[:2] == [None, None] and gates[2] is not None
+        assert lanes.count == 2
+        assert lanes.queue_length == 1
+        lanes.release()
+        assert lanes.count == 2  # the third holder was handed the lane
+        assert lanes.queue_length == 0
+        assert gates[2].triggered
+        assert next(holders[2], None) is None   # resumes holding
+        lanes.release()
+        lanes.release()
+        assert lanes.count == 0
 
 
 class TestInlineGrant:
-    """An uncontended request is granted inside ``request()`` and the
-    yielding process continues within the same step; contended requests
-    are granted through the event queue in FIFO order."""
+    """An uncontended acquire takes the lane inside ``acquire()`` and
+    the holder continues within the same step; contended holders are
+    handed lanes through the event queue in FIFO order."""
 
-    def test_uncontended_request_is_processed_on_return(self, sim):
-        res = Resource(sim, capacity=1)
-        req = res.request()
-        assert req.triggered and req.processed and req.ok
-        assert req.value is None
-        assert res.count == 1
+    def test_uncontended_acquire_finishes_without_yielding(self, sim):
+        lanes = Lanes(sim, 1)
+        first_eid = sim.event().eid
+        assert next(lanes.acquire(), None) is None
+        assert lanes.count == 1
         assert sim.peek() is None  # nothing queued for the grant
-        queued = res.request()
-        assert not queued.triggered
-        res.release(req)
-        assert queued.triggered and not queued.processed
+        assert sim.event().eid == first_eid + 1   # no event created
+        queued = lanes.acquire()
+        gate = next(queued)
+        assert not gate.triggered
+        lanes.release()
+        assert gate.triggered and not gate.processed
+        assert next(queued, None) is None
+        assert (lanes.count, lanes.queue_length) == (1, 0)
 
     def test_yielding_process_continues_before_same_tick_events(self, sim):
-        res = Resource(sim, capacity=1)
+        lanes = Lanes(sim, 1)
         log = []
 
         def body():
             sim.timeout(0).callbacks.append(lambda _: log.append("tick"))
-            with res.request() as req:
-                yield req
-                log.append("granted")
+            yield from lanes.acquire()
+            log.append("granted")
+            lanes.release()
 
         sim.run(until=sim.process(body()))
         assert log == ["granted", "tick"]
 
     def test_contended_grants_keep_fifo_and_same_tick_order(self, sim):
-        res = Resource(sim, capacity=1)
+        lanes = Lanes(sim, 1)
         log = []
 
         def holder():
-            req = res.request()
-            yield req
+            yield from lanes.acquire()
             log.append((sim.now, "holder got"))
             yield sim.timeout(10)
-            res.release(req)
+            lanes.release()
             log.append((sim.now, "holder released"))
 
         def waiter(name):
-            with res.request() as req:
-                yield req
+            yield from lanes.acquire()
+            try:
                 log.append((sim.now, f"{name} got"))
                 yield sim.timeout(5)
+            finally:
+                lanes.release()
 
         def observer():
             yield sim.timeout(10)
@@ -167,7 +190,7 @@ class TestInlineGrant:
         sim.process(observer())
         sim.process(waiter("b"))
         sim.run()
-        # The release at t=10 queues a's grant behind the observer's
+        # The release at t=10 queues a's hand-over behind the observer's
         # already-queued timeout: contended grants take the queue.
         assert log == [
             (0, "holder got"),
@@ -176,22 +199,6 @@ class TestInlineGrant:
             (10, "a got"),
             (15, "b got"),
         ]
-
-    def test_conditions_and_run_until_accept_a_granted_request(self, sim):
-        res = Resource(sim, capacity=2)
-        first, second = res.request(), res.request()
-        assert sim.run(until=first) is None
-
-        def body():
-            wait = sim.timeout(3, "t")
-            both = yield sim.all_of([first, wait])
-            either = yield sim.any_of([second, sim.timeout(7)])
-            return both == {first: None, wait: "t"}, either, sim.now
-
-        both_ok, either, now = sim.run(until=sim.process(body()))
-        assert both_ok
-        assert either == {second: None}
-        assert now == 3
 
 
 class TestSignal:
@@ -336,6 +343,23 @@ class TestInlinePut:
         assert blocked.triggered and not blocked.processed
 
 
+    def test_conditions_and_run_until_accept_an_accepted_put(self, sim):
+        store = Store(sim)
+        first, second = store.put("a"), store.put("b")
+        assert sim.run(until=first) is None
+
+        def body():
+            wait = sim.timeout(3, "t")
+            both = yield sim.all_of([first, wait])
+            either = yield sim.any_of([second, sim.timeout(7)])
+            return both == {first: None, wait: "t"}, either, sim.now
+
+        both_ok, either, now = sim.run(until=sim.process(body()))
+        assert both_ok
+        assert either == {second: None}
+        assert now == 3
+
+
 class TestStore:
     def test_put_then_get(self, sim):
         store = Store(sim)
@@ -442,31 +466,38 @@ class TestStoreProperties:
            capacity=st.integers(min_value=1, max_value=4))
     def test_resource_never_oversubscribed(self, durations, capacity):
         sim = Simulator()
-        res = Resource(sim, capacity=capacity)
+        lanes = Lanes(sim, capacity)
         active = [0]
         peak = [0]
 
-        def body(sim, res, dur):
-            with res.request() as req:
-                yield req
+        def body(sim, lanes, dur):
+            yield from lanes.acquire()
+            try:
                 active[0] += 1
                 peak[0] = max(peak[0], active[0])
                 yield sim.timeout(dur)
                 active[0] -= 1
+            finally:
+                lanes.release()
 
         for dur in durations:
-            sim.process(body(sim, res, dur))
+            sim.process(body(sim, lanes, dur))
         sim.run()
         assert peak[0] <= capacity
         assert active[0] == 0
+        assert (lanes.count, lanes.queue_length) == (0, 0)
 
 
 class TestWaiterTable:
-    @staticmethod
-    def _admit(table):
+    def setup_method(self):
+        self.admissions = []
+
+    def _admit(self, table):
         """Run ``table.admit()`` to its first yield: None if it admitted
-        at once, else the gate it parked on."""
-        return next(table.admit(), None)
+        at once, else the gate it parked on.  The admission is kept: one
+        dropped while parked would leave the queue."""
+        self.admissions.append(admission := table.admit())
+        return next(admission, None)
 
     def test_free_slot_admits_without_a_yield_or_an_event(self, sim):
         table = WaiterTable(sim, capacity=2)
@@ -509,112 +540,88 @@ class TestWaiterTable:
         assert table.stale_completions == 0 and not table.waiters
 
 
-class _SetResource:
-    """Oracle: the set-of-users ``Resource`` the counted one replaced.
-
-    Kept verbatim in behaviour: inline grant into a free resource with
-    no waiters, FIFO queue otherwise, ``release`` of a held request
-    grants the next waiter(s), ``release`` of a waiting one cancels it,
-    and anything else raises.
-    """
-
-    def __init__(self, sim, capacity=1):
-        self.sim = sim
-        self.capacity = capacity
-        self._users = set()
-        self._waiting = deque()
-
-    @property
-    def count(self):
-        return len(self._users)
-
-    @property
-    def queue_length(self):
-        return len(self._waiting)
-
-    def request(self):
-        if len(self._users) < self.capacity and not self._waiting:
-            req = Request(self, granted=True)
-            self._users.add(req)
-        else:
-            req = Request(self)
-            self._waiting.append(req)
-        return req
-
-    def release(self, req):
-        if req in self._users:
-            self._users.remove(req)
-            while self._waiting and len(self._users) < self.capacity:
-                nxt = self._waiting.popleft()
-                self._users.add(nxt)
-                nxt.succeed()
-        else:
-            try:
-                self._waiting.remove(req)
-            except ValueError:
-                raise SimulationError(
-                    "release() of a request not held or queued")
-
-
 # One actor: arrival tick, hold ticks, and patience -- None waits as
-# long as it takes (``with res.request()``), an int gives up after that
-# many ticks and releases the request while it is still waiting.
+# long as it takes, an int gives up after that many ticks and, if still
+# parked, leaves the queue (a closed acquire; a released request in the
+# oracle).
 _ACTOR = st.tuples(st.integers(min_value=0, max_value=6),
                    st.integers(min_value=0, max_value=5),
                    st.one_of(st.none(), st.integers(min_value=0, max_value=6)))
 
 
+class _OracleHold:
+    """One holder's claim on the :class:`SetResource` oracle."""
+
+    def __init__(self, res):
+        self.res = res
+        self.req = res.request()
+
+    def gate(self):
+        """The event to wait on, or None if granted on the spot."""
+        return None if self.req.processed else self.req
+
+    def release(self):
+        self.res.release(self.req)
+
+    give_up = release   # releasing a waiting request cancels it
+
+
+class _LanesHold:
+    """One holder's ``Lanes.acquire()``, driven by hand so that an
+    impatient holder can close it while it is parked."""
+
+    def __init__(self, lanes):
+        self.lanes = lanes
+        self.acquire = lanes.acquire()
+        self._gate = next(self.acquire, None)
+
+    def gate(self):
+        return self._gate
+
+    def give_up(self):
+        self.acquire.close()
+
+    def release(self):
+        # Finish the acquire first: closed later, still parked on a
+        # handed-over gate, it would pass the lane on a second time.
+        next(self.acquire, None)
+        self.lanes.release()
+
+
 class TestResourceMatchesSetOracle:
-    """The real :class:`Resource` grants in the order and on the ticks
-    of the set-based oracle, including same-tick arrivals, requests
-    released while still waiting, and double releases."""
+    """:meth:`Lanes.acquire` / :meth:`Lanes.release` hand out lanes in
+    the order and on the ticks of the set-based oracle
+    (:mod:`tests.fifo_oracle`), including same-tick arrivals and holders
+    that give up while still parked."""
 
     @staticmethod
-    def _run(make_resource, capacity, actors):
+    def _run(make_hold, make_resource, capacity, actors):
         sim = Simulator()
         res = make_resource(sim, capacity)
         log = []
 
-        def double_release(name, req):
-            try:
-                res.release(req)
-            except SimulationError:
-                log.append((sim.now, name, "double-release-raised"))
-
-        def patient(name, hold):
-            with res.request() as req:
-                yield req
-                log.append((sim.now, name, "granted", res.count,
-                            res.queue_length))
-                yield sim.timeout(hold)
-            log.append((sim.now, name, "released", res.count,
-                        res.queue_length))
-            double_release(name, req)
-
-        def impatient(name, hold, patience):
-            req = res.request()
-            yield sim.any_of([req, sim.timeout(patience)])
-            if not req.triggered:
-                res.release(req)
-                log.append((sim.now, name, "gave-up", res.count,
-                            res.queue_length))
-            else:
-                if not req.processed:
-                    yield req
-                log.append((sim.now, name, "granted", res.count,
-                            res.queue_length))
-                yield sim.timeout(hold)
-                res.release(req)
-                log.append((sim.now, name, "released", res.count,
-                            res.queue_length))
-            double_release(name, req)
+        def note(name, what):
+            log.append((sim.now, name, what, res.count, res.queue_length))
 
         def arrive(name, arrival, hold, patience):
             yield sim.timeout(arrival)
-            if patience is None:
-                yield from patient(name, hold)
-            else:
-                yield from impatient(name, hold, patience)
+            claim = make_hold(res)
+            gate = claim.gate()
+            if gate is not None:
+                if patience is None:
+                    yield gate
+                else:
+                    yield sim.any_of([gate, sim.timeout(patience)])
+                    if not gate.triggered:
+                        claim.give_up()
+                        note(name, "gave-up")
+                        return
+                    if not gate.processed:
+                        yield gate
+            note(name, "granted")
+            yield sim.timeout(hold)
+            claim.release()
+            note(name, "released")
 
         for name, (arrival, hold, patience) in enumerate(actors):
             sim.process(arrive(name, arrival, hold, patience))
@@ -626,21 +633,9 @@ class TestResourceMatchesSetOracle:
     @given(capacity=st.integers(min_value=1, max_value=4),
            actors=st.lists(_ACTOR, min_size=1, max_size=12))
     def test_grant_order_and_ticks_match_the_oracle(self, capacity, actors):
-        expected = self._run(_SetResource, capacity, actors)
-        got = self._run(Resource, capacity, actors)
+        expected = self._run(_OracleHold, SetResource, capacity, actors)
+        got = self._run(_LanesHold, Lanes, capacity, actors)
         assert got == expected
-        assert sum(entry[2] == "double-release-raised"
-                   for entry in got) == len(actors)
-
-    def test_release_of_a_foreign_or_unknown_request_raises(self, sim):
-        res = Resource(sim, capacity=2)
-        foreign = Resource(sim).request()
-        with pytest.raises(SimulationError):
-            res.release(foreign)
-        held = res.request()
-        res.release(held)
-        with pytest.raises(SimulationError):
-            res.release(held)
 
 
 class TestLanes:
@@ -686,3 +681,35 @@ class TestLanes:
         assert second_gate.triggered
         assert (lanes.count, lanes.queue_length) == (1, 0)
 
+
+    def test_process_closed_while_parked_in_acquire_leaves_the_queue(
+            self, sim):
+        lanes = Lanes(sim, 1)
+        holder, parked = _hold(lanes, sim, 10), _hold(lanes, sim, 10)
+        sim.process(holder)
+        sim.process(parked)
+        sim.run(until=5)
+        assert (lanes.count, lanes.queue_length) == (1, 1)
+        parked.close()
+        assert lanes.queue_length == 0
+        sim.run()
+        assert (lanes.count, lanes.queue_length) == (0, 0)
+        assert sim.now == 10
+
+    def test_process_closed_while_holding_hands_its_lane_on(self, sim):
+        lanes = Lanes(sim, 1)
+        holder = _hold(lanes, sim, 10)
+        granted = []
+
+        def waiter():
+            yield from lanes.acquire()
+            granted.append(sim.now)
+            lanes.release()
+
+        sim.process(holder)
+        sim.process(waiter())
+        sim.run(until=5)
+        holder.close()
+        sim.run()
+        assert granted == [5]
+        assert (lanes.count, lanes.queue_length) == (0, 0)

@@ -15,12 +15,15 @@ observation planes on, it prints host nanoseconds per uncontended 64 B
 ``dma_write`` under a ``TraceSession`` and a ``MetricsSession``, per
 ``Tracer.begin`` + ``Span.end`` pair and per ``TimeWeightedGauge.inc``.  Each figure is
 the best of a few repeats of a fixed batch, so the run takes a few
-seconds.  It asserts nothing about speed: it is a
+seconds.  Last, it prints the objects each scheme's 4 KiB ``send_file``
+leaves for the cyclic garbage collector (0 expected: a finished process
+is freed by reference counting).  It asserts nothing: it is a
 probe for profiling work, and CI runs it only to keep it working.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager, nullcontext
 
@@ -29,6 +32,7 @@ from repro.host import CpuPool
 from repro.memory import MemoryRegion
 from repro.metrics import MetricSet, MetricsSession
 from repro.pcie import Fabric, LINK_GEN2_X8
+from repro.schemes import ALL_SCHEMES, Testbed
 from repro.sim import Lanes, Simulator
 from repro.trace import Tracer, TraceSession
 from repro.units import KIB, MIB
@@ -37,6 +41,7 @@ REPEATS = 5
 DMAS = 4_000
 TIMEOUTS = 100_000
 OPS = 50_000
+SENDS = 4
 HOST_BASE = 0x0000_0000
 ENGINE_BASE = 0x4000_0000
 
@@ -239,6 +244,31 @@ def timegauge_inc() -> float:
     return _best_ns_per_op(build, OPS)
 
 
+def cyclic_garbage_per_send(scheme_cls) -> float:
+    """Objects the cyclic collector finds per 4 KiB ``send_file`` on a
+    warm testbed, the sends run with the collector off."""
+    tb = Testbed(seed=5)
+    scheme = scheme_cls(tb)
+    data = bytes(4 * KIB)
+
+    def send(name):
+        tb.node0.host.install_file(name, data)
+        conn = scheme.connect()
+        tb.sim.process(scheme.send_file(tb.node0, conn, name, 0, len(data)))
+        tb.sim.process(scheme.client_recv(tb.node1, conn, len(data)))
+        tb.sim.run()
+
+    send("warm.dat")
+    gc.collect()
+    gc.disable()
+    try:
+        for index in range(SENDS):
+            send(f"send-{index}.dat")
+        return gc.collect() / SENDS
+    finally:
+        gc.enable()
+
+
 def main() -> None:
     for kind in ("write", "read"):
         for size in (64, 4 * KIB):
@@ -258,6 +288,9 @@ def main() -> None:
           f"{uncontended('write', 64, planes=True):8.0f} host ns/DMA")
     print(f"Tracer.begin + Span.end:       {span_begin_end():8.0f} host ns")
     print(f"TimeWeightedGauge.inc:         {timegauge_inc():8.0f} host ns")
+    print("objects left for the cyclic collector per 4 KiB send_file:")
+    for name, scheme_cls in ALL_SCHEMES.items():
+        print(f"{name:10s} {cyclic_garbage_per_send(scheme_cls):8.1f}")
 
 
 if __name__ == "__main__":

@@ -160,7 +160,9 @@ class DeviceCommand:
     d2d_id: int = 0
     result: Optional[object] = field(default=None, repr=False)
     # Hardware fix-up run the cycle the entry completes, before any
-    # dependent issues (e.g. patch a send length after GZIP).
+    # dependent issues (e.g. patch a send length after GZIP).  The
+    # scoreboard clears it as the entry completes or is cancelled, so
+    # a fix-up that refers back to its entry leaves no reference cycle.
     after: Optional[Callable[[], None]] = field(default=None, repr=False)
     # Execution window, recorded by the scoreboard (profiling).
     issued_at: int = -1

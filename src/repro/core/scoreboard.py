@@ -172,6 +172,7 @@ class Scoreboard:
                 for entry in task.entries:
                     if entry.state == EntryState.WAIT:
                         entry.state = EntryState.CANCELLED
+                        entry.after = None
                         entry.done_at = self.sim.now
                         entry.issued_at = self.sim.now
                         cancelled = True
@@ -218,8 +219,10 @@ class Scoreboard:
             entry.state = EntryState.DONE
             entry.done_at = self.sim.now
             self._busy[entry.dev] -= 1
-            if entry.after is not None:
-                entry.after()
+            after = entry.after
+            if after is not None:
+                entry.after = None
+                after()
         yield self.sim.timeout(SCOREBOARD_DECISION)  # state write-back
         self.decisions += 1
         self._drain_completions()

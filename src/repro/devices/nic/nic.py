@@ -357,8 +357,9 @@ class Nic(PcieDevice):
         while True:
             frame = yield self._egress.get()
             faults = self.sim.faults
-            if faults is not None and faults.fires(
-                    "nic.wire_drop", device=self.name, size=len(frame)):
+            if (faults is not None and "nic.wire_drop" in faults.armed_sites
+                    and faults.fires("nic.wire_drop", device=self.name,
+                                     size=len(frame))):
                 # The frame dies on the wire (FCS corruption en route):
                 # serialization time was already paid by the MAC model,
                 # the receiver simply never sees it.

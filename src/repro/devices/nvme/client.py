@@ -93,16 +93,19 @@ class NvmeClient(WaiterTable):
                 # A lost command (dropped CQE, dead device) is forgotten;
                 # should its CQE still land it counts as stale.
                 self.forget(cid)
-                failure = exc
-            if attempt > self.policy.retries:
-                raise failure
+                if attempt > self.policy.retries:
+                    raise
+                # Only its text outlives this block: the exception's
+                # traceback holds this frame, so keeping the exception
+                # in a local would make a reference cycle.
+                reason = str(exc)
             self.retries += 1
             tracer = self.sim.tracer
             if tracer is not None:
                 tracer.instant("recover.retry", track="faults",
                                name=f"{self.label} retry {attempt}",
                                cid=cid, attempt=attempt,
-                               reason=str(failure))
+                               reason=reason)
             yield self.sim.timeout(self.policy.backoff(attempt))
             cid, waiter = yield from issue()
 

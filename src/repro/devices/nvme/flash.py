@@ -60,9 +60,10 @@ class FlashStore:
         """Read ``nblocks`` logical blocks starting at ``slba``."""
         self._check(slba, nblocks)
         faults = None if self.sim is None else self.sim.faults
-        if faults is not None and faults.fires(
-                "flash.read", key=(self.owner, slba),
-                owner=self.owner, slba=slba, nblocks=nblocks):
+        if (faults is not None and "flash.read" in faults.armed_sites
+                and faults.fires("flash.read", key=(self.owner, slba),
+                                 owner=self.owner, slba=slba,
+                                 nblocks=nblocks)):
             self.media_errors += 1
             raise MediaError(
                 f"{self.owner}: uncorrectable media error reading "

@@ -316,9 +316,10 @@ class NvmeSsd(PcieDevice):
         # Either way the data moved but no CQE/MSI reaches the
         # submitter, whose watchdog must act.
         faults = self.sim.faults
-        dropped = faults is not None and faults.fires(
-            "nvme.cqe_drop", device=self.name, qid=state.qid,
-            cid=command.cid)
+        dropped = (faults is not None
+                   and "nvme.cqe_drop" in faults.armed_sites
+                   and faults.fires("nvme.cqe_drop", device=self.name,
+                                    qid=state.qid, cid=command.cid))
         if not dropped:
             # CQE posting serializes per queue to keep tail/phase
             # coherent.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from typing import Optional, Type
 
 from repro.apps.workload import pattern_bytes
@@ -23,6 +24,20 @@ SOFTWARE_CATEGORIES = (CAT.FILESYSTEM, CAT.NETWORK, CAT.DEVICE_CONTROL,
                        CAT.KERNEL_OTHER)
 
 
+def fresh_testbed(**config) -> Testbed:
+    """A new :class:`Testbed`, built after collecting the runs before it.
+
+    A testbed is cyclic by design (device loops and the simulator refer
+    to each other), so a dropped one waits for the cyclic collector.
+    Finished processes leave no cyclic garbage, so automatic
+    collections are rare; collecting here keeps a run of many
+    experiments from holding every earlier testbed.  Tests build
+    :class:`Testbed` directly and pay no collection.
+    """
+    gc.collect()
+    return Testbed(**config)
+
+
 def software_us(result: TransferResult) -> float:
     """Software-attributable latency (total minus device-only time)."""
     segs = result.trace.breakdown_us()
@@ -35,7 +50,7 @@ def measure_send(scheme_cls: Type[Scheme], processing: Optional[str],
                  warmups: int = 1) -> TransferResult:
     """One steady-state send_file measurement on a fresh testbed."""
     with section(f"{scheme_cls.name}/{processing or 'none'}"):
-        tb = Testbed(seed=seed)
+        tb = fresh_testbed(seed=seed)
         scheme = scheme_cls(tb)
         data = pattern_bytes(size, 7)
         for index in range(warmups):
@@ -77,7 +92,7 @@ def measure_send_cpu(scheme_cls: Type[Scheme], processing: Optional[str],
     """CPU busy-time (ns per request, by category) of one steady-state
     send on node0."""
     with section(f"{scheme_cls.name}/cpu/{processing or 'none'}"):
-        tb = Testbed(seed=seed)
+        tb = fresh_testbed(seed=seed)
         scheme = scheme_cls(tb)
         data = pattern_bytes(size, 7)
         _run_one(tb, scheme, data, "warm.dat", processing)

@@ -13,6 +13,7 @@ injection site).
 from __future__ import annotations
 
 from repro.apps.workload import pattern_bytes
+from repro.experiments.common import fresh_testbed
 from repro.experiments.result import ExperimentResult
 from repro.faults import FaultPlan, FaultRule
 from repro.schemes import ALL_SCHEMES
@@ -35,10 +36,8 @@ def _percentile(samples, fraction: float) -> float:
 def _run_cell(scheme_cls, rate: float) -> dict:
     """One (scheme, fault-rate) cell: sequential requests on a fresh
     testbed, errors counted rather than raised."""
-    from repro.schemes import Testbed
-
     plan = FaultPlan([FaultRule("flash.read", probability=rate)])
-    tb = Testbed(seed=SEED, faults=plan)
+    tb = fresh_testbed(seed=SEED, faults=plan)
     scheme = scheme_cls(tb)
     data = pattern_bytes(REQUEST_SIZE, 7)
     latencies = []

@@ -12,9 +12,10 @@ from typing import Dict
 
 from repro.apps import (HdfsConfig, SwiftConfig, WorkloadConfig,
                         run_hdfs_balancer, run_swift)
+from repro.experiments.common import fresh_testbed
 from repro.experiments.result import ExperimentResult
 from repro.host.costs import CAT
-from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme, Testbed
+from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme
 from repro.units import KIB, MIB
 
 SCHEMES = (("sw-opt", SwOptScheme), ("sw-p2p", SwP2pScheme),
@@ -44,7 +45,7 @@ def run_fig12_swift(config: SwiftConfig = SWIFT_CONFIG) -> ExperimentResult:
                 + [cat for cat in CPU_DISPLAY])
     totals = {}
     for name, scheme_cls in SCHEMES:
-        tb = Testbed(seed=21)
+        tb = fresh_testbed(seed=21)
         run = run_swift(scheme_cls(tb), config)
         totals[name] = run.server_cpu_total
         result.add_row(name, f"{run.throughput_gbps:.2f}",
@@ -67,7 +68,7 @@ def run_fig12_hdfs(config: HdfsConfig = HDFS_CONFIG) -> ExperimentResult:
                 + [cat for cat in CPU_DISPLAY])
     totals = {}
     for name, scheme_cls in SCHEMES:
-        tb = Testbed(seed=22)
+        tb = fresh_testbed(seed=22)
         run = run_hdfs_balancer(scheme_cls(tb), config)
         totals[name] = (run.sender_cpu_total, run.receiver_cpu_total,
                         run.throughput_gbps)

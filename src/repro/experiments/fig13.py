@@ -15,8 +15,9 @@ from typing import Dict, Tuple
 from repro.analysis.projection import project_cores
 from repro.apps import run_hdfs_balancer, run_swift
 from repro.experiments.fig12 import HDFS_CONFIG, SWIFT_CONFIG
+from repro.experiments.common import fresh_testbed
 from repro.experiments.result import ExperimentResult
-from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme, Testbed
+from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme
 
 SCHEMES = (("sw-opt", SwOptScheme), ("sw-p2p", SwP2pScheme),
            ("dcs-ctrl", DcsCtrlScheme))
@@ -29,7 +30,7 @@ CORES = 6
 def _measure_swift() -> Dict[str, Tuple[float, float]]:
     out = {}
     for name, scheme_cls in SCHEMES:
-        tb = Testbed(seed=31)
+        tb = fresh_testbed(seed=31)
         run = run_swift(scheme_cls(tb), SWIFT_CONFIG)
         out[name] = (run.throughput_gbps, run.server_cpu_total * CORES)
     return out
@@ -38,7 +39,7 @@ def _measure_swift() -> Dict[str, Tuple[float, float]]:
 def _measure_hdfs() -> Dict[str, Tuple[float, float]]:
     out = {}
     for name, scheme_cls in SCHEMES:
-        tb = Testbed(seed=32)
+        tb = fresh_testbed(seed=32)
         run = run_hdfs_balancer(scheme_cls(tb), HDFS_CONFIG)
         # A storage node carries both roles' CPU at line rate.
         cores = (run.sender_cpu_total + run.receiver_cpu_total) * CORES

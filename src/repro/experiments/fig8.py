@@ -13,6 +13,7 @@ KiB SSD→NIC request.
 
 from __future__ import annotations
 
+from repro.experiments.common import fresh_testbed
 from repro.experiments.result import ExperimentResult
 from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
 from repro.units import KIB
@@ -50,7 +51,7 @@ def _linux_buffered_send(tb: Testbed, name: str) -> int:
 
 
 def _scheme_send_cpu(scheme_cls, seed: int) -> int:
-    tb = Testbed(seed=seed)
+    tb = fresh_testbed(seed=seed)
     scheme = scheme_cls(tb)
     data = bytes(SIZE)
     tb.node0.host.install_file("fig8.dat", data)
@@ -74,7 +75,7 @@ def _scheme_send_cpu(scheme_cls, seed: int) -> int:
 
 
 def run_fig8() -> ExperimentResult:
-    tb = Testbed(seed=8)
+    tb = fresh_testbed(seed=8)
     tb.node0.host.install_file("fig8.dat", bytes(SIZE))
     linux_ns = _linux_buffered_send(tb, "fig8.dat")
     swopt_ns = _scheme_send_cpu(SwOptScheme, seed=8)

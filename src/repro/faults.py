@@ -14,7 +14,8 @@ module is the platform half of that story:
 * :class:`ActiveFaults` — the per-simulator runtime installed by
   :meth:`FaultPlan.install` as ``sim.faults``.  Injection sites guard
   with one ``is not None`` check (mirroring ``sim.tracer``), so the
-  fault-free hot path pays a single branch per site.
+  fault-free hot path pays a single branch per site; under a plan, a
+  site it has no rule for skips :meth:`ActiveFaults.fires` too.
 * :class:`RetryPolicy` — deadline + bounded-retry/backoff parameters
   used by the host NVMe driver, the engine's device controllers and
   the HDC driver's completion watchdog.
@@ -149,7 +150,9 @@ class ActiveFaults:
     ``armed`` is False for a zero-rate plan (no rule can ever fire);
     recovery code uses it to skip arming watchdogs, which keeps a
     zero-rate run's event schedule byte-identical to an uninstrumented
-    one.
+    one.  ``armed_sites`` names the sites the plan has a rule for:
+    :meth:`fires` on any other site only returns False, so injection
+    sites test membership first and skip the call.
     """
 
     def __init__(self, plan: FaultPlan, rng_hub, sim):
@@ -168,6 +171,7 @@ class ActiveFaults:
             state.rules.append(rule)
             state.fired.append(0)
         self.armed = any(rule.can_fire for rule in plan.rules)
+        self.armed_sites = frozenset(self._sites)
 
     def occurrences(self, site: str) -> int:
         """How many times ``site`` has been evaluated so far."""

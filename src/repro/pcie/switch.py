@@ -240,8 +240,9 @@ class Fabric:
             "tlp.send", track=route.tlp_track, name=tlp_name,
             src=src.name, dst=dst.name, size=length)
         faults = sim.faults
-        if faults is not None and faults.fires(
-                "pcie.timeout", src=src.name, dst=dst.name, size=length):
+        if (faults is not None and "pcie.timeout" in faults.armed_sites
+                and faults.fires("pcie.timeout", src=src.name,
+                                 dst=dst.name, size=length)):
             # The TLPs never complete: the requester waits out its
             # completion timer and reports an error.  Neither direction
             # is held and no bytes land.

@@ -29,6 +29,13 @@ process's one bound ``_resume``, and a process started with
 counters (schedule sequence, event ids) are bound
 ``itertools.count().__next__`` callables.  :meth:`Simulator.run` calls
 :meth:`Simulator.step` exactly once per event.
+
+No reference cycle on the hot path: a process drops its cached bound
+``_resume`` on every end path, so a finished process and its generator
+are freed by reference counting and the cyclic garbage collector has
+nothing to do per event.  Testbeds (device loops and the simulator
+refer to each other) and failed processes that someone watches (their
+exceptions' tracebacks hold the kernel frame) still form cycles.
 """
 
 from __future__ import annotations
@@ -97,6 +104,8 @@ class Process(Event):
                 "proc.run", track="processes",
                 name=code.co_name if code is not None else "process")
         # The one bound method every event this process waits on calls.
+        # It refers back to this process, so every end path drops it:
+        # a finished process is then freed by reference counting.
         self._wake = wake = self._resume
         # Bootstrap: resume the generator as soon as the loop starts.
         # The entry still draws an event id, so eids are unchanged.
@@ -113,11 +122,19 @@ class Process(Event):
     def _fail(self, exception: BaseException) -> None:
         """End the process with ``exception``: dropped on the spot when
         detached and unwatched, else failed through the queue."""
+        self._wake = None
         span = self._span
         if span is not None:
             self._span = None
             span.end(failed=True)
         if self._detached and not self.callbacks:
+            # Nobody can observe this end.  A raised exception's
+            # traceback starts at _resume's frame, which refers back to
+            # this process; it is cut there, so the process is still
+            # freed by reference counting.
+            traceback = exception.__traceback__
+            if traceback is not None:
+                exception.__traceback__ = traceback.tb_next
             self._value = None
             self._exception = exception
             self.callbacks = None
@@ -142,6 +159,7 @@ class Process(Event):
                     else:
                         target = generator.send(value)
                 except StopIteration as stop:
+                    self._wake = None
                     span = self._span
                     if span is not None:
                         self._span = None

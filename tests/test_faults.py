@@ -12,11 +12,12 @@ import pytest
 
 from repro.core.command import D2DKind, D2DStatus
 from repro.errors import ConfigurationError, DeviceError
-from repro.faults import (FaultPlan, FaultRule, RetryPolicy, active_faults,
-                          watchdog)
+from repro.faults import (FAULT_SITES, FaultPlan, FaultRule, RetryPolicy,
+                          active_faults, watchdog)
 from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
 from repro.trace import TraceSession, jsonl_lines
 from repro.units import KIB, sec, usec
+from tests.test_schemes import run_send
 
 
 def _plan(*rules):
@@ -85,6 +86,34 @@ class TestFaultPlan:
         faults = tb.sim.faults
         hits = [faults.fires("flash.read") for _ in range(5)]
         assert hits == [True, True, False, False, False]
+
+
+class TestUnarmedSites:
+    def test_armed_sites_are_the_sites_with_a_rule(self):
+        tb = Testbed(seed=11, faults=_plan(
+            FaultRule("flash.read", probability=0.0),
+            FaultRule("pcie.timeout", occurrences={9})))
+        assert tb.sim.faults.armed_sites == {"flash.read", "pcie.timeout"}
+
+    @pytest.mark.parametrize("site", FAULT_SITES)
+    def test_only_the_armed_site_reaches_fires(self, site):
+        """A send touches all four sites; with one armed, every
+        ``fires`` call names it and each counts as an occurrence."""
+        tb = Testbed(seed=11, faults=_plan(FaultRule(site, probability=0.0)))
+        faults = tb.sim.faults
+        seen = []
+        evaluate = faults.fires
+
+        def spy(name, key=None, **detail):
+            seen.append(name)
+            return evaluate(name, key, **detail)
+
+        faults.fires = spy
+        data = bytes(range(256)) * 16
+        result = run_send(tb, SwOptScheme(tb), data, "armed.dat")
+        assert result.received == data
+        assert seen and set(seen) == {site}
+        assert faults.occurrences(site) == len(seen)
 
 
 class TestWatchdog:

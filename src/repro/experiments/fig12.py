@@ -4,22 +4,26 @@
 on the receiver.  Utilizations are compared at matched offered load
 (same workload on every scheme), per the paper's "with the same
 throughput" methodology.
+
+Each (app, scheme) run is made once per process by :func:`app_run`;
+Fig 13 and the headline read the same runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from functools import cache
+from typing import Dict, Union
 
-from repro.apps import (HdfsConfig, SwiftConfig, WorkloadConfig,
-                        run_hdfs_balancer, run_swift)
+from repro.apps import (HdfsConfig, HdfsRun, SwiftConfig, SwiftRun,
+                        WorkloadConfig, run_hdfs_balancer, run_swift)
 from repro.experiments.common import fresh_testbed
 from repro.experiments.result import ExperimentResult
 from repro.host.costs import CAT
 from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme
 from repro.units import KIB, MIB
 
-SCHEMES = (("sw-opt", SwOptScheme), ("sw-p2p", SwP2pScheme),
-           ("dcs-ctrl", DcsCtrlScheme))
+SCHEMES = {"sw-opt": SwOptScheme, "sw-p2p": SwP2pScheme,
+           "dcs-ctrl": DcsCtrlScheme}
 
 CPU_DISPLAY = (CAT.APPLICATION, CAT.KERNEL_OTHER, CAT.FILESYSTEM,
                CAT.NETWORK, CAT.DEVICE_CONTROL, CAT.COMPLETION,
@@ -33,20 +37,35 @@ SWIFT_CONFIG = SwiftConfig(
 HDFS_CONFIG = HdfsConfig(blocks=24, block_size=1 * MIB, streams=6)
 
 
+@cache
+def app_run(app: str, scheme_name: str) -> Union[SwiftRun, HdfsRun]:
+    """The ``"swift"`` or ``"hdfs"`` run of one scheme, made once.
+
+    A fault-free run ignores the testbed seed (it feeds only fault
+    streams), so the run depends on nothing but the app and the scheme.
+    The result is plain data; the testbed is dropped.  Under a trace or
+    metrics session, the run's events belong to the section that first
+    asked for it.
+    """
+    scheme = SCHEMES[scheme_name](fresh_testbed())
+    if app == "swift":
+        return run_swift(scheme, SWIFT_CONFIG)
+    return run_hdfs_balancer(scheme, HDFS_CONFIG)
+
+
 def _cpu_cells(util: Dict[str, float]) -> list:
     return [f"{util.get(cat, 0.0) * 100:.2f}" for cat in CPU_DISPLAY]
 
 
-def run_fig12_swift(config: SwiftConfig = SWIFT_CONFIG) -> ExperimentResult:
+def run_fig12_swift() -> ExperimentResult:
     result = ExperimentResult(
         name="Fig 12a: Swift server CPU utilization (%, 6 cores) at "
              "matched load",
         headers=["scheme", "Gbps", "total %"]
                 + [cat for cat in CPU_DISPLAY])
     totals = {}
-    for name, scheme_cls in SCHEMES:
-        tb = fresh_testbed(seed=21)
-        run = run_swift(scheme_cls(tb), config)
+    for name in SCHEMES:
+        run = app_run("swift", name)
         totals[name] = run.server_cpu_total
         result.add_row(name, f"{run.throughput_gbps:.2f}",
                        f"{run.server_cpu_total * 100:.2f}",
@@ -60,16 +79,15 @@ def run_fig12_swift(config: SwiftConfig = SWIFT_CONFIG) -> ExperimentResult:
     return result
 
 
-def run_fig12_hdfs(config: HdfsConfig = HDFS_CONFIG) -> ExperimentResult:
+def run_fig12_hdfs() -> ExperimentResult:
     result = ExperimentResult(
         name="Fig 12b: HDFS balancer CPU utilization (%, 6 cores) at "
              "matched bandwidth",
         headers=["scheme", "side", "Gbps", "total %"]
                 + [cat for cat in CPU_DISPLAY])
     totals = {}
-    for name, scheme_cls in SCHEMES:
-        tb = fresh_testbed(seed=22)
-        run = run_hdfs_balancer(scheme_cls(tb), config)
+    for name in SCHEMES:
+        run = app_run("hdfs", name)
         totals[name] = (run.sender_cpu_total, run.receiver_cpu_total,
                         run.throughput_gbps)
         result.add_row(name, "sender", f"{run.throughput_gbps:.2f}",

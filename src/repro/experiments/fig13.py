@@ -6,6 +6,9 @@ grows to 40 Gbps (40-Gbps NIC, six NVMe SSDs, one 6-core Xeon), and
 what throughput fits once the 6-core budget caps the design.  Each
 node runs both directions of balancer/replication traffic, so the
 projection charges a node with its send-side and receive-side CPU.
+
+The measurements are Fig 12's runs (:func:`~repro.experiments.fig12.app_run`);
+this figure projects them and simulates nothing of its own.
 """
 
 from __future__ import annotations
@@ -13,36 +16,24 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.analysis.projection import project_cores
-from repro.apps import run_hdfs_balancer, run_swift
-from repro.experiments.fig12 import HDFS_CONFIG, SWIFT_CONFIG
-from repro.experiments.common import fresh_testbed
+from repro.experiments.fig12 import SCHEMES, app_run
 from repro.experiments.result import ExperimentResult
-from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme
-
-SCHEMES = (("sw-opt", SwOptScheme), ("sw-p2p", SwP2pScheme),
-           ("dcs-ctrl", DcsCtrlScheme))
 
 TARGET_GBPS = 40.0
 CORE_BUDGET = 6
 CORES = 6
 
 
-def _measure_swift() -> Dict[str, Tuple[float, float]]:
+def _measurements(app: str) -> Dict[str, Tuple[float, float]]:
+    """(Gbps, busy core equivalents) per scheme, from Fig 12's runs."""
     out = {}
-    for name, scheme_cls in SCHEMES:
-        tb = fresh_testbed(seed=31)
-        run = run_swift(scheme_cls(tb), SWIFT_CONFIG)
-        out[name] = (run.throughput_gbps, run.server_cpu_total * CORES)
-    return out
-
-
-def _measure_hdfs() -> Dict[str, Tuple[float, float]]:
-    out = {}
-    for name, scheme_cls in SCHEMES:
-        tb = fresh_testbed(seed=32)
-        run = run_hdfs_balancer(scheme_cls(tb), HDFS_CONFIG)
-        # A storage node carries both roles' CPU at line rate.
-        cores = (run.sender_cpu_total + run.receiver_cpu_total) * CORES
+    for name in SCHEMES:
+        run = app_run(app, name)
+        if app == "swift":
+            cores = run.server_cpu_total * CORES
+        else:
+            # A storage node carries both roles' CPU at line rate.
+            cores = (run.sender_cpu_total + run.receiver_cpu_total) * CORES
         out[name] = (run.throughput_gbps, cores)
     return out
 
@@ -54,12 +45,12 @@ def run_fig13() -> ExperimentResult:
         headers=["app", "scheme", "measured Gbps", "measured cores",
                  "cores @40G", "achievable Gbps"])
     metrics = {}
-    for app, measurements in (("swift", _measure_swift()),
-                              ("hdfs", _measure_hdfs())):
-        projections = project_cores(measurements, target_gbps=TARGET_GBPS,
+    for app in ("swift", "hdfs"):
+        projections = project_cores(_measurements(app),
+                                    target_gbps=TARGET_GBPS,
                                     cpu_core_budget=CORE_BUDGET)
         by_name = {p.scheme: p for p in projections}
-        for name, _ in SCHEMES:
+        for name in SCHEMES:
             p = by_name[name]
             result.add_row(app, name, f"{p.measured_gbps:.2f}",
                            f"{p.measured_core_equivalents:.2f}",

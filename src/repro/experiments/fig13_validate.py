@@ -27,8 +27,8 @@ def _run(scheme_cls):
     # 40 Gbps-provisioned node: faster wire, six SSD volumes, and NDP
     # banks instantiated for 40 Gbps (each added core is <0.1-5 % of
     # the FPGA, Table III).
-    tb = fresh_testbed(seed=131, wire_rate=gbps(40), n_ssds=N_SSDS,
-                       cores=CORES, ndp_target_gbps=40.0)
+    tb = fresh_testbed(wire_rate=gbps(40), n_ssds=N_SSDS, cores=CORES,
+                       ndp_target_gbps=40.0)
     scheme = scheme_cls(tb)
     run = run_hdfs_balancer(scheme, CONFIG)
     node_cores = (run.sender_cpu_total + run.receiver_cpu_total) * CORES

@@ -7,14 +7,15 @@ classes are their direct sources:
   category per software/hardware component;
 * **CPU-utilization breakdowns** (Figs 3b, 8, 12) — :class:`BusyTracker`
   attached to CPU cores, normalised over a measurement window;
-* **throughput** (Fig 13) — :class:`Meter`.
+* **wire throughput** in the metrics plane's time series —
+  :class:`Meter`, a running byte count the plane polls.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
@@ -100,8 +101,7 @@ class Histogram:
 
     The sorted order is computed lazily and cached: figure experiments
     ask the same histogram for p50/p95/p99 (and min/max) back to back,
-    so only the first rank query after an :meth:`add`/:meth:`extend`
-    pays the sort.
+    so only the first rank query after an :meth:`add` pays the sort.
     """
 
     def __init__(self):
@@ -111,11 +111,6 @@ class Histogram:
     def add(self, sample: float) -> None:
         """Record one sample."""
         self._samples.append(sample)
-        self._sorted = None
-
-    def extend(self, samples: Iterable[float]) -> None:
-        """Record many samples."""
-        self._samples.extend(samples)
         self._sorted = None
 
     def _ordered(self) -> List[float]:
@@ -135,14 +130,6 @@ class Histogram:
         if not self._samples:
             return 0.0
         return sum(self._samples) / len(self._samples)
-
-    def stdev(self) -> float:
-        """Population standard deviation; 0.0 for fewer than 2 samples."""
-        n = len(self._samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean()
-        return math.sqrt(sum((x - mu) ** 2 for x in self._samples) / n)
 
     def percentile(self, pct: float) -> float:
         """Nearest-rank percentile, ``pct`` in [0, 100]."""
@@ -166,12 +153,11 @@ class Histogram:
 
 
 class Meter:
-    """Counts bytes (or any unit) to derive throughput over a window."""
+    """Counts bytes (or any unit); the metrics plane polls the count."""
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._count: int = 0
-        self._window_start: int = 0
 
     def register(self, name: str, **labels: str) -> "Meter":
         """Expose this meter's running count through the metrics
@@ -187,23 +173,3 @@ class Meter:
         if amount < 0:
             raise SimulationError(f"negative meter amount: {amount}")
         self._count += amount
-
-    def reset_window(self) -> None:
-        """Start a fresh measurement window at the current time."""
-        self._count = 0
-        self._window_start = self.sim.now
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def rate_per_sec(self) -> float:
-        """Units per simulated second over the current window."""
-        elapsed = self.sim.now - self._window_start
-        if elapsed <= 0:
-            return 0.0
-        return self._count * 1e9 / elapsed
-
-    def gbps(self) -> float:
-        """Throughput in Gbps, interpreting units as bytes."""
-        return self.rate_per_sec() * 8 / 1e9

@@ -32,24 +32,9 @@ def msec(value: float) -> int:
     return round(value * MSEC)
 
 
-def sec(value: float) -> int:
-    """Convert seconds to simulation ticks."""
-    return round(value * SEC)
-
-
 def to_usec(ticks: int) -> float:
     """Render simulation ticks as microseconds (for reports)."""
     return ticks / USEC
-
-
-def to_msec(ticks: int) -> float:
-    """Render simulation ticks as milliseconds (for reports)."""
-    return ticks / MSEC
-
-
-def to_sec(ticks: int) -> float:
-    """Render simulation ticks as seconds (for reports)."""
-    return ticks / SEC
 
 
 # --- sizes ----------------------------------------------------------------
@@ -107,11 +92,6 @@ class Rate:
 def gbps(value: float) -> Rate:
     """A rate in gigabits per second (decimal, as datasheets quote)."""
     return Rate(value * 1e9 / 8)
-
-
-def mbps(value: float) -> Rate:
-    """A rate in megabits per second."""
-    return Rate(value * 1e6 / 8)
 
 
 def gibps(value: float) -> Rate:

@@ -1,11 +1,13 @@
 """Tests for the workload generator and the Swift/HDFS application models."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps import (HdfsConfig, SwiftConfig, WorkloadConfig,
                         run_hdfs_balancer, run_swift, requests)
 from repro.apps.workload import RequestKind, bytes_by_kind, pattern_bytes
-from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
+from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme, Testbed
 from repro.units import KIB, MIB
 
 
@@ -143,3 +145,30 @@ class TestHdfs:
         tb = Testbed(seed=57)
         run = run_hdfs_balancer(SwOptScheme(tb), SMALL_HDFS)
         assert 0 < run.throughput_gbps < 10.0
+
+
+def _outcome(run_app, scheme_cls, config, seed):
+    """Every result field of one fault-free run, plus its end time."""
+    tb = Testbed(seed=seed)
+    run = run_app(scheme_cls(tb), config)
+    fields = {field.name: getattr(run, field.name)
+              for field in dataclasses.fields(run)}
+    if "latencies" in fields:
+        fields["latencies"] = list(fields["latencies"]._samples)
+    return fields, tb.sim.now
+
+
+class TestTestbedSeed:
+    """The testbed seed feeds only fault streams, so a fault-free app
+    run ignores it.  Fig 13 and the headline reuse Fig 12's runs on that
+    fact; if a model change makes the seed matter, this fails."""
+
+    @pytest.mark.parametrize("scheme_cls",
+                             [SwOptScheme, SwP2pScheme, DcsCtrlScheme])
+    @pytest.mark.parametrize("run_app,config",
+                             [(run_swift, SMALL_SWIFT),
+                              (run_hdfs_balancer, SMALL_HDFS)],
+                             ids=["swift", "hdfs"])
+    def test_fault_free_run_ignores_seed(self, run_app, config, scheme_cls):
+        assert (_outcome(run_app, scheme_cls, config, seed=1)
+                == _outcome(run_app, scheme_cls, config, seed=2))

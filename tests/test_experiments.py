@@ -1,11 +1,17 @@
 """Smoke tests for the fast experiment runners (the slow app-scale
-runners are exercised by the benchmark suite) and for the CLI."""
+runners are exercised by the benchmark suite), for the sharing of the
+app-scale runs between figures, and for the CLI."""
+
+from collections import Counter
 
 import pytest
 
-from repro.experiments import (run_fig11, run_fig3, run_fig8, run_table1,
-                               run_table3, run_table4)
+from repro.apps import HdfsRun, SwiftRun
+from repro.experiments import (run_fig11, run_fig12_hdfs, run_fig12_swift,
+                               run_fig13, run_fig3, run_fig8, run_headline,
+                               run_table1, run_table3, run_table4)
 from repro.experiments import __main__ as cli
+from repro.experiments import fig12
 from repro.experiments.result import ExperimentResult
 from repro.sim.session import installed
 
@@ -100,3 +106,47 @@ class TestCli:
         assert ran == []
         assert "cannot write metrics output" in capsys.readouterr().err
         assert _planes_off()
+
+
+# Plausible per-scheme CPU shares: DCS-ctrl cheapest, the two software
+# designs close together.
+_CPU = {"sw-opt": 0.30, "sw-p2p": 0.27, "dcs-ctrl": 0.10}
+
+
+class TestAppRunSharing:
+    """Fig 12, Fig 13 and the headline read one run per (app, scheme)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = Counter()
+
+        def fake_swift(scheme, config):
+            built["swift", scheme.name] += 1
+            cpu = {"application": _CPU[scheme.name]}
+            return SwiftRun(scheme=scheme.name, duration_ns=10 ** 8,
+                            bytes_get=20_000_000, bytes_put=7_500_000,
+                            requests_done=60, server_cpu=cpu,
+                            server_cpu_get=cpu, server_cpu_put={})
+
+        def fake_hdfs(scheme, config):
+            built["hdfs", scheme.name] += 1
+            cpu = {"network": _CPU[scheme.name]}
+            return HdfsRun(scheme=scheme.name, duration_ns=4 * 10 ** 7,
+                           bytes_moved=24 << 20, sender_cpu=cpu,
+                           receiver_cpu=cpu)
+
+        monkeypatch.setattr(fig12, "run_swift", fake_swift)
+        monkeypatch.setattr(fig12, "run_hdfs_balancer", fake_hdfs)
+        fig12.app_run.cache_clear()
+        yield built
+        fig12.app_run.cache_clear()
+
+    def test_each_app_scheme_pair_built_once(self, built):
+        run_fig12_swift()
+        run_fig12_hdfs()
+        run_fig13()
+        headline = run_headline()
+        assert built == {(app, scheme): 1 for app in ("swift", "hdfs")
+                         for scheme in fig12.SCHEMES}
+        assert headline.metrics["cpu_reduction_swift"] == pytest.approx(
+            1 - _CPU["dcs-ctrl"] / _CPU["sw-opt"])

@@ -16,7 +16,7 @@ from repro.faults import (FAULT_SITES, FaultPlan, FaultRule, RetryPolicy,
                           active_faults, watchdog)
 from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
 from repro.trace import TraceSession, jsonl_lines
-from repro.units import KIB, sec, usec
+from repro.units import KIB, SEC, usec
 from tests.test_schemes import run_send
 
 
@@ -449,7 +449,7 @@ class TestNicReceiveUnderLinkFaults:
         conn = scheme.connect()
         tb.sim.process(scheme.client_send(tb.node0, conn, 16 * KIB))
         tb.sim.process(scheme.client_recv(tb.node1, conn, 16 * KIB))
-        tb.sim.run(until=tb.sim.now + sec(1))
+        tb.sim.run(until=tb.sim.now + SEC)
         assert tb.sim.peek() is None
         assert plans and plans[0].injected > 0
         assert nic.frames_dropped > 0

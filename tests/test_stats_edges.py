@@ -64,7 +64,6 @@ class TestHistogramEdges:
             hist.max()
         # ...but the moment aggregates degrade gracefully.
         assert hist.mean() == 0.0
-        assert hist.stdev() == 0.0
         assert hist.count == 0
 
     def test_percentile_bounds_checked(self):
@@ -77,54 +76,24 @@ class TestHistogramEdges:
 
     def test_sorted_cache_invalidated_by_add(self):
         hist = Histogram()
-        hist.extend([5.0, 1.0, 3.0])
+        for sample in (5.0, 1.0, 3.0):
+            hist.add(sample)
         assert hist.percentile(50) == 3.0  # populates the cache
         assert hist.min() == 1.0
         hist.add(0.5)                      # must invalidate it
         assert hist.min() == 0.5
         assert hist.percentile(100) == 5.0
 
-    def test_sorted_cache_invalidated_by_extend(self):
-        hist = Histogram()
-        hist.add(10.0)
-        assert hist.max() == 10.0
-        hist.extend([20.0, 30.0])
-        assert hist.max() == 30.0
-        assert hist.percentile(0) == 10.0
-
     def test_percentile_nearest_rank_endpoints(self):
         hist = Histogram()
-        hist.extend(float(v) for v in range(1, 11))
+        for v in range(1, 11):
+            hist.add(float(v))
         assert hist.percentile(0) == 1.0
         assert hist.percentile(50) == 5.0
         assert hist.percentile(100) == 10.0
 
 
 class TestMeterEdges:
-    def test_gbps_rounding(self):
-        sim = Simulator()
-        meter = Meter(sim)
-        meter.add(125_000)  # bytes over 1 ms = 1 Gbps exactly
-        _advance(sim, 1_000_000)
-        assert meter.rate_per_sec() == pytest.approx(125_000_000.0)
-        assert meter.gbps() == pytest.approx(1.0)
-
-    def test_zero_window_rates_are_zero(self):
-        sim = Simulator()
-        meter = Meter(sim)
-        meter.add(4096)
-        assert meter.rate_per_sec() == 0.0  # now == window start
-        assert meter.gbps() == 0.0
-
-    def test_reset_window_clears_count(self):
-        sim = Simulator()
-        meter = Meter(sim)
-        meter.add(100)
-        _advance(sim, 1000)
-        meter.reset_window()
-        assert meter.count == 0
-        assert meter.rate_per_sec() == 0.0
-
     def test_negative_amount_rejected(self):
         meter = Meter(Simulator())
         with pytest.raises(SimulationError, match="negative"):

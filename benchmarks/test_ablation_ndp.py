@@ -46,8 +46,8 @@ def _cpu_hash_latency_and_cpu():
 
 def test_ablation_checksum_placement(once):
     def run():
-        ndp = measure_send(DcsCtrlScheme, "md5", size=SIZE)
-        gpu = measure_send(SwOptScheme, "md5", size=SIZE)
+        ndp, _ = measure_send(DcsCtrlScheme, "md5", size=SIZE)
+        gpu, _ = measure_send(SwOptScheme, "md5", size=SIZE)
         cpu_us, cpu_busy = _cpu_hash_latency_and_cpu()
         return ndp, gpu, cpu_us, cpu_busy
 

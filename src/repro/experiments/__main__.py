@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments                     # everything (~30 s)
+    python -m repro.experiments                     # everything (~25 s)
     python -m repro.experiments --fast              # skip the app-scale runs
     python -m repro.experiments fig11 table1        # just these experiments
     python -m repro.experiments --trace out.json headline
@@ -32,6 +32,7 @@ from repro.experiments import (run_faults, run_fig11, run_fig12_hdfs,
                                run_fig13_validate, run_fig3, run_fig8,
                                run_headline, run_sweep, run_table1,
                                run_table3, run_table4)
+from repro.experiments import common, fig12
 from repro.metrics import MetricsSession, render_top, write_csv
 from repro.metrics import write_jsonl as write_metrics_jsonl
 from repro.sim.session import section
@@ -114,6 +115,9 @@ def main(argv: list[str]) -> int:
         if not check_writable(kind, path):
             return 2
 
+    # Runs made earlier in this process were made under other planes.
+    fig12.app_run.cache_clear()
+    common.send_run.cache_clear()
     tracing = opts.trace is not None or opts.trace_jsonl is not None
     session = TraceSession(label="experiments") if tracing else None
     sampling = opts.metrics is not None or opts.metrics_jsonl is not None

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
-from typing import Optional, Type
+from dataclasses import dataclass
+from functools import cache
+from typing import Dict, Optional, Tuple, Type
 
 from repro.apps.workload import pattern_bytes
 from repro.host.costs import CAT
-from repro.schemes import Testbed
+from repro.schemes import ALL_SCHEMES, Testbed
 from repro.schemes.base import Scheme, TransferResult
 from repro.sim.session import section
 from repro.units import KIB
@@ -38,24 +40,22 @@ def fresh_testbed(**config) -> Testbed:
     return Testbed(**config)
 
 
-def software_us(result: TransferResult) -> float:
-    """Software-attributable latency (total minus device-only time)."""
-    segs = result.trace.breakdown_us()
-    device = sum(segs.get(cat, 0.0) for cat in DEVICE_CATEGORIES)
-    return result.latency_us - device
-
-
 def measure_send(scheme_cls: Type[Scheme], processing: Optional[str],
-                 size: int = MICROBENCH_SIZE, seed: int = 5,
-                 warmups: int = 1) -> TransferResult:
-    """One steady-state send_file measurement on a fresh testbed."""
+                 size: int = MICROBENCH_SIZE
+                 ) -> Tuple[TransferResult, Dict[str, int]]:
+    """One warm-up send_file, then the measured one, on a fresh testbed:
+    its result and node0's CPU busy ns by category during it (read as a
+    difference of snapshots, so metrics samples are a plain send's)."""
     with section(f"{scheme_cls.name}/{processing or 'none'}"):
-        tb = fresh_testbed(seed=seed)
+        tb = fresh_testbed()
         scheme = scheme_cls(tb)
         data = pattern_bytes(size, 7)
-        for index in range(warmups):
-            _run_one(tb, scheme, data, f"warm-{index}.dat", processing)
-        return _run_one(tb, scheme, data, "measure.dat", processing)
+        _run_one(tb, scheme, data, "warm-0.dat", processing)
+        tracker = tb.node0.host.cpu.tracker
+        before = tracker.by_category()
+        sent = _run_one(tb, scheme, data, "measure.dat", processing)
+        return sent, {category: busy - before.get(category, 0)
+                      for category, busy in tracker.by_category().items()}
 
 
 def _run_one(tb: Testbed, scheme: Scheme, data: bytes, name: str,
@@ -68,17 +68,16 @@ def _run_one(tb: Testbed, scheme: Scheme, data: bytes, name: str,
                                             len(data),
                                             processing=processing))
 
+    send_proc = tb.sim.process(sender(tb.sim))
     if conn.offloaded:
-        proc = tb.sim.process(sender(tb.sim))
-        tb.sim.run(until=proc)
-        return proc.value
+        tb.sim.run(until=send_proc)
+        return send_proc.value
     dst = tb.node1.host.alloc_buffer(len(data))
 
     def receiver(sim):
         yield from tb.node1.host.kernel.socket_recv(conn.flow1, len(data),
                                                     dst)
 
-    send_proc = tb.sim.process(sender(tb.sim))
     recv_proc = tb.sim.process(receiver(tb.sim))
     tb.sim.run(until=send_proc)
     tb.sim.run(until=recv_proc)
@@ -86,16 +85,34 @@ def _run_one(tb: Testbed, scheme: Scheme, data: bytes, name: str,
     return send_proc.value
 
 
-def measure_send_cpu(scheme_cls: Type[Scheme], processing: Optional[str],
-                     size: int = MICROBENCH_SIZE, seed: int = 5
-                     ) -> dict[str, float]:
-    """CPU busy-time (ns per request, by category) of one steady-state
-    send on node0."""
-    with section(f"{scheme_cls.name}/cpu/{processing or 'none'}"):
-        tb = fresh_testbed(seed=seed)
-        scheme = scheme_cls(tb)
-        data = pattern_bytes(size, 7)
-        _run_one(tb, scheme, data, "warm.dat", processing)
-        tb.node0.host.cpu.tracker.reset_window()
-        _run_one(tb, scheme, data, "measure.dat", processing)
-        return dict(tb.node0.host.cpu.tracker.by_category())
+@dataclass(frozen=True)
+class SendRun:
+    """One measured send as plain data (no testbed reference)."""
+
+    latency_us: float
+    software_us: float              # total minus device-only time
+    breakdown_us: Dict[str, float]  # LatencyTrace.breakdown_us()
+    cpu_ns: int                     # node0 CPU busy ns during the send
+
+
+@cache
+def send_run(scheme_name: str, processing: Optional[str],
+             size: int) -> SendRun:
+    """:func:`measure_send` of one scheme, made once per process.
+
+    Figs 3, 8 and 11, the size sweep and the headline share the runs.
+    Schemes that share a path (:func:`shared_path`) are still measured
+    under their own names, so each keeps its own trace.  Under a session,
+    a run's events belong to the section that first asked for it.
+    """
+    sent, cpu_ns = measure_send(ALL_SCHEMES[scheme_name], processing, size)
+    segs = sent.trace.breakdown_us()
+    device = sum(segs.get(cat, 0.0) for cat in DEVICE_CATEGORIES)
+    return SendRun(sent.latency_us, sent.latency_us - device, segs,
+                   sum(cpu_ns.values()))
+
+
+def shared_path(scheme_name: str) -> str:
+    """The scheme whose data path ``scheme_name`` runs for sends that
+    carry no processing (:attr:`Scheme.unprocessed_path`)."""
+    return ALL_SCHEMES[scheme_name].unprocessed_path or scheme_name

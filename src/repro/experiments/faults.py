@@ -13,7 +13,7 @@ injection site).
 from __future__ import annotations
 
 from repro.apps.workload import pattern_bytes
-from repro.experiments.common import fresh_testbed
+from repro.experiments.common import fresh_testbed, shared_path
 from repro.experiments.result import ExperimentResult
 from repro.faults import FaultPlan, FaultRule
 from repro.schemes import ALL_SCHEMES
@@ -88,10 +88,16 @@ def run_faults() -> ExperimentResult:
              f"({REQUESTS} x {REQUEST_SIZE // KIB} KiB sends per cell)",
         headers=["scheme", "fault rate", "p50 us", "p99 us",
                  "goodput Gbps", "errors", "injected"])
-    for scheme_name, scheme_cls in ALL_SCHEMES.items():
+    # The sends carry no processing, so schemes that share a path
+    # (Scheme.unprocessed_path) share its cells.
+    cells = {}
+    for scheme_name in ALL_SCHEMES:
+        path = shared_path(scheme_name)
         for rate in FAULT_RATES:
-            with section(f"faults/{scheme_name}/{rate}"):
-                cell = _run_cell(scheme_cls, rate)
+            if (path, rate) not in cells:
+                with section(f"faults/{path}/{rate}"):
+                    cells[path, rate] = _run_cell(ALL_SCHEMES[path], rate)
+            cell = cells[path, rate]
             lat = cell["latencies"]
             p50 = _percentile(lat, 0.50) if lat else float("nan")
             p99 = _percentile(lat, 0.99) if lat else float("nan")

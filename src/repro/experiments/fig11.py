@@ -9,30 +9,26 @@ the paper's own observation.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
-from repro.experiments.common import (SOFTWARE_CATEGORIES, measure_send,
-                                      software_us)
+from repro.experiments.common import (MICROBENCH_SIZE, SOFTWARE_CATEGORIES,
+                                      SendRun, send_run)
 from repro.experiments.result import ExperimentResult
 from repro.host.costs import CAT
-from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme
 
-SCHEMES = (("sw-opt", SwOptScheme), ("sw-p2p", SwP2pScheme),
-           ("dcs-ctrl", DcsCtrlScheme))
+SCHEMES = ("sw-opt", "sw-p2p", "dcs-ctrl")
 
 DEVICE_DISPLAY = (CAT.READ, CAT.HASH, CAT.NDP, CAT.WIRE)
 
 
 def _panel(result: ExperimentResult, processing: Optional[str],
-           tag: str) -> dict:
+           tag: str) -> Dict[str, SendRun]:
     measured = {}
-    for name, scheme_cls in SCHEMES:
-        sent = measure_send(scheme_cls, processing)
-        segs = sent.trace.breakdown_us()
-        measured[name] = sent
-        result.add_row(tag, name, f"{sent.latency_us:.2f}",
-                       f"{software_us(sent):.2f}",
-                       *[f"{segs.get(cat, 0.0):.2f}"
+    for name in SCHEMES:
+        run = measured[name] = send_run(name, processing, MICROBENCH_SIZE)
+        result.add_row(tag, name, f"{run.latency_us:.2f}",
+                       f"{run.software_us:.2f}",
+                       *[f"{run.breakdown_us.get(cat, 0.0):.2f}"
                          for cat in DEVICE_DISPLAY + SOFTWARE_CATEGORIES])
     return measured
 
@@ -47,10 +43,10 @@ def run_fig11() -> ExperimentResult:
     panel_a = _panel(result, None, "a:SSD->NIC")
     panel_b = _panel(result, "md5", "b:SSD->MD5->NIC")
 
-    sw_a = software_us(panel_a["sw-p2p"])
-    dcs_a = software_us(panel_a["dcs-ctrl"])
-    sw_b = software_us(panel_b["sw-p2p"])
-    dcs_b = software_us(panel_b["dcs-ctrl"])
+    sw_a = panel_a["sw-p2p"].software_us
+    dcs_a = panel_a["dcs-ctrl"].software_us
+    sw_b = panel_b["sw-p2p"].software_us
+    dcs_b = panel_b["dcs-ctrl"].software_us
     result.metrics["fig11a_software_reduction"] = (sw_a - dcs_a) / sw_a
     result.metrics["fig11b_software_reduction"] = (sw_b - dcs_b) / sw_b
     result.metrics["fig11a_total_reduction"] = (

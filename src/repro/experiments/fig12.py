@@ -11,19 +11,19 @@ Fig 13 and the headline read the same runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cache
 from typing import Dict, Union
 
 from repro.apps import (HdfsConfig, HdfsRun, SwiftConfig, SwiftRun,
                         WorkloadConfig, run_hdfs_balancer, run_swift)
-from repro.experiments.common import fresh_testbed
+from repro.experiments.common import fresh_testbed, shared_path
 from repro.experiments.result import ExperimentResult
 from repro.host.costs import CAT
-from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme
+from repro.schemes import ALL_SCHEMES
 from repro.units import KIB, MIB
 
-SCHEMES = {"sw-opt": SwOptScheme, "sw-p2p": SwP2pScheme,
-           "dcs-ctrl": DcsCtrlScheme}
+SCHEMES = ("sw-opt", "sw-p2p", "dcs-ctrl")
 
 CPU_DISPLAY = (CAT.APPLICATION, CAT.KERNEL_OTHER, CAT.FILESYSTEM,
                CAT.NETWORK, CAT.DEVICE_CONTROL, CAT.COMPLETION,
@@ -43,11 +43,16 @@ def app_run(app: str, scheme_name: str) -> Union[SwiftRun, HdfsRun]:
 
     A fault-free run ignores the testbed seed (it feeds only fault
     streams), so the run depends on nothing but the app and the scheme.
-    The result is plain data; the testbed is dropped.  Under a trace or
+    HDFS sends carry no processing, so a scheme that shares another's
+    unprocessed path gets that scheme's run under its own name.  The
+    result is plain data; the testbed is dropped.  Under a trace or
     metrics session, the run's events belong to the section that first
-    asked for it.
+    asked for it; a shared run appears under its path's name only.
     """
-    scheme = SCHEMES[scheme_name](fresh_testbed())
+    path = shared_path(scheme_name)
+    if app == "hdfs" and path != scheme_name:
+        return replace(app_run(app, path), scheme=scheme_name)
+    scheme = ALL_SCHEMES[scheme_name](fresh_testbed())
     if app == "swift":
         return run_swift(scheme, SWIFT_CONFIG)
     return run_hdfs_balancer(scheme, HDFS_CONFIG)

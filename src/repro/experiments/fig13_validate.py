@@ -4,9 +4,10 @@ The paper *extrapolates* its Fig 13 from 10 Gbps measurements ("for the
 estimation, we assume a 40-Gbps NIC, six NVMe SSDs, and a single 6-core
 Intel Xeon CPU").  Our substrate can simply *build* that machine: a
 40 Gbps wire and six SSD volumes per node, HDFS balancer traffic spread
-across volumes.  The software baseline should hit the CPU wall below
-line rate while DCS-ctrl, with its host CPUs nearly idle, runs to the
-device limits — turning the paper's projection into a measurement.
+across volumes.  Neither design is CPU-bound there: ``sw-opt`` moves
+4.76 Gbps on 1.34 of 6 cores and ``dcs-ctrl`` 7.59 Gbps on 0.71 cores,
+so the ratio is not the paper's CPU wall; which resource binds each is
+an open question (ROADMAP.md).
 """
 
 from __future__ import annotations

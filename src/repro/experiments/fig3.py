@@ -11,13 +11,11 @@ overhead structure the figure is about).
 
 from __future__ import annotations
 
-from repro.experiments.common import (SOFTWARE_CATEGORIES, measure_send,
-                                      measure_send_cpu, software_us)
+from repro.experiments.common import (MICROBENCH_SIZE, SOFTWARE_CATEGORIES,
+                                      send_run)
 from repro.experiments.result import ExperimentResult
-from repro.schemes import IntegratedScheme, SwOptScheme, SwP2pScheme
 
-SCHEMES = (("sw-opt", SwOptScheme), ("sw-p2p", SwP2pScheme),
-           ("integrated", IntegratedScheme))
+SCHEMES = ("sw-opt", "sw-p2p", "integrated")
 
 PROCESSING = "crc32"
 
@@ -27,29 +25,23 @@ def run_fig3() -> ExperimentResult:
         name="Fig 3: software overheads of SSD->processing->NIC",
         headers=["scheme", "total us", "software us", "norm. CPU"]
                 + [f"{cat} us" for cat in SOFTWARE_CATEGORIES])
-    latency = {}
-    cpu = {}
-    for name, scheme_cls in SCHEMES:
-        sent = measure_send(scheme_cls, PROCESSING)
-        cpu_ns = measure_send_cpu(scheme_cls, PROCESSING)
-        latency[name] = sent
-        cpu[name] = sum(cpu_ns.values())
-    baseline_cpu = cpu["sw-opt"]
-    for name, _ in SCHEMES:
-        sent = latency[name]
-        segs = sent.trace.breakdown_us()
-        result.add_row(name, f"{sent.latency_us:.2f}",
-                       f"{software_us(sent):.2f}",
-                       f"{cpu[name] / baseline_cpu:.2f}",
-                       *[f"{segs.get(cat, 0.0):.2f}"
+    sent = {name: send_run(name, PROCESSING, MICROBENCH_SIZE)
+            for name in SCHEMES}
+    baseline_cpu = sent["sw-opt"].cpu_ns
+    for name in SCHEMES:
+        run = sent[name]
+        result.add_row(name, f"{run.latency_us:.2f}",
+                       f"{run.software_us:.2f}",
+                       f"{run.cpu_ns / baseline_cpu:.2f}",
+                       *[f"{run.breakdown_us.get(cat, 0.0):.2f}"
                          for cat in SOFTWARE_CATEGORIES])
-    result.metrics["sw_opt_total_us"] = latency["sw-opt"].latency_us
-    result.metrics["p2p_total_us"] = latency["sw-p2p"].latency_us
-    result.metrics["integrated_total_us"] = latency["integrated"].latency_us
+    result.metrics["sw_opt_total_us"] = sent["sw-opt"].latency_us
+    result.metrics["p2p_total_us"] = sent["sw-p2p"].latency_us
+    result.metrics["integrated_total_us"] = sent["integrated"].latency_us
     result.metrics["integrated_vs_swopt_latency"] = (
-        latency["integrated"].latency_us / latency["sw-opt"].latency_us)
+        sent["integrated"].latency_us / sent["sw-opt"].latency_us)
     result.metrics["integrated_vs_swopt_cpu"] = (
-        cpu["integrated"] / baseline_cpu)
+        sent["integrated"].cpu_ns / baseline_cpu)
     result.notes.append(
         "paper shape: P2P trims data-copy but keeps control costs; the "
         "integrated device removes both (its bar is mostly device time)")

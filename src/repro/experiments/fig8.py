@@ -13,9 +13,9 @@ KiB SSD→NIC request.
 
 from __future__ import annotations
 
-from repro.experiments.common import fresh_testbed
+from repro.experiments.common import fresh_testbed, send_run
 from repro.experiments.result import ExperimentResult
-from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
+from repro.schemes import Testbed
 from repro.units import KIB
 
 SIZE = 64 * KIB
@@ -50,36 +50,12 @@ def _linux_buffered_send(tb: Testbed, name: str) -> int:
     return host.cpu.tracker.total()
 
 
-def _scheme_send_cpu(scheme_cls, seed: int) -> int:
-    tb = fresh_testbed(seed=seed)
-    scheme = scheme_cls(tb)
-    data = bytes(SIZE)
-    tb.node0.host.install_file("fig8.dat", data)
-    conn = scheme.connect()
-
-    def sender(sim):
-        yield from scheme.send_file(tb.node0, conn, "fig8.dat", 0, SIZE)
-
-    def drain(sim):
-        dst = tb.node1.host.alloc_buffer(SIZE)
-        yield from tb.node1.host.kernel.socket_recv(conn.flow1, SIZE, dst)
-
-    tb.node0.host.cpu.tracker.reset_window()
-    send = tb.sim.process(sender(tb.sim))
-    procs = [send]
-    if not conn.offloaded:
-        procs.append(tb.sim.process(drain(tb.sim)))
-    for proc in procs:
-        tb.sim.run(until=proc)
-    return tb.node0.host.cpu.tracker.total()
-
-
 def run_fig8() -> ExperimentResult:
-    tb = fresh_testbed(seed=8)
+    tb = fresh_testbed()
     tb.node0.host.install_file("fig8.dat", bytes(SIZE))
     linux_ns = _linux_buffered_send(tb, "fig8.dat")
-    swopt_ns = _scheme_send_cpu(SwOptScheme, seed=8)
-    dcs_ns = _scheme_send_cpu(DcsCtrlScheme, seed=8)
+    swopt_ns = send_run("sw-opt", None, SIZE).cpu_ns
+    dcs_ns = send_run("dcs-ctrl", None, SIZE).cpu_ns
 
     result = ExperimentResult(
         name="Fig 8: kernel-side CPU per 64 KiB SSD->NIC request",

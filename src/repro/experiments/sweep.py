@@ -9,35 +9,28 @@ DCS-ctrl advantage at every point.
 
 from __future__ import annotations
 
-from repro.experiments.common import measure_send, software_us
+from repro.experiments.common import send_run
+from repro.experiments.fig11 import SCHEMES
 from repro.experiments.result import ExperimentResult
-from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme
 from repro.units import KIB
 
 SIZES = (4 * KIB, 16 * KIB, 64 * KIB, 256 * KIB)
-
-SCHEMES = (("sw-opt", SwOptScheme), ("sw-p2p", SwP2pScheme),
-           ("dcs-ctrl", DcsCtrlScheme))
 
 
 def run_sweep(processing: str = "md5") -> ExperimentResult:
     result = ExperimentResult(
         name=f"Size sweep: SSD->{processing}->NIC end-to-end latency (us)",
-        headers=["size KiB"] + [name for name, _ in SCHEMES]
-                + ["dcs total gain", "dcs software gain"])
+        headers=["size KiB", *SCHEMES, "dcs total gain",
+                 "dcs software gain"])
     gains = {}
     for size in SIZES:
-        totals = {}
-        softwares = {}
-        for name, scheme_cls in SCHEMES:
-            sent = measure_send(scheme_cls, processing, size=size)
-            totals[name] = sent.latency_us
-            softwares[name] = software_us(sent)
-        total_gain = 1 - totals["dcs-ctrl"] / totals["sw-p2p"]
-        software_gain = 1 - softwares["dcs-ctrl"] / softwares["sw-p2p"]
+        runs = {name: send_run(name, processing, size) for name in SCHEMES}
+        dcs, p2p = runs["dcs-ctrl"], runs["sw-p2p"]
+        total_gain = 1 - dcs.latency_us / p2p.latency_us
+        software_gain = 1 - dcs.software_us / p2p.software_us
         gains[size] = (total_gain, software_gain)
         result.add_row(size // KIB,
-                       *[f"{totals[name]:.1f}" for name, _ in SCHEMES],
+                       *[f"{runs[name].latency_us:.1f}" for name in SCHEMES],
                        f"{total_gain * 100:.0f}%",
                        f"{software_gain * 100:.0f}%")
     result.metrics["total_gain_4k"] = gains[4 * KIB][0]

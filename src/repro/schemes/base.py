@@ -41,6 +41,9 @@ class Scheme:
     """Base class; subclasses implement the two data paths as processes."""
 
     name = "abstract"
+    # The scheme whose data paths this one runs for sends without
+    # processing and for receives (None: its own); experiments share runs.
+    unprocessed_path: Optional[str] = None
     # Which checksums this scheme can compute in flight.
     supported_processing = ("md5", "crc32", "sha1", "sha256")
 

@@ -23,6 +23,8 @@ class IntegratedScheme(DcsCtrlScheme):
     """A consolidated storage+network device with a fixed function set."""
 
     name = "integrated"
+    # The DCS-ctrl pipeline: the checks below only reject processing.
+    unprocessed_path = "dcs-ctrl"
     # The consolidated device shipped with exactly one checksum block.
     supported_processing = ("crc32",)
 

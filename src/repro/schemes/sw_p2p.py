@@ -32,6 +32,8 @@ class SwP2pScheme(SwOptScheme):
     """Optimized software + peer-to-peer data paths where possible."""
 
     name = "sw-p2p"
+    # send_file(None) delegates; receive_to_file is inherited.
+    unprocessed_path = "sw-opt"
 
     def send_file(self, node: Node, conn: Connection, name: str,
                   offset: int, size: int, processing: Optional[str] = None):

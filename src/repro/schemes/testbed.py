@@ -57,7 +57,8 @@ class Connection:
 
 
 class Testbed:
-    """Two DCS-ctrl-capable nodes on one wire."""
+    """Two DCS-ctrl-capable nodes on one wire.  ``seed`` only feeds the
+    random streams of a ``faults`` plan."""
 
     __test__ = False  # not a pytest class, despite the name
 

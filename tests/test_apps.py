@@ -7,8 +7,11 @@ import pytest
 from repro.apps import (HdfsConfig, SwiftConfig, WorkloadConfig,
                         run_hdfs_balancer, run_swift, requests)
 from repro.apps.workload import RequestKind, bytes_by_kind, pattern_bytes
-from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme, Testbed
+from repro.faults import FaultPlan, FaultRule
+from repro.schemes import (ALL_SCHEMES, DcsCtrlScheme, IntegratedScheme,
+                           SwOptScheme, SwP2pScheme, Testbed)
 from repro.units import KIB, MIB
+from tests.test_schemes import run_send
 
 
 class TestWorkload:
@@ -172,3 +175,39 @@ class TestTestbedSeed:
     def test_fault_free_run_ignores_seed(self, run_app, config, scheme_cls):
         assert (_outcome(run_app, scheme_cls, config, seed=1)
                 == _outcome(run_app, scheme_cls, config, seed=2))
+
+
+def _faulted_sends(scheme_cls):
+    """Latencies, injections and end time of unprocessed sends that
+    recover from one flash.read error."""
+    tb = Testbed(faults=FaultPlan((FaultRule("flash.read",
+                                             occurrences={2}),)))
+    scheme = scheme_cls(tb)
+    latencies = [run_send(tb, scheme, pattern_bytes(16 * KIB, index),
+                          f"req-{index}.dat").latency_us
+                 for index in range(3)]
+    return latencies, tb.sim.faults.injected, tb.sim.now
+
+
+@pytest.mark.parametrize("scheme_cls", [SwP2pScheme, IntegratedScheme])
+class TestSharedPath:
+    """A scheme that names another's path (``unprocessed_path``) runs
+    exactly that path for unprocessed sends and for receives.  The HDFS
+    runs and the fault sweep reuse the path's runs on that fact; if a
+    model change breaks it, this fails."""
+
+    def test_hdfs_run_equals_the_paths(self, scheme_cls):
+        path_cls = ALL_SCHEMES[scheme_cls.unprocessed_path]
+        fields, end = _outcome(run_hdfs_balancer, scheme_cls, SMALL_HDFS,
+                               seed=1)
+        path_fields, path_end = _outcome(run_hdfs_balancer, path_cls,
+                                         SMALL_HDFS, seed=1)
+        assert fields.pop("scheme") == scheme_cls.name
+        assert path_fields.pop("scheme") == path_cls.name
+        assert (fields, end) == (path_fields, path_end)
+
+    def test_faulted_unprocessed_sends_equal_the_paths(self, scheme_cls):
+        outcome = _faulted_sends(scheme_cls)
+        assert outcome[1] == 1
+        assert outcome == _faulted_sends(
+            ALL_SCHEMES[scheme_cls.unprocessed_path])

@@ -9,9 +9,9 @@ import pytest
 from repro.apps import HdfsRun, SwiftRun
 from repro.experiments import (run_fig11, run_fig12_hdfs, run_fig12_swift,
                                run_fig13, run_fig3, run_fig8, run_headline,
-                               run_table1, run_table3, run_table4)
+                               run_sweep, run_table1, run_table3, run_table4)
 from repro.experiments import __main__ as cli
-from repro.experiments import fig12
+from repro.experiments import common, fig12
 from repro.experiments.result import ExperimentResult
 from repro.sim.session import installed
 
@@ -113,40 +113,90 @@ class TestCli:
 _CPU = {"sw-opt": 0.30, "sw-p2p": 0.27, "dcs-ctrl": 0.10}
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the app-scale runs made, on fake Swift/HDFS models."""
+    built = Counter()
+
+    def fake_swift(scheme, config):
+        built["swift", scheme.name] += 1
+        cpu = {"application": _CPU[scheme.name]}
+        return SwiftRun(scheme=scheme.name, duration_ns=10 ** 8,
+                        bytes_get=20_000_000, bytes_put=7_500_000,
+                        requests_done=60, server_cpu=cpu,
+                        server_cpu_get=cpu, server_cpu_put={})
+
+    def fake_hdfs(scheme, config):
+        built["hdfs", scheme.name] += 1
+        cpu = {"network": _CPU[scheme.name]}
+        return HdfsRun(scheme=scheme.name, duration_ns=4 * 10 ** 7,
+                       bytes_moved=24 << 20, sender_cpu=cpu,
+                       receiver_cpu=cpu)
+
+    monkeypatch.setattr(fig12, "run_swift", fake_swift)
+    monkeypatch.setattr(fig12, "run_hdfs_balancer", fake_hdfs)
+    fig12.app_run.cache_clear()
+    yield built
+    fig12.app_run.cache_clear()
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """Counts the microbenchmark sends measured, by (scheme, processing,
+    size); the sends themselves are real."""
+    measured = Counter()
+    real = common.measure_send
+
+    def counting(scheme_cls, processing, size):
+        measured[scheme_cls.name, processing, size] += 1
+        return real(scheme_cls, processing, size)
+
+    monkeypatch.setattr(common, "measure_send", counting)
+    common.send_run.cache_clear()
+    yield measured
+    common.send_run.cache_clear()
+
+
 class TestAppRunSharing:
-    """Fig 12, Fig 13 and the headline read one run per (app, scheme)."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        built = Counter()
-
-        def fake_swift(scheme, config):
-            built["swift", scheme.name] += 1
-            cpu = {"application": _CPU[scheme.name]}
-            return SwiftRun(scheme=scheme.name, duration_ns=10 ** 8,
-                            bytes_get=20_000_000, bytes_put=7_500_000,
-                            requests_done=60, server_cpu=cpu,
-                            server_cpu_get=cpu, server_cpu_put={})
-
-        def fake_hdfs(scheme, config):
-            built["hdfs", scheme.name] += 1
-            cpu = {"network": _CPU[scheme.name]}
-            return HdfsRun(scheme=scheme.name, duration_ns=4 * 10 ** 7,
-                           bytes_moved=24 << 20, sender_cpu=cpu,
-                           receiver_cpu=cpu)
-
-        monkeypatch.setattr(fig12, "run_swift", fake_swift)
-        monkeypatch.setattr(fig12, "run_hdfs_balancer", fake_hdfs)
-        fig12.app_run.cache_clear()
-        yield built
-        fig12.app_run.cache_clear()
+    """Fig 12, Fig 13 and the headline read one run per (app, scheme);
+    sw-p2p's HDFS run is sw-opt's (HDFS sends carry no processing)."""
 
     def test_each_app_scheme_pair_built_once(self, built):
         run_fig12_swift()
         run_fig12_hdfs()
         run_fig13()
         headline = run_headline()
-        assert built == {(app, scheme): 1 for app in ("swift", "hdfs")
-                         for scheme in fig12.SCHEMES}
+        assert built == {**{("swift", scheme): 1 for scheme in fig12.SCHEMES},
+                         ("hdfs", "sw-opt"): 1, ("hdfs", "dcs-ctrl"): 1}
         assert headline.metrics["cpu_reduction_swift"] == pytest.approx(
             1 - _CPU["dcs-ctrl"] / _CPU["sw-opt"])
+
+    def test_aliased_hdfs_run_keeps_its_scheme_name(self, built):
+        run = fig12.app_run("hdfs", "sw-p2p")
+        assert run.scheme == "sw-p2p"
+        assert run.sender_cpu == fig12.app_run("hdfs", "sw-opt").sender_cpu
+
+
+class TestSendRunSharing:
+    """Figs 3, 8 and 11, the sweep and the headline measure each
+    (scheme, processing, size) once."""
+
+    def test_each_send_measured_once(self, built, measured):
+        run_fig3()
+        run_fig8()
+        run_fig11()
+        run_sweep()
+        run_headline()
+        assert set(measured.values()) == {1}
+        # Fig 3: 3, Fig 8: 2, Fig 11: 6, sweep: 12 less its 4 KiB row,
+        # which is Fig 11(b).
+        assert len(measured) == 3 + 2 + 6 + 12 - 3
+
+    def test_main_starts_from_empty_run_memos(self, built, measured,
+                                              capsys):
+        # A traced main() after an untraced one must simulate again, or
+        # its trace would be empty.
+        for _ in range(2):
+            assert cli.main(["fig8", "fig12b"]) == 0
+        assert set(measured.values()) == {2}
+        assert built == {("hdfs", "sw-opt"): 2, ("hdfs", "dcs-ctrl"): 2}

@@ -41,7 +41,7 @@ def _digests(session):
 
 def _metered_run(scheme_cls, processing):
     with MetricsSession(label="golden") as session:
-        measure_send(scheme_cls, processing, seed=7)
+        measure_send(scheme_cls, processing)
     return session
 
 
@@ -116,19 +116,20 @@ class TestSamplingDoesNotPerturb:
         # event trace of a sampled run is byte-identical to an unsampled
         # one, so sampling cannot have reordered or added any event.
         with TraceSession(label="plain") as plain:
-            measure_send(DcsCtrlScheme, "md5", seed=7)
+            measure_send(DcsCtrlScheme, "md5")
         with TraceSession(label="plain") as sampled:
             with MetricsSession(label="metered"):
-                measure_send(DcsCtrlScheme, "md5", seed=7)
+                measure_send(DcsCtrlScheme, "md5")
         assert ("\n".join(jsonl_lines(plain))
                 == "\n".join(jsonl_lines(sampled)))
 
     def test_result_identical_with_and_without_metrics(self):
-        bare = measure_send(DcsCtrlScheme, None, seed=7)
+        bare, bare_cpu = measure_send(DcsCtrlScheme, None)
         with MetricsSession(label="metered"):
-            metered = measure_send(DcsCtrlScheme, None, seed=7)
+            metered, metered_cpu = measure_send(DcsCtrlScheme, None)
         assert bare.latency_us == metered.latency_us
         assert bare.trace.breakdown_us() == metered.trace.breakdown_us()
+        assert bare_cpu == metered_cpu
 
     def test_csv_identical_with_and_without_trace(self):
         # The reverse direction: tracing cannot perturb what the metrics

@@ -52,7 +52,7 @@ def _observed_run(trace_first: bool):
     trace, metrics = TraceSession(label="run"), MetricsSession(label="run")
     first, second = (trace, metrics) if trace_first else (metrics, trace)
     with first, second:
-        measure_send(DcsCtrlScheme, "md5", seed=7)
+        measure_send(DcsCtrlScheme, "md5")
     return "\n".join(jsonl_lines(trace)), "\n".join(csv_lines(metrics))
 
 

@@ -168,7 +168,7 @@ def _phase_sums(tracer):
 class TestBreakdown:
     def _traced_measure(self, scheme_cls, processing):
         with TraceSession(label="bd") as session:
-            result = measure_send(scheme_cls, processing)
+            result, _ = measure_send(scheme_cls, processing)
         tracer = next(t for t in session.tracers
                       if any(e.type == "request" for e in t.events))
         return result, tracer

@@ -30,7 +30,7 @@ GOLDEN_JSONL_SHA256 = {
 
 def _traced_run(scheme_cls, processing):
     with TraceSession(label="golden") as session:
-        measure_send(scheme_cls, processing, seed=7)
+        measure_send(scheme_cls, processing)
     return session
 
 

@@ -93,8 +93,8 @@ compare:         ## outputs byte-identical to another checkout: PARENT=<dir>
 docs-check:      ## catalogs <-> docs/{tracing,metrics,lint}.md lock-step check
 	$(PYTHON) -m pytest -q tests/test_docs_contract.py
 
-lint:            ## simlint: determinism/scheduling/plane-contract rules
-	$(PYTHON) -m repro.lint src tests
+lint:            ## simlint over src tests benchmarks examples (its default)
+	$(PYTHON) -m repro.lint
 
 perfbench-test:  ## the host-time benchmark's own unit tests (perfbench/)
 	$(PYTHON) -m unittest discover -s perfbench

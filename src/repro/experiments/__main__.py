@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments                     # everything (~25 s)
+    python -m repro.experiments                     # everything
     python -m repro.experiments --fast              # skip the app-scale runs
     python -m repro.experiments fig11 table1        # just these experiments
     python -m repro.experiments --trace out.json headline

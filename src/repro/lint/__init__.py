@@ -6,7 +6,7 @@ missing (``id()``-keyed dicts, stray wall-clock reads, uncataloged
 metric names).  This package turns each invariant into an AST-level
 rule and a CI gate::
 
-    python -m repro.lint src tests        # exit 0 = clean
+    python -m repro.lint                  # src tests benchmarks examples
     python -m repro.lint --list-rules
 
 Three rule families: **DET** (determinism), **SIM** (event-loop
@@ -15,23 +15,19 @@ full catalog, with rationale and examples per rule, is documented in
 ``docs/lint.md`` and kept in lock-step by ``tests/test_docs_contract.py``
 — the one docs contract the metrics and tracing planes share.
 
-Suppress a single finding inline with ``# simlint: disable=RULE``,
-a whole file with ``# simlint: skip-file`` (first five lines), or
-grandfather it in the committed ``lint-baseline.txt`` (see
-:mod:`repro.lint.baseline`).
+The one way to silence a finding is an inline
+``# simlint: disable=RULE`` comment on its line.
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry
-from repro.lint.engine import (EXCLUDED_DIRS, Finding, ModuleContext, Rule,
-                               compute_fingerprint, iter_python_files,
+from repro.lint.engine import (DEFAULT_PATHS, EXCLUDED_DIRS, Finding,
+                               ModuleContext, Rule, iter_python_files,
                                lint_file, lint_paths, lint_source,
                                module_name, register, rule_classes,
                                rule_ids)
-from repro.lint.report import render_json, render_text
+from repro.lint.report import render_text
 
 __all__ = [
-    "Baseline", "BaselineEntry", "EXCLUDED_DIRS", "Finding",
-    "ModuleContext", "Rule", "compute_fingerprint", "iter_python_files",
-    "lint_file", "lint_paths", "lint_source", "module_name", "register",
-    "rule_classes", "rule_ids", "render_json", "render_text",
+    "DEFAULT_PATHS", "EXCLUDED_DIRS", "Finding", "ModuleContext", "Rule",
+    "iter_python_files", "lint_file", "lint_paths", "lint_source",
+    "module_name", "register", "rule_classes", "rule_ids", "render_text",
 ]

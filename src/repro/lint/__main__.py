@@ -1,12 +1,13 @@
 """The simlint CLI: ``python -m repro.lint [paths ...]``.
 
+With no paths it lints :data:`repro.lint.DEFAULT_PATHS`.
+
 Exit codes:
 
-* ``0`` — no findings outside the baseline (stale baseline entries are
-  reported but do not fail the run);
-* ``1`` — at least one non-baselined finding (each is printed with its
-  rule id and location);
-* ``2`` — usage error (unknown rule id, unreadable path, bad baseline).
+* ``0`` — no findings;
+* ``1`` — at least one finding (each is printed with its rule id and
+  location);
+* ``2`` — usage error (unknown path, unknown rule id or option).
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import sys
 from pathlib import Path
 from typing import List
 
-from repro.lint.baseline import Baseline, DEFAULT_BASELINE_NAME
-from repro.lint.engine import (Finding, iter_python_files, lint_file,
-                               rule_classes)
-from repro.lint.report import render_json, render_text
+from repro.lint.engine import (DEFAULT_PATHS, Finding, iter_python_files,
+                               lint_file, rule_classes)
+from repro.lint.report import render_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,20 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="simlint: simulation-safety static analysis "
                     "(determinism, scheduling and plane-contract "
                     "invariants; see docs/lint.md)")
-    parser.add_argument("paths", nargs="*", default=["src", "tests"],
+    parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files or directories to lint "
-                             "(default: src tests)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit a JSON report instead of text")
-    parser.add_argument("--baseline", metavar="FILE",
-                        default=DEFAULT_BASELINE_NAME,
-                        help=f"baseline file (default: "
-                             f"{DEFAULT_BASELINE_NAME})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline file entirely")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline to pin every current "
-                             "finding, then exit 0")
+                             f"(default: {' '.join(DEFAULT_PATHS)})")
     parser.add_argument("--rules", metavar="IDS",
                         help="comma-separated rule ids to run "
                              "(default: all)")
@@ -93,27 +82,8 @@ def main(argv: List[str] = None) -> int:
             findings.extend(lint_file(file_path, selected))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
-    baseline_path = Path(args.baseline)
-    if args.no_baseline:
-        baseline = Baseline([], baseline_path)
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"simlint: {exc}", file=sys.stderr)
-            return 2
-
-    if args.update_baseline:
-        baseline.write(findings)
-        print(f"simlint: baseline {baseline_path} now pins "
-              f"{len(findings)} finding"
-              f"{'s' if len(findings) != 1 else ''}")
-        return 0
-
-    new, baselined, stale = baseline.split(findings)
-    renderer = render_json if args.json else render_text
-    print(renderer(new, baselined, stale, files_scanned))
-    return 1 if new else 0
+    print(render_text(findings, files_scanned))
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -7,17 +7,13 @@ walks the tree a single time, dispatching every node to the rules that
 declared a checker for its type.  Rules are instantiated fresh per file
 (they may keep per-module state collected in :meth:`Rule.begin_module`).
 
-Findings can be silenced two ways:
+A finding is silenced only inline: a ``# simlint: disable=DET003``
+comment on the finding's line (comma-separate several ids;
+``disable=all`` silences every rule on that line).
 
-* inline — a ``# simlint: disable=DET003`` comment on the finding's
-  line (comma-separate several ids; ``disable=all`` silences every
-  rule on that line), or ``# simlint: skip-file`` in the first five
-  lines of a file;
-* the committed baseline — see :mod:`repro.lint.baseline`.
-
-The walk is deliberately deterministic: findings are sorted by
-``(path, line, col, rule)`` and fingerprints are content-addressed, so
-the linter's own output is as reproducible as the simulator it guards.
+The walk is deliberately deterministic: files are scanned in sorted
+order and findings are sorted by ``(path, line, col, rule)``, so the
+linter's own output is as reproducible as the simulator it guards.
 """
 
 from __future__ import annotations
@@ -25,13 +21,14 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from hashlib import sha256
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
 
 _SUPPRESS = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9_,\- ]+)")
-_SKIP_FILE = re.compile(r"#\s*simlint:\s*skip-file")
-_SKIP_SCAN_LINES = 5
+
+#: What ``python -m repro.lint`` (and so ``make lint``) lints when given
+#: no paths, and what ``tests/test_lint.py`` holds to zero findings.
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 
 #: Directory names the recursive walker never descends into.  The
 #: deliberate-violation fixture tree lives in ``tests/lint_fixtures``
@@ -50,8 +47,6 @@ class Finding:
     line: int
     col: int
     message: str
-    line_text: str = ""
-    fingerprint: str = ""
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -105,11 +100,9 @@ def rule_ids() -> List[str]:
 class ModuleContext:
     """Everything a rule may ask about the file being linted."""
 
-    def __init__(self, source: str, path: str, tree: ast.AST):
-        self.source = source
+    def __init__(self, path: str, tree: ast.AST):
         self.path = path
         self.module = module_name(path)
-        self.lines = source.splitlines()
         self.tree = tree
         self._parents: Dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(tree):
@@ -118,11 +111,6 @@ class ModuleContext:
 
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         return self._parents.get(node)
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
 
 
 def module_name(path: str) -> str:
@@ -149,61 +137,25 @@ def _suppressions(lines: Sequence[str]) -> Dict[int, set]:
     return table
 
 
-def _skip_file(lines: Sequence[str]) -> bool:
-    return any(_SKIP_FILE.search(text)
-               for text in lines[:_SKIP_SCAN_LINES])
-
-
-def compute_fingerprint(rule: str, path: str, line_text: str,
-                        occurrence: int) -> str:
-    """Content-addressed, line-number-independent finding identity.
-
-    Hashes the rule id, the file path, the *stripped source line* and
-    the occurrence ordinal among identical lines — so findings survive
-    unrelated edits that shift line numbers, but a second identical
-    violation in the same file gets its own fingerprint.
-    """
-    payload = f"{rule}\0{path}\0{line_text.strip()}\0{occurrence}"
-    return sha256(payload.encode("utf-8")).hexdigest()[:12]
-
-
-def _assign_fingerprints(findings: List[Finding]) -> None:
-    seen: Dict[tuple, int] = {}
-    for finding in findings:
-        key = (finding.rule, finding.path, finding.line_text.strip())
-        occurrence = seen.get(key, 0)
-        seen[key] = occurrence + 1
-        finding.fingerprint = compute_fingerprint(
-            finding.rule, finding.path, finding.line_text, occurrence)
-
-
 def lint_source(source: str, path: str = "<string>",
                 rules: Optional[Iterable[Type[Rule]]] = None
                 ) -> List[Finding]:
-    """Lint one source text; returns sorted findings with fingerprints."""
+    """Lint one source text; returns its findings, sorted."""
     classes = list(rules) if rules is not None else rule_classes()
-    lines = source.splitlines()
-    if _skip_file(lines):
-        return []
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        finding = Finding(
+        return [Finding(
             rule="E001", name="syntax-error", path=path,
             line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-            message=f"file does not parse: {exc.msg}",
-            line_text=(exc.text or "").rstrip("\n"))
-        _assign_fingerprints([finding])
-        return [finding]
-    ctx = ModuleContext(source, path, tree)
-    suppressed = _suppressions(lines)
-    active: List[Rule] = []
+            message=f"file does not parse: {exc.msg}")]
+    ctx = ModuleContext(path, tree)
+    suppressed = _suppressions(source.splitlines())
     dispatch: Dict[str, List] = {}
     for cls in classes:
         rule = cls()
         if not rule.applies_to(ctx):
             continue
-        active.append(rule)
         rule.begin_module(ctx)
         for attr in dir(rule):
             if attr.startswith("check_"):
@@ -220,9 +172,8 @@ def lint_source(source: str, path: str = "<string>",
                 findings.append(Finding(
                     rule=rule.id, name=rule.name, path=path,
                     line=lineno, col=getattr(where, "col_offset", 0),
-                    message=message, line_text=ctx.line_text(lineno)))
+                    message=message))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    _assign_fingerprints(findings)
     return findings
 
 

@@ -1,69 +1,20 @@
-"""Reporters: human text and machine JSON renderings of a lint run."""
+"""The text report of a lint run."""
 
 from __future__ import annotations
 
-import json
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.lint.baseline import BaselineEntry
 from repro.lint.engine import Finding
 
 
-def render_text(new: Sequence[Finding],
-                baselined: Sequence[Finding] = (),
-                stale: Sequence[BaselineEntry] = (),
-                files_scanned: Optional[int] = None) -> str:
-    """The default report: one ``path:line:col: RULE message`` per
-    finding, then a one-line summary."""
+def render_text(findings: Sequence[Finding], files_scanned: int) -> str:
+    """One ``path:line:col: RULE message`` per finding, then a one-line
+    summary."""
     lines: List[str] = []
-    for finding in new:
+    for finding in findings:
         lines.append(f"{finding.location()}: {finding.rule}"
                      f"[{finding.name}] {finding.message}")
-    for entry in stale:
-        where = f" ({entry.location})" if entry.location else ""
-        lines.append(f"stale baseline entry: {entry.rule} "
-                     f"{entry.fingerprint}{where} no longer matches "
-                     "anything — remove it")
-    summary = [f"{len(new)} finding{'s' if len(new) != 1 else ''}"]
-    if baselined:
-        summary.append(f"{len(baselined)} baselined")
-    if stale:
-        summary.append(f"{len(stale)} stale baseline "
-                       f"entr{'ies' if len(stale) != 1 else 'y'}")
-    if files_scanned is not None:
-        summary.append(f"{files_scanned} files scanned")
-    lines.append("simlint: " + ", ".join(summary))
+    plural = "s" if len(findings) != 1 else ""
+    lines.append(f"simlint: {len(findings)} finding{plural}, "
+                 f"{files_scanned} files scanned")
     return "\n".join(lines)
-
-
-def render_json(new: Sequence[Finding],
-                baselined: Sequence[Finding] = (),
-                stale: Sequence[BaselineEntry] = (),
-                files_scanned: Optional[int] = None) -> str:
-    """Stable machine rendering (sorted keys, one document)."""
-
-    def finding_dict(finding: Finding) -> dict:
-        return {
-            "rule": finding.rule,
-            "name": finding.name,
-            "path": finding.path,
-            "line": finding.line,
-            "col": finding.col,
-            "message": finding.message,
-            "fingerprint": finding.fingerprint,
-        }
-
-    document = {
-        "findings": [finding_dict(f) for f in new],
-        "baselined": [finding_dict(f) for f in baselined],
-        "stale_baseline": [
-            {"rule": entry.rule, "fingerprint": entry.fingerprint,
-             "location": entry.location} for entry in stale],
-        "summary": {
-            "new": len(new),
-            "baselined": len(baselined),
-            "stale": len(stale),
-            "files_scanned": files_scanned,
-        },
-    }
-    return json.dumps(document, indent=2, sort_keys=True)

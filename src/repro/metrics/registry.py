@@ -275,6 +275,23 @@ class _PolledMap:
         return items
 
 
+def _cataloged_kind(name: str, polled: bool) -> str:
+    """``name``'s kind in the documented catalog; raises if it has
+    none, or if a ``polled`` series would be neither counter nor gauge."""
+    entry = METRICS.get(name)
+    if entry is None:
+        raise MetricsError(
+            f"metric {name!r} is not in the documented catalog "
+            "(repro/metrics/catalog.py); register and document it "
+            "before emitting")
+    kind = entry[0]
+    if polled and kind not in ("counter", "gauge"):
+        raise MetricsError(
+            f"polled metrics must be counters or gauges; "
+            f"{name!r} is a {kind}")
+    return kind
+
+
 class MetricSet:
     """All metrics of one simulator plus its sampling clock."""
 
@@ -301,21 +318,11 @@ class MetricSet:
 
     def _make(self, name: str, labels: Mapping[str, Any],
               kind: Optional[str] = None, polled: bool = False) -> Metric:
-        entry = METRICS.get(name)
-        if entry is None:
-            raise MetricsError(
-                f"metric {name!r} is not in the documented catalog "
-                "(repro/metrics/catalog.py); register and document it "
-                "before emitting")
-        cat_kind = entry[0]
+        cat_kind = _cataloged_kind(name, polled)
         if kind is not None and kind != cat_kind:
             raise MetricsError(
                 f"metric {name!r} is cataloged as {cat_kind!r}, "
                 f"requested as {kind!r}")
-        if polled and cat_kind not in ("counter", "gauge"):
-            raise MetricsError(
-                f"polled metrics must be counters or gauges; "
-                f"{name!r} is a {cat_kind}")
         key = (name, _labelset(labels))
         existing = self._series.get(key)
         if existing is not None:
@@ -355,16 +362,7 @@ class MetricSet:
                    fn: Callable[[], Mapping[str, float]],
                    **labels: Any) -> None:
         """Register a keyed family of polled series (one per map key)."""
-        entry = METRICS.get(name)
-        if entry is None:
-            raise MetricsError(
-                f"metric {name!r} is not in the documented catalog "
-                "(repro/metrics/catalog.py); register and document it "
-                "before emitting")
-        if entry[0] not in ("counter", "gauge"):
-            raise MetricsError(
-                f"polled metrics must be counters or gauges; "
-                f"{name!r} is a {entry[0]}")
+        _cataloged_kind(name, polled=True)
         self._readers.append(
             (None, _PolledMap(self, name, key_label, labels, fn).sample_items))
 

@@ -10,8 +10,7 @@
 * :func:`jsonl_lines` / :func:`write_jsonl` — one JSON object per
   event with raw integer-ns timestamps and sorted keys.  This is the
   *canonical* form: deterministic byte-for-byte across runs of the same
-  seed, and the input format of the critical-path summarizer's offline
-  mode.
+  seed.
 
 Field semantics of both formats are documented in ``docs/tracing.md``.
 """

@@ -10,8 +10,8 @@ guards with a single ``is not None`` check.
 Event types are a closed, documented set (:mod:`repro.trace.events` and
 ``docs/tracing.md``); emitting an unregistered type raises
 :class:`~repro.errors.TraceError`.  Causality is explicit: a span or
-instant may name a ``parent`` (another span/event), which exporters and
-the critical-path summarizer use to group a request's events.
+instant may name a ``parent`` (another span/event), which both exporters
+record as ``parent_id``.
 
 Determinism: event ids are per-tracer counters, timestamps are simulated
 time, and no wall-clock or ``id()`` values are recorded — two runs of

@@ -1,4 +1,4 @@
-"""The simlint engine: rules, suppressions, baseline, CLI, self-check.
+"""The simlint engine: rules, inline suppressions, CLI, self-check.
 
 The deliberate-violation fixtures live in ``tests/lint_fixtures`` (one
 file per rule, excluded from the default walk); violating snippets used
@@ -8,7 +8,6 @@ repo lints clean — keeps passing over this very file.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess  # simlint: disable=SIM003
 import sys
@@ -17,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (Baseline, BaselineEntry, lint_paths, lint_source,
-                        module_name, rule_classes, rule_ids)
+from repro.lint import (DEFAULT_PATHS, lint_paths, lint_source, module_name,
+                        rule_classes, rule_ids)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -146,93 +145,9 @@ class TestSuppressions:
         findings = lint_source(src, "x.py")
         assert [(f.rule, f.line) for f in findings] == [("DET003", 2)]
 
-    def test_skip_file_in_first_five_lines(self):
-        src = "# simlint: skip-file\nimport heapq\nx = hex(id(object()))\n"
-        assert lint_source(src, "x.py") == []
-
-    def test_skip_file_too_late_is_ignored(self):
-        src = "\n" * 5 + "# simlint: skip-file\nimport heapq\n"
+    def test_no_file_level_opt_out(self):
+        src = "# simlint: skip-file\nimport heapq\n"
         assert _rules_of(lint_source(src, "x.py")) == ["SIM001"]
-
-
-class TestFingerprints:
-    def test_stable_across_line_shifts(self):
-        before = lint_source("streams[id(f)] = s\n", "x.py")
-        after = lint_source("\n\n\nstreams[id(f)] = s\n", "x.py")
-        assert before[0].fingerprint == after[0].fingerprint
-        assert before[0].line != after[0].line
-
-    def test_identical_lines_get_distinct_fingerprints(self):
-        src = "streams[id(f)] = s\nstreams[id(f)] = s\n"
-        first, second = lint_source(src, "x.py")
-        assert first.fingerprint != second.fingerprint
-
-    def test_path_is_part_of_identity(self):
-        one = lint_source("streams[id(f)] = s\n", "a.py")[0]
-        two = lint_source("streams[id(f)] = s\n", "b.py")[0]
-        assert one.fingerprint != two.fingerprint
-
-
-# ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-
-class TestBaseline:
-    def _finding(self):
-        return lint_source("streams[id(f)] = s\n", "x.py")[0]
-
-    def test_round_trip_preserves_entries_and_comments(self, tmp_path):
-        finding = self._finding()
-        path = tmp_path / "baseline.txt"
-        baseline = Baseline([], path)
-        baseline.write([finding])
-        loaded = Baseline.load(path)
-        assert len(loaded.entries) == 1
-        entry = loaded.entries[0]
-        assert entry.rule == "DET003"
-        assert entry.fingerprint == finding.fingerprint
-        assert entry.location == finding.location()
-        assert entry.comment  # the placeholder justification
-
-    def test_split_partitions_new_baselined_stale(self, tmp_path):
-        finding = self._finding()
-        baseline = Baseline([
-            BaselineEntry("DET003", finding.fingerprint),
-            BaselineEntry("SIM001", "deadbeef0000"),
-        ])
-        new, baselined, stale = baseline.split([finding])
-        assert new == []
-        assert baselined == [finding]
-        assert [entry.fingerprint for entry in stale] == ["deadbeef0000"]
-
-    def test_duplicate_findings_need_duplicate_entries(self):
-        src = "streams[id(f)] = s\nstreams[id(f)] = s\n"
-        first, second = lint_source(src, "x.py")
-        baseline = Baseline([BaselineEntry("DET003", first.fingerprint)])
-        new, baselined, stale = baseline.split([first, second])
-        assert baselined == [first]
-        assert new == [second]
-        assert stale == []
-
-    def test_regeneration_keeps_justification_comments(self, tmp_path):
-        finding = self._finding()
-        path = tmp_path / "baseline.txt"
-        path.write_text(f"DET003 {finding.fingerprint} x.py:1:0"
-                        "  # grandfathered: migration tracked in #42\n",
-                        encoding="utf-8")
-        baseline = Baseline.load(path)
-        baseline.write([finding])
-        assert "migration tracked in #42" in path.read_text(encoding="utf-8")
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "absent.txt")
-        assert baseline.entries == []
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "baseline.txt"
-        path.write_text("justonefield\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="malformed"):
-            Baseline.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -262,31 +177,24 @@ class TestCli:
         assert "bad.py:2" in proc.stdout
         assert "DET003" in proc.stdout
 
-    def test_baselined_violation_exits_zero(self, tmp_path):
+    def test_a_lint_baseline_file_silences_nothing(self, tmp_path):
         (tmp_path / "bad.py").write_text("streams[id(f)] = s\n",
                                          encoding="utf-8")
-        assert _run_cli("bad.py", "--update-baseline",
-                        cwd=tmp_path).returncode == 0
-        proc = _run_cli("bad.py", cwd=tmp_path)
-        assert proc.returncode == 0
-        assert "1 baselined" in proc.stdout
-
-    def test_stale_baseline_reported_but_not_fatal(self, tmp_path):
-        (tmp_path / "ok.py").write_text("x = 1\n", encoding="utf-8")
+        # The entry the old grandfathering file held for this finding.
         (tmp_path / "lint-baseline.txt").write_text(
-            "DET003 abcdefabcdef gone.py:1:0  # was fixed\n",
+            "DET003 871f9c86c999 bad.py:1:0  # grandfathered\n",
             encoding="utf-8")
-        proc = _run_cli("ok.py", cwd=tmp_path)
-        assert proc.returncode == 0
-        assert "stale" in proc.stdout
-
-    def test_json_report(self, tmp_path):
-        (tmp_path / "bad.py").write_text("import heapq\n", encoding="utf-8")
-        proc = _run_cli("bad.py", "--json", cwd=tmp_path)
+        proc = _run_cli("bad.py", cwd=tmp_path)
         assert proc.returncode == 1
-        document = json.loads(proc.stdout)
-        assert document["summary"]["new"] == 1
-        assert document["findings"][0]["rule"] == "SIM001"
+        assert "bad.py:1" in proc.stdout
+
+    @pytest.mark.parametrize("option", [
+        "--update-baseline", "--json", "--no-baseline",
+        "--baseline=lint-baseline.txt"])
+    def test_removed_options_are_usage_errors(self, tmp_path, option):
+        (tmp_path / "x.py").write_text("x = 1\n", encoding="utf-8")
+        proc = _run_cli("x.py", option, cwd=tmp_path)
+        assert proc.returncode == 2
 
     def test_unknown_path_exits_two(self, tmp_path):
         proc = _run_cli("no/such/dir", cwd=tmp_path)
@@ -333,15 +241,8 @@ class TestRegistry:
 
 
 class TestRepositoryIsClean:
-    def test_src_and_tests_lint_clean_modulo_baseline(self):
-        findings = lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests"],
+    def test_default_paths_lint_clean(self):
+        findings = lint_paths([REPO_ROOT / path for path in DEFAULT_PATHS],
                               relative_to=REPO_ROOT)
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.txt")
-        new, _, stale = baseline.split(findings)
-        assert not new, (
-            "simlint findings not covered by lint-baseline.txt:\n" +
-            "\n".join(f"  {f.location()}: {f.rule} {f.message}"
-                      for f in new))
-        assert not stale, (
-            "stale lint-baseline.txt entries (fixed findings):\n" +
-            "\n".join(f"  {e.rule} {e.fingerprint}" for e in stale))
+        assert not findings, "simlint findings:\n" + "\n".join(
+            f"  {f.location()}: {f.rule} {f.message}" for f in findings)

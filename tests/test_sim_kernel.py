@@ -368,7 +368,7 @@ def mixed_same_tick_scenario():
 class TestKernelOrder:
     """Golden same-tick order and eid numbering.
 
-    Traces, metrics CSVs and benchmark fingerprints all rest on these:
+    Traces, metrics CSVs and perfbench digests all rest on these:
     a change here is a behaviour change, never a refactor.
     """
 

@@ -35,29 +35,31 @@ trace-demo:      ## traced headline run -> trace.json (ui.perfetto.dev)
 	@echo "wrote trace.json - load it in https://ui.perfetto.dev"
 
 metrics-smoke:   ## metered headline CSVs identical; planes never perturb a run
-	$(PYTHON) -m repro.experiments --metrics metrics-a.csv headline
-	$(PYTHON) -m repro.experiments --metrics metrics-b.csv headline
-	@test -s metrics-a.csv || (echo "metrics CSV is empty" && exit 1)
-	@cmp metrics-a.csv metrics-b.csv \
+	rm -rf smoke && mkdir -p smoke
+	$(PYTHON) -m repro.experiments --metrics smoke/metrics-a.csv headline
+	$(PYTHON) -m repro.experiments --metrics smoke/metrics-b.csv headline
+	@test -s smoke/metrics-a.csv || (echo "metrics CSV is empty" && exit 1)
+	@cmp smoke/metrics-a.csv smoke/metrics-b.csv \
 	    || (echo "metrics CSV differs across same-seed runs" && exit 1)
-	@echo "metrics-smoke OK: $$(wc -l < metrics-a.csv) rows, byte-identical"
-	$(PYTHON) -m repro.experiments faults > faults-plain.txt
-	$(PYTHON) -m repro.experiments --metrics metrics-faults.csv faults \
-	    > faults-metered.txt
+	@echo "metrics-smoke OK: $$(wc -l < smoke/metrics-a.csv) rows, byte-identical"
+	$(PYTHON) -m repro.experiments faults > smoke/faults-plain.txt
+	$(PYTHON) -m repro.experiments --metrics smoke/metrics-faults.csv faults \
+	    > smoke/faults-metered.txt
 	@for run in faults-plain faults-metered; do \
-	    sed -e '/regenerated in/d' -e '/^\[metrics:/,$$d' $$run.txt \
-	        > $$run.tables; done
-	@diff faults-plain.tables faults-metered.tables \
+	    sed -e '/regenerated in/d' -e '/^\[metrics:/,$$d' smoke/$$run.txt \
+	        > smoke/$$run.tables; done
+	@diff smoke/faults-plain.tables smoke/faults-metered.tables \
 	    || (echo "metering changed the faults tables" && exit 1)
 	@echo "metrics-smoke OK: metered faults tables identical to unmetered"
-	$(PYTHON) -m repro.experiments --trace-jsonl fig11-both.jsonl \
-	    --metrics fig11-both.csv fig11 > /dev/null
-	$(PYTHON) -m repro.experiments --metrics fig11-metrics.csv fig11 > /dev/null
-	$(PYTHON) -m repro.experiments --trace-jsonl fig11-trace.jsonl fig11 \
+	$(PYTHON) -m repro.experiments --trace-jsonl smoke/fig11-both.jsonl \
+	    --metrics smoke/fig11-both.csv fig11 > /dev/null
+	$(PYTHON) -m repro.experiments --metrics smoke/fig11-metrics.csv fig11 \
 	    > /dev/null
-	@cmp fig11-both.csv fig11-metrics.csv \
+	$(PYTHON) -m repro.experiments --trace-jsonl smoke/fig11-trace.jsonl fig11 \
+	    > /dev/null
+	@cmp smoke/fig11-both.csv smoke/fig11-metrics.csv \
 	    || (echo "tracing changed the fig11 metrics CSV" && exit 1)
-	@cmp fig11-both.jsonl fig11-trace.jsonl \
+	@cmp smoke/fig11-both.jsonl smoke/fig11-trace.jsonl \
 	    || (echo "metering changed the fig11 trace JSONL" && exit 1)
 	@echo "metrics-smoke OK: fig11 planes identical alone and together"
 
@@ -107,8 +109,5 @@ perfbench-check: ## simulated results match perfbench/reference.json, seed 1
 	done
 
 clean:
-	rm -rf .pytest_cache .hypothesis trace.json metrics-a.csv metrics-b.csv \
-	    metrics-faults.csv faults-plain.txt faults-metered.txt \
-	    faults-plain.tables faults-metered.tables fig11-both.jsonl \
-	    fig11-both.csv fig11-metrics.csv fig11-trace.jsonl compare
+	rm -rf .pytest_cache .hypothesis trace.json smoke compare
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

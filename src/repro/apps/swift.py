@@ -48,8 +48,6 @@ class SwiftRun:
     bytes_put: int
     requests_done: int
     server_cpu: Dict[str, float]      # utilization by category
-    server_cpu_get: Dict[str, float]  # kernel-side split, GET phase style
-    server_cpu_put: Dict[str, float]
     latencies: Histogram = field(default_factory=Histogram)
 
     @property
@@ -91,8 +89,7 @@ def run_swift(scheme: Scheme, config: SwiftConfig) -> SwiftRun:
         conn_pool.put((index, scheme.connect()))
 
     stats = SwiftRun(scheme=scheme.name, duration_ns=0, bytes_get=0,
-                     bytes_put=0, requests_done=0, server_cpu={},
-                     server_cpu_get={}, server_cpu_put={})
+                     bytes_put=0, requests_done=0, server_cpu={})
     start = sim.now
     tb.reset_cpu_windows()
     done_events = []

@@ -33,13 +33,10 @@ class EngineBuffers:
 
     def alloc_intermediate(self, size: int) -> int:
         """A contiguous intermediate buffer of at least ``size`` bytes."""
-        chunks = self._alloc.chunks_for(size)
-        if chunks == 1:
-            return self._alloc.alloc()
-        return self._alloc.alloc_contiguous(chunks)
+        return self._alloc.alloc_bytes(size)
 
     def free_intermediate(self, addr: int, size: int) -> None:
-        self._alloc.free(addr, self._alloc.chunks_for(size))
+        self._alloc.free_bytes(addr, size)
 
     # -- packet receive chunks ------------------------------------------------
 

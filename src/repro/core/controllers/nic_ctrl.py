@@ -11,8 +11,9 @@ data into the continuous memory space" (§IV-C).
 Mechanics here: send/recv rings live in engine BRAM; receive uses the
 NIC's header-split into BRAM header slots + DDR3 staging slots; a pump
 FSM (woken by the NIC's status-block writes into watched BRAM)
-parses headers, tracks per-connection sequence state, and gathers
-payloads into the destination buffers of pending scoreboard entries.
+decodes each header the NIC already checked (no second validation),
+tracks per-connection sequence state, and gathers payloads into the
+destination buffers of pending scoreboard entries.
 The ring protocol is the host driver's, in one
 :class:`~repro.devices.nic.client.NicClient`.
 """
@@ -29,13 +30,12 @@ from repro.core.scoreboard import Executor
 from repro.devices.nic.client import NicClient
 from repro.devices.nic.descriptors import RecvDescriptor
 from repro.devices.nic.nic import Nic
-from repro.errors import DeviceError, DeviceTimeout, ProtocolError
+from repro.errors import DeviceError, DeviceTimeout
 from repro.faults import (ENGINE_NIC_RECV_POLICY, ENGINE_NIC_SEND_POLICY,
                           active_faults, watchdog)
 from repro.memory.dram import FPGA_DDR3
 from repro.memory.region import MemoryRegion
-from repro.net.headers import EthernetHeader, Ipv4Header, TcpHeader
-from repro.net.packet import Frame, HEADER_LEN
+from repro.net.packet import HEADER_LEN
 from repro.net.tcp import FlowTable, TcpFlow
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
@@ -98,7 +98,6 @@ class EngineNicController(Executor):
         self._flow_state_of: Dict[int, _FlowState] = {}  # flow.uid -> state
         self._next_flow_id = 1
         self._tx_waiters: Dict[int, object] = {}   # send index -> Event
-        self.frames_discarded = 0
         # Deadlines for the send-status and receive-gather waits; only
         # armed while a fault plan is active.
         self.send_policy = ENGINE_NIC_SEND_POLICY
@@ -139,6 +138,12 @@ class EngineNicController(Executor):
         self._flow_table.add(flow)
         self._flow_state_of[flow.uid] = state
         return flow_id
+
+    @property
+    def frames_discarded(self) -> int:
+        """Received frames dropped after a sequence gap (or for another
+        address); the recv deadline surfaces the stalled entry."""
+        return self._flow_table.discarded
 
     def _state_for(self, flow_id: int) -> _FlowState:
         state = self._flows_by_id.get(flow_id)
@@ -246,30 +251,17 @@ class EngineNicController(Executor):
         yield from self.client.drain(self._gather)
 
     def _gather(self, cmpl, desc: RecvDescriptor):
-        """Process: parse one received frame's split header and steer
+        """Process: decode one received frame's split header and steer
         its payload to its connection."""
         yield self.sim.timeout(HEADER_PARSE)
         if cmpl.dropped:
             return
-        hdr_raw = self.fabric.address_map.read(desc.hdr_addr, HEADER_LEN)
-        payload = self.fabric.address_map.read(desc.payload_addr,
-                                               cmpl.payload_len)
-        frame = _frame_from_split(hdr_raw, payload)
-        flow = self._flow_table.lookup(frame)
-        if flow is None:
-            raise ProtocolError(
-                f"engine received frame for unknown connection "
-                f"{frame.ip.dst_ip}:{frame.tcp.dst_port}")
-        try:
-            data = flow.accept(frame)
-        except ProtocolError:
-            # Sequence gap: an upstream frame was lost on the wire.  The
-            # model has no retransmission, so drop the frame and let the
-            # recv deadline surface the stalled entry.
-            self.frames_discarded += 1
-            return
-        if data:
-            yield from self._steer(self._flow_state_of[flow.uid], data)
+        memory = self.fabric.address_map
+        header = memory.read(desc.hdr_addr, HEADER_LEN)
+        payload = memory.read(desc.payload_addr, cmpl.payload_len)
+        flow = self._flow_table.receive(header, payload)
+        if flow is not None and payload:
+            yield from self._steer(self._flow_state_of[flow.uid], payload)
 
     def _steer(self, state: _FlowState, data: bytes):
         """Process: gather ``data`` into the pending entry or backlog."""
@@ -297,16 +289,3 @@ class EngineNicController(Executor):
         state.backlog.clear()
         yield from self._steer(state, data)
 
-
-def _frame_from_split(header: bytes, payload: bytes) -> Frame:
-    """Reassemble a logical frame from split header + payload bytes.
-
-    Checksums were validated by the NIC before the split; here we only
-    decode fields for steering.
-    """
-    if len(header) < HEADER_LEN:
-        raise ProtocolError(f"split header truncated: {len(header)} bytes")
-    eth = EthernetHeader.unpack(header)
-    ip = Ipv4Header.unpack(header[14:34])
-    tcp = TcpHeader.unpack(header[34:54])
-    return Frame(eth=eth, ip=ip, tcp=tcp, payload=payload)

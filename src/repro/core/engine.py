@@ -24,6 +24,8 @@ from repro.core.scoreboard import Scoreboard
 from repro.devices.nic.nic import Nic
 from repro.devices.nvme.ssd import NvmeSsd
 from repro.errors import AllocationError, ConfigurationError
+from repro.host.costs import CAT
+from repro.memory.allocator import Bump
 from repro.memory.region import MemoryRegion
 from repro.net.tcp import TcpFlow
 from repro.pcie.link import LINK_GEN2_X8
@@ -39,25 +41,6 @@ ENGINE_DDR_BASE = 0xC000_0000
 SPLIT_TIME = nsec(80)
 
 from repro.core.controllers.nvme_ctrl import PRP_SLOT as _PRP_SLOT
-
-
-class _Bump:
-    def __init__(self, base: int, size: int):
-        self._base = base
-        self._next = base
-        self._end = base + size
-
-    @property
-    def used(self) -> int:
-        """Bytes consumed so far (the engine.bram_bytes_in_use metric)."""
-        return self._next - self._base
-
-    def take(self, size: int, align: int = 64) -> int:
-        addr = self._next + (-self._next % align)
-        if addr + size > self._end:
-            raise ConfigurationError("engine BRAM exhausted")
-        self._next = addr + size
-        return addr
 
 
 class _GatherTable:
@@ -97,7 +80,7 @@ class HDCEngine:
             sparse=True, access_latency=120))
         self.buffers = EngineBuffers(ENGINE_DDR_BASE)
 
-        bump = _Bump(ENGINE_BRAM_BASE, 512 * KIB)  # within engine-bram
+        bump = Bump(ENGINE_BRAM_BASE, 512 * KIB, "engine BRAM")
         engine_id = f"{fabric.name}:{port}"
         self.scoreboard = Scoreboard(sim,
                                      in_order_completion=in_order_completion,
@@ -112,8 +95,9 @@ class HDCEngine:
         if nvme_rings_addr is None:
             ring_bump = bump
         else:
-            ring_bump = _Bump(nvme_rings_addr,
-                              len(ssds) * (64 * KIB + _PRP_SLOT * 64))
+            ring_bump = Bump(nvme_rings_addr,
+                             len(ssds) * (64 * KIB + _PRP_SLOT * 64),
+                             "NVMe ring area")
         self.nvme_ctrls = [
             EngineNvmeController(
                 sim, fabric, vol_ssd, port,
@@ -212,12 +196,12 @@ class HDCEngine:
     def _stage_category(entry: DeviceCommand) -> str:
         """Profiling category for one device-command stage."""
         if entry.dev.startswith("nvme"):
-            return "device-read" if entry.rw == "r" else "device-write"
+            return CAT.READ if entry.rw == "r" else CAT.WRITE
         if entry.dev in ("nic", "nic-rx"):
-            return "wire"
+            return CAT.WIRE
         if entry.dev == "ndp":
-            return "ndp"
-        return "data-copy"  # dma
+            return CAT.NDP
+        return CAT.DATA_COPY  # dma
 
     def _record_stats(self, d2d_id: int, entries: List[DeviceCommand]) -> None:
         stats: dict[str, int] = {}
@@ -236,7 +220,7 @@ class HDCEngine:
                     d2d_id=d2d_id, dev=entry.dev, rw=entry.rw,
                     category=category, length=entry.length)
         window = self.sim.now - self._task_started.pop(d2d_id)
-        stats["scoreboard"] = max(0, window - covered)
+        stats[CAT.SCOREBOARD] = max(0, window - covered)
         if self._m_d2d is not None:
             self._m_d2d.observe(window)
         self.task_stats[d2d_id] = stats

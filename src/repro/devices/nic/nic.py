@@ -21,7 +21,6 @@ SSD↔NIC needs staging memory somewhere else.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -32,10 +31,10 @@ from repro.devices.nic.descriptors import (RECV_CMPL_SIZE, RECV_DESC_SIZE,
                                            RecvDescriptor, SendDescriptor)
 from repro.devices.nic.rings import RecvRing, SendRing, unwrap32
 from repro.errors import DeviceError, DeviceTimeout, ProtocolError
-from repro.net.packet import (HEADER_LEN, MTU, build_frame, check_frame,
+from repro.net.packet import (HEADER_LEN, MTU, RX_FIELDS, RX_FIELDS_OFFSET,
+                              FlowKey, build_frame, check_frame, flow_key,
                               segment_payload)
-from repro.net.headers import (EthernetHeader, Ipv4Header, TcpHeader,
-                               _ip_bytes)
+from repro.net.headers import EthernetHeader, Ipv4Header, TcpHeader
 from repro.net.wire import Wire
 from repro.pcie.link import LINK_GEN2_X8, LinkConfig
 from repro.pcie.switch import Fabric
@@ -68,11 +67,6 @@ _RECV_DB = 0x08
 # A receive-ring DMA (descriptor fetch, completion write) that times out
 # moved no bytes, so it is safely done again -- at most this many times.
 _RING_DMA_RETRIES = 3
-
-# (raw 4-byte src ip, src port, dst port), read straight off the frame
-SteerKey = Tuple[bytes, int, int]
-_STEER_KEY = struct.Struct("!4s4xHH")   # from the IPv4 source address on
-_STEER_OFFSET = 26
 
 
 @dataclass
@@ -116,7 +110,7 @@ class Nic(PcieDevice):
         self._regs.on_mmio_write = self._on_doorbell
         self._tx_channels: List[_TxChannel] = []
         self._rx_channels: List[_RxChannel] = []
-        self._steering: Dict[SteerKey, int] = {}
+        self._steering: Dict[FlowKey, int] = {}
         self._wire: Optional[Wire] = None
         # MAC egress FIFO: descriptors are "consumed" once their frames
         # are handed to the MAC; serialization continues from here.
@@ -202,7 +196,7 @@ class Nic(PcieDevice):
         ``rx_channel`` instead of channel 0."""
         if not 0 <= rx_channel < len(self._rx_channels):
             raise DeviceError(f"no RX channel {rx_channel}")
-        self._steering[(_ip_bytes(src_ip), src_port, dst_port)] = rx_channel
+        self._steering[flow_key(src_ip, src_port, dst_port)] = rx_channel
 
     # -- doorbells ---------------------------------------------------------
 
@@ -408,8 +402,9 @@ class Nic(PcieDevice):
         # to channel 0, whose MAC validation drops it.
         if len(raw_frame) < HEADER_LEN:
             return 0
-        return self._steering.get(
-            _STEER_KEY.unpack_from(raw_frame, _STEER_OFFSET), 0)
+        src, _dst, src_port, dst_port, _seq = RX_FIELDS.unpack_from(
+            raw_frame, RX_FIELDS_OFFSET)
+        return self._steering.get((src, src_port, dst_port), 0)
 
     def _rx_loop(self, ingress):
         # Per-frame DMA pipelines with wire reception: each frame's
@@ -441,7 +436,9 @@ class Nic(PcieDevice):
         yield self.sim.timeout(self.config.frame_overhead)
         cmpl = None
         try:
-            check_frame(raw_frame)  # MAC validation (headers + checksums)
+            # MAC validation and RX checksum offload: the one check a
+            # received frame gets; its receivers only decode it.
+            check_frame(raw_frame)
         except ProtocolError:
             pass  # real NICs drop bad-FCS/bad-checksum frames and count them
         else:

@@ -18,10 +18,10 @@ from typing import Dict, Tuple
 from repro.analysis.projection import project_cores
 from repro.experiments.fig12 import SCHEMES, app_run
 from repro.experiments.result import ExperimentResult
+from repro.host.machine import CORES
 
 TARGET_GBPS = 40.0
 CORE_BUDGET = 6
-CORES = 6
 
 
 def _measurements(app: str) -> Dict[str, Tuple[float, float]]:

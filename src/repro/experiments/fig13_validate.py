@@ -15,11 +15,11 @@ from __future__ import annotations
 from repro.apps import HdfsConfig, run_hdfs_balancer
 from repro.experiments.common import fresh_testbed
 from repro.experiments.result import ExperimentResult
+from repro.host.machine import CORES
 from repro.schemes import DcsCtrlScheme, SwOptScheme
 from repro.units import MIB, gbps
 
 N_SSDS = 6
-CORES = 6
 
 CONFIG = HdfsConfig(blocks=48, block_size=1 * MIB, streams=12)
 
@@ -28,7 +28,7 @@ def _run(scheme_cls):
     # 40 Gbps-provisioned node: faster wire, six SSD volumes, and NDP
     # banks instantiated for 40 Gbps (each added core is <0.1-5 % of
     # the FPGA, Table III).
-    tb = fresh_testbed(wire_rate=gbps(40), n_ssds=N_SSDS, cores=CORES,
+    tb = fresh_testbed(wire_rate=gbps(40), n_ssds=N_SSDS,
                        ndp_target_gbps=40.0)
     scheme = scheme_cls(tb)
     run = run_hdfs_balancer(scheme, CONFIG)

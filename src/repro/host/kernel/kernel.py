@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.algos import DIGESTS
 from repro.analysis.breakdown import current_trace
 from repro.devices.nvme.commands import LBA_SIZE
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.host.cpu import CpuPool
 from repro.host.costs import CAT, SoftwareCosts
 from repro.host.kernel.filesystem import MultiVolumeFs
@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.host.drivers.gpu_driver import HostGpuDriver
     from repro.host.drivers.nic_driver import HostNicDriver
     from repro.host.drivers.nvme_driver import HostNvmeDriver
-from repro.net.packet import Frame, TCP_MSS
+from repro.net.packet import HEADER_LEN, TCP_MSS
 from repro.net.tcp import FlowTable, TcpFlow
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
@@ -72,7 +72,6 @@ class HostKernel:
         self.gpu = gpu
         self._flows = FlowTable()
         self._streams: Dict[int, _RxStream] = {}   # flow.uid -> stream
-        self.frames_discarded = 0
         if nic is not None:
             nic.deliver = self._deliver_frame
 
@@ -158,21 +157,16 @@ class HostKernel:
         self._flows.add(flow)
         self._streams[flow.uid] = _RxStream(self.sim)
 
-    def _deliver_frame(self, frame: Frame) -> None:
-        flow = self._flows.lookup(frame)
-        if flow is None:
-            raise ProtocolError(
-                f"frame for unknown flow {frame.ip.dst_ip}:"
-                f"{frame.tcp.dst_port}")
-        try:
-            payload = flow.accept(frame)
-        except ProtocolError:
-            # Sequence gap: an earlier frame of the stream was lost.  The
-            # model has no retransmission, so drop the frame (as the
-            # engine does) and keep NAPI alive for other connections.
-            self.frames_discarded += 1
-            return
-        if payload:
+    @property
+    def frames_discarded(self) -> int:
+        """Received frames the socket layer dropped (after a sequence
+        gap, or for another address); NAPI stays alive for the rest."""
+        return self._flows.discarded
+
+    def _deliver_frame(self, frame: bytes) -> None:
+        payload = frame[HEADER_LEN:]
+        flow = self._flows.receive(frame, payload)
+        if flow is not None and payload:
             self._streams[flow.uid].append(payload)
 
     def socket_send(self, flow: TcpFlow, payload_addr: int, size: int,

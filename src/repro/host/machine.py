@@ -30,7 +30,7 @@ from repro.host.kernel.filesystem import MultiVolumeFs
 from repro.host.kernel.interrupts import InterruptController
 from repro.host.kernel.kernel import HostKernel
 from repro.host.kernel.page_cache import PageCache
-from repro.memory.allocator import ChunkAllocator
+from repro.memory.allocator import Bump, ChunkAllocator
 from repro.memory.region import MemoryRegion
 from repro.net.wire import Wire
 from repro.pcie.link import LINK_GEN2_X8
@@ -48,31 +48,16 @@ BUFFER_CHUNK = 64 * KIB
 SSD_BAR = 0x8000_0000
 NIC_BAR = 0x8100_0000
 GPU_BAR = 0x9000_0000
-ENGINE_BAR = 0xB000_0000
-ENGINE_DDR_BASE = 0xC000_0000
 
-
-class Bump:
-    """A trivial bump allocator for control structures (never freed)."""
-
-    def __init__(self, base: int, size: int):
-        self.base = base
-        self.end = base + size
-        self._next = base
-
-    def take(self, size: int, align: int = 64) -> int:
-        """Allocate ``size`` bytes aligned to ``align``."""
-        addr = self._next + (-self._next % align)
-        if addr + size > self.end:
-            raise AllocationError("control memory exhausted")
-        self._next = addr + size
-        return addr
+# The Xeon of the paper's testbed (Table V) and of its Fig 13
+# projection: "a single 6-core Intel Xeon CPU".
+CORES = 6
 
 
 class Host:
     """A complete single node (host + SSD + NIC + optional GPU)."""
 
-    def __init__(self, sim: Simulator, name: str = "node0", cores: int = 6,
+    def __init__(self, sim: Simulator, name: str = "node0",
                  costs: SoftwareCosts = DEFAULT_COSTS,
                  with_gpu: bool = True, n_ssds: int = 1):
         self.sim = sim
@@ -83,7 +68,7 @@ class Host:
         self.fabric.add_region(MemoryRegion(
             "host-dram", base=HOST_DRAM_BASE, size=HOST_DRAM_SIZE,
             port="host", sparse=True, access_latency=300))
-        self.cpu = CpuPool(sim, cores=cores, owner=name)
+        self.cpu = CpuPool(sim, cores=CORES, owner=name)
         self.control = Bump(CONTROL_BASE, BUFFER_BASE - CONTROL_BASE)
         self.buffers = ChunkAllocator(BUFFER_BASE, BUFFER_SIZE, BUFFER_CHUNK)
 
@@ -159,11 +144,8 @@ class Host:
 
     def alloc_buffer(self, size: int) -> int:
         """Allocate a contiguous kernel data buffer; returns its address."""
-        chunks = self.buffers.chunks_for(size)
-        if chunks == 1:
-            return self.buffers.alloc()
-        return self.buffers.alloc_contiguous(chunks)
+        return self.buffers.alloc_bytes(size)
 
     def free_buffer(self, addr: int, size: int) -> None:
         """Free a buffer allocated by :meth:`alloc_buffer`."""
-        self.buffers.free(addr, self.buffers.chunks_for(size))
+        self.buffers.free_bytes(addr, size)

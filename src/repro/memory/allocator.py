@@ -1,10 +1,12 @@
-"""Fixed-size chunk allocator.
+"""Fixed-size chunk and bump allocators.
 
 The HDC Engine manages its 1 GB DDR3 as fixed 64 KB blocks for
 intermediate buffers and NIC receive buffers (paper §IV-C: "the
 intermediate buffers and packet recv buffers are chunked into multiple
-fixed-size blocks (64KB)").  This allocator reproduces that scheme and
-is also reused for host page-cache pages.
+fixed-size blocks (64KB)").  :class:`ChunkAllocator` reproduces that
+scheme and also serves host kernel buffers and GPU staging memory.
+:class:`Bump` lays out control structures (queues, rings, status
+words) in host control memory and engine BRAM.
 """
 
 from __future__ import annotations
@@ -75,6 +77,15 @@ class ChunkAllocator:
             f"no contiguous run of {count} chunks "
             f"({len(self._free)} free, fragmented)")
 
+    def alloc_bytes(self, size: int) -> int:
+        """Allocate the contiguous chunks ``size`` bytes need; returns
+        the base address of the run (one chunk is :meth:`alloc`'s)."""
+        return self.alloc_contiguous(self.chunks_for(size))
+
+    def free_bytes(self, addr: int, size: int) -> None:
+        """Free a run allocated by :meth:`alloc_bytes`."""
+        self.free(addr, self.chunks_for(size))
+
     def free(self, addr: int, count: int = 1) -> None:
         """Free ``count`` chunks starting at ``addr``."""
         offset = addr - self.base
@@ -93,3 +104,26 @@ class ChunkAllocator:
         if size <= 0:
             raise AllocationError(f"size must be positive: {size}")
         return -(-size // self.chunk_size)
+
+
+class Bump:
+    """A bump allocator for control structures (never freed)."""
+
+    def __init__(self, base: int, size: int, name: str = "control memory"):
+        self.base = base
+        self.end = base + size
+        self.name = name          # for the exhaustion error
+        self._next = base
+
+    @property
+    def used(self) -> int:
+        """Bytes consumed so far, alignment padding included."""
+        return self._next - self.base
+
+    def take(self, size: int, align: int = 64) -> int:
+        """Allocate ``size`` bytes aligned to ``align``."""
+        addr = self._next + (-self._next % align)
+        if addr + size > self.end:
+            raise AllocationError(f"{self.name} exhausted")
+        self._next = addr + size
+        return addr

@@ -1,21 +1,26 @@
-"""Frame building, parsing and MTU segmentation.
+"""Frame building, checking, decoding and MTU segmentation.
 
 A :class:`Frame` is a fully serialized Ethernet frame carrying one TCP
 segment.  :func:`segment_payload` reproduces what the NIC's large-send
 offload (LSO) does in hardware: split one big payload into MSS-sized
 segments, replicating and fixing up the headers for each.
+
+On receive the NIC is the one validator (:func:`check_frame`, RX
+checksum offload); everything after it only decodes, through
+:data:`RX_FIELDS`.  :func:`parse_frame` is the public parser and the
+tests' oracle, on no simulation path.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Tuple
 
 from repro.errors import ProtocolError
 from repro.net.headers import (ETH_HLEN, ETHERTYPE_IPV4, IP_HLEN, TCP_HLEN,
                                EthernetHeader, Ipv4Header, TcpHeader,
-                               _ip_str, _mac_str, ipv4_fields, pack_ipv4,
-                               tcp_checksum_ok)
+                               _ip_bytes, _ip_str, _mac_str, ipv4_fields,
+                               pack_ipv4, tcp_checksum_ok)
 
 MTU = 1500
 HEADER_LEN = ETH_HLEN + IP_HLEN + TCP_HLEN  # 54: bytes the NIC splits off
@@ -53,6 +58,25 @@ def build_frame(eth: EthernetHeader, ip_src: str, ip_dst: str,
             + tcp.pack(ip_src, ip_dst, payload) + payload)
 
 
+# The one decode a checked frame gets: (source address, destination
+# address, source port, destination port, sequence), the addresses as
+# raw 4 bytes, read from the IPv4 source address on.  NIC flow
+# steering, the host stack and the HDC Engine's NIC controller all
+# read received headers through it.
+RX_FIELDS = struct.Struct("!4s4sHHI")
+RX_FIELDS_OFFSET = ETH_HLEN + 12
+
+# A flow-steering key: a received frame's (raw source address, source
+# port, destination port), i.e. its flow's (remote address, remote
+# port, local port).
+FlowKey = Tuple[bytes, int, int]
+
+
+def flow_key(remote_ip: str, remote_port: int, local_port: int) -> FlowKey:
+    """The steering key of the frames a flow receives."""
+    return (_ip_bytes(remote_ip), remote_port, local_port)
+
+
 # Ethertype, then all three fixed headers of a checked frame at once.
 _ETHERTYPE = struct.Struct("!H")
 _HEADERS = struct.Struct("!6s6sH BBHHHBBH4s4s HHIIBBHHH")
@@ -61,8 +85,9 @@ _HEADERS = struct.Struct("!6s6sH BBHHHBBH4s4s HHIIBBHHH")
 def check_frame(data: bytes) -> None:
     """Validate a serialized frame, building no records.
 
-    Every check a received frame gets lives here: ethertype, IPv4
-    header (:func:`~repro.net.headers.ipv4_fields`), L4 length and TCP
+    Every check a received frame gets lives here, and the receiving
+    NIC runs it once per frame: ethertype, IPv4 header
+    (:func:`~repro.net.headers.ipv4_fields`), L4 length and TCP
     checksum.  Raises :class:`ProtocolError` on the first that fails.
     """
     if len(data) < ETH_HLEN:
@@ -84,7 +109,7 @@ def check_frame(data: bytes) -> None:
 
 
 def parse_frame(data: bytes) -> Frame:
-    """Parse and validate a serialized frame."""
+    """Validate a serialized frame and build its records."""
     check_frame(data)
     (dst_mac, src_mac, ethertype, _version_ihl, _tos, total_length, ident,
      _frag, ttl, protocol, _ip_csum, src_ip, dst_ip, src_port, dst_port,

@@ -3,11 +3,11 @@
 The paper's experiments all run over pre-established TCP connections
 (Swift REST transfers, HDFS balancer streams); connection setup is in
 neither the latency nor the CPU breakdowns.  :class:`TcpFlow` therefore
-models an *established* connection: per-direction sequence tracking,
-in-order delivery and payload reassembly — enough for the engine's NIC
-controller to "identify a target connection and destination location"
-(paper §III-C) from parsed headers, and for receivers to detect losses
-or reordering as protocol errors.
+models an *established* connection: per-direction sequence tracking and
+in-order delivery.  :class:`FlowTable` is the receive side — enough for
+the engine's NIC controller to "identify a target connection and
+destination location" (paper §III-C) from decoded headers, and for
+receivers to discard every frame after a loss.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from itertools import count
 from typing import Optional
 
 from repro.errors import ProtocolError
-from repro.net.headers import EthernetHeader, Ipv4Header, TcpHeader
-from repro.net.packet import Frame
+from repro.net.headers import (EthernetHeader, Ipv4Header, TcpHeader,
+                               _ip_bytes, _ip_str)
+from repro.net.packet import RX_FIELDS, RX_FIELDS_OFFSET, FlowKey, flow_key
 
 # Monotonic flow identifiers, assigned at construction.  Keying
 # per-flow state on ``flow.uid`` instead of ``id(flow)`` keeps every
@@ -43,8 +44,7 @@ class TcpFlow:
     """An established TCP connection between two endpoints.
 
     The *local* side sends with :meth:`next_header`; incoming frames
-    are matched with :meth:`matches` and accepted in order with
-    :meth:`accept`.
+    are matched and accepted in order by :meth:`FlowTable.receive`.
     """
 
     def __init__(self, local: TcpEndpoint, remote: TcpEndpoint,
@@ -81,35 +81,6 @@ class TcpFlow:
                 + self.next_header(payload_len).pack(
                     self.local.ip, self.remote.ip, b""))
 
-    # -- receive ----------------------------------------------------------
-
-    def matches(self, frame: Frame) -> bool:
-        """Does this frame belong to this connection (remote→local)?"""
-        return (frame.ip.src_ip == self.remote.ip
-                and frame.ip.dst_ip == self.local.ip
-                and frame.tcp.src_port == self.remote.port
-                and frame.tcp.dst_port == self.local.port)
-
-    def accept(self, frame: Frame) -> bytes:
-        """Accept an in-order frame; returns its payload.
-
-        Raises :class:`ProtocolError` on a sequence gap or overlap.  The
-        simulated wire never reorders, but it can lose a frame (a
-        ``nic.wire_drop`` fault, or a receive DMA lost to a link fault);
-        with no retransmission modelled, the receivers discard every
-        later frame of the stream.
-        """
-        if not self.matches(frame):
-            raise ProtocolError(
-                f"frame for {frame.ip.dst_ip}:{frame.tcp.dst_port} delivered "
-                f"to flow {self.local.ip}:{self.local.port}")
-        if frame.tcp.seq != self.rcv_nxt:
-            raise ProtocolError(
-                f"out-of-order segment: expected seq {self.rcv_nxt}, "
-                f"got {frame.tcp.seq}")
-        self.rcv_nxt += len(frame.payload)
-        return frame.payload
-
     def reverse(self) -> "TcpFlow":
         """The same connection as seen from the remote side."""
         flow = TcpFlow(local=self.remote, remote=self.local,
@@ -119,28 +90,52 @@ class TcpFlow:
 
 @dataclass
 class FlowTable:
-    """Connection lookup by (remote ip, remote port, local port).
+    """Connections keyed by the NIC's flow-steering key, and the
+    receive-side protocol check.
 
     Both the host kernel's socket layer and the engine's NIC controller
     keep one of these; the engine's copy is what lets it steer received
     payloads to the right destination buffers without the CPU.
     """
 
-    _flows: dict[tuple[str, int, int], TcpFlow] = field(default_factory=dict)
+    _flows: dict[FlowKey, TcpFlow] = field(default_factory=dict)
+    discarded: int = 0   # frames :meth:`receive` dropped
 
     def add(self, flow: TcpFlow) -> None:
-        key = (flow.remote.ip, flow.remote.port, flow.local.port)
+        key = flow_key(flow.remote.ip, flow.remote.port, flow.local.port)
         if key in self._flows:
             raise ProtocolError(f"duplicate flow {key}")
         self._flows[key] = flow
 
-    def lookup(self, frame: Frame) -> Optional[TcpFlow]:
-        """Find the flow a received frame belongs to (None if unknown)."""
-        key = (frame.ip.src_ip, frame.tcp.src_port, frame.tcp.dst_port)
-        return self._flows.get(key)
+    def receive(self, header: bytes, payload: bytes) -> Optional[TcpFlow]:
+        """Match a received frame to its flow and accept it in order.
+
+        ``header`` holds the frame's fixed headers (the whole frame will
+        do), already checked by the NIC; ``payload`` is its TCP payload.
+        Returns the flow whose stream ``payload`` continues, having
+        advanced its ``rcv_nxt``.  A frame for another destination
+        address, or out of sequence, is discarded: counted in
+        :attr:`discarded`, returns None.  The simulated wire never
+        reorders, but it can lose a frame (a ``nic.wire_drop`` fault,
+        or a receive DMA lost to a link fault); with no retransmission
+        modelled, every later frame of the stream is discarded.
+        Raises :class:`ProtocolError` for a frame of no known flow.
+        """
+        src, dst, src_port, dst_port, seq = RX_FIELDS.unpack_from(
+            header, RX_FIELDS_OFFSET)
+        flow = self._flows.get((src, src_port, dst_port))
+        if flow is None:
+            raise ProtocolError(
+                f"frame for unknown flow {_ip_str(dst)}:{dst_port} "
+                f"from {_ip_str(src)}:{src_port}")
+        if dst != _ip_bytes(flow.local.ip) or seq != flow.rcv_nxt:
+            self.discarded += 1
+            return None
+        flow.rcv_nxt += len(payload)
+        return flow
 
     def remove(self, flow: TcpFlow) -> None:
-        key = (flow.remote.ip, flow.remote.port, flow.local.port)
+        key = flow_key(flow.remote.ip, flow.remote.port, flow.local.port)
         self._flows.pop(key, None)
 
     def __len__(self) -> int:

@@ -11,11 +11,18 @@ copies.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.host.machine import Host
 from repro.schemes.base import Scheme, TransferResult
 from repro.schemes.testbed import Connection, Node
+
+# GPU staging layout: the digest slot at the region base, the data one
+# page in.
+GPU_DATA_OFFSET = 4096
+
 
 class SwOptScheme(Scheme):
     """Host-centric, software-optimized (data staged in host DRAM)."""
@@ -84,24 +91,33 @@ class SwOptScheme(Scheme):
         gpu_driver = node.host.gpu_driver
         if gpu_driver is None:
             raise ConfigurationError("node built without a GPU")
-        # Per-request GPU staging: digest slot at the region base, data
-        # one page in.
-        region_size = size + 4096
-        chunks = node.host.gpu_mem.chunks_for(region_size)
-        region = (node.host.gpu_mem.alloc() if chunks == 1
-                  else node.host.gpu_mem.alloc_contiguous(chunks))
-        data_off = region + 4096
+        with self._gpu_staging(node.host, size) as region:
+            yield from gpu_driver.copy_to_gpu(buf, region + GPU_DATA_OFFSET,
+                                              size)
+            return (yield from self._gpu_digest(node.host, kind, region,
+                                                size))
+
+    @staticmethod
+    @contextmanager
+    def _gpu_staging(host: Host, size: int):
+        """A per-request GPU memory region for ``size`` bytes of data
+        (``GPU_DATA_OFFSET`` in) and the digest (at its base)."""
+        region = host.gpu_mem.alloc_bytes(GPU_DATA_OFFSET + size)
         try:
-            yield from gpu_driver.copy_to_gpu(buf, data_off, size)
-            digest = yield from gpu_driver.checksum(kind, data_off, size,
-                                                    region)
-            # Fetch the checksum result into CPU memory (paper §V-B).
-            digest_buf = node.host.alloc_buffer(len(digest))
-            try:
-                yield from gpu_driver.copy_from_gpu(region, digest_buf,
-                                                    len(digest))
-            finally:
-                node.host.free_buffer(digest_buf, len(digest))
+            yield region
         finally:
-            node.host.gpu_mem.free(region, chunks)
+            host.gpu_mem.free_bytes(region, GPU_DATA_OFFSET + size)
+
+    @staticmethod
+    def _gpu_digest(host: Host, kind: str, region: int, size: int):
+        """Process: checksum the data staged in ``region`` on the GPU,
+        then fetch the digest into CPU memory (paper §V-B)."""
+        digest = yield from host.gpu_driver.checksum(
+            kind, region + GPU_DATA_OFFSET, size, region)
+        digest_buf = host.alloc_buffer(len(digest))
+        try:
+            yield from host.gpu_driver.copy_from_gpu(region, digest_buf,
+                                                     len(digest))
+        finally:
+            host.free_buffer(digest_buf, len(digest))
         return digest

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.schemes.sw_opt import SwOptScheme
+from repro.schemes.sw_opt import GPU_DATA_OFFSET, SwOptScheme
 from repro.schemes.testbed import Connection, Node
 from repro.schemes.base import TransferResult
 
@@ -46,34 +46,19 @@ class SwP2pScheme(SwOptScheme):
             host = node.host
             kernel = host.kernel
             gpu = host.gpu
-            gpu_driver = host.gpu_driver
-            if gpu is None or gpu_driver is None:
+            if gpu is None or host.gpu_driver is None:
                 raise ConfigurationError("node built without a GPU")
-            region_size = size + 4096
-            chunks = host.gpu_mem.chunks_for(region_size)
-            region = (host.gpu_mem.alloc() if chunks == 1
-                      else host.gpu_mem.alloc_contiguous(chunks))
-            data_off = region + 4096
-            try:
+            with self._gpu_staging(host, size) as region:
+                data = gpu.mem_addr(region + GPU_DATA_OFFSET)
                 yield from kernel.syscall_enter()
                 # P2P: the SSD DMAs the file straight into GPU memory.
-                yield from kernel.file_read_direct(name, offset, size,
-                                                   gpu.mem_addr(data_off))
-                digest = yield from gpu_driver.checksum(processing, data_off,
-                                                        size, region)
-                digest_buf = host.alloc_buffer(len(digest))
-                try:
-                    yield from gpu_driver.copy_from_gpu(region, digest_buf,
-                                                        len(digest))
-                finally:
-                    host.free_buffer(digest_buf, len(digest))
+                yield from kernel.file_read_direct(name, offset, size, data)
+                digest = yield from self._gpu_digest(host, processing,
+                                                     region, size)
                 # P2P: the NIC fetches the payload from GPU memory directly.
                 flow = conn.flow0 if node is self.tb.node0 else conn.flow1
-                yield from kernel.socket_send(flow, gpu.mem_addr(data_off),
-                                              size)
+                yield from kernel.socket_send(flow, data, size)
                 yield from kernel.syscall_exit()
-            finally:
-                host.gpu_mem.free(region, chunks)
             trace.finish()
         return TransferResult(bytes_moved=size, digest=digest, trace=trace)
 

@@ -67,7 +67,7 @@ class Testbed:
         TcpEndpoint(mac="02:00:00:00:00:02", ip="10.0.0.2", port=0),
     )
 
-    def __init__(self, seed: int = 0, cores: int = 6,
+    def __init__(self, seed: int = 0,
                  wire_rate: Optional[Rate] = None,
                  costs: SoftwareCosts = DEFAULT_COSTS,
                  with_dcs: bool = True, with_gpu: bool = True,
@@ -79,9 +79,9 @@ class Testbed:
                  faults: Optional[FaultPlan] = None):
         self.sim = Simulator()
         self.rng = RngHub(seed)
-        self.node0 = Node(Host(self.sim, "node0", cores=cores, costs=costs,
+        self.node0 = Node(Host(self.sim, "node0", costs=costs,
                                with_gpu=with_gpu, n_ssds=n_ssds))
-        self.node1 = Node(Host(self.sim, "node1", cores=cores, costs=costs,
+        self.node1 = Node(Host(self.sim, "node1", costs=costs,
                                with_gpu=with_gpu, n_ssds=n_ssds))
         self.wire = Wire(self.sim,
                          rate=wire_rate if wire_rate is not None else gbps(10))

@@ -123,8 +123,7 @@ def built(monkeypatch):
         cpu = {"application": _CPU[scheme.name]}
         return SwiftRun(scheme=scheme.name, duration_ns=10 ** 8,
                         bytes_get=20_000_000, bytes_put=7_500_000,
-                        requests_done=60, server_cpu=cpu,
-                        server_cpu_get=cpu, server_cpu_put={})
+                        requests_done=60, server_cpu=cpu)
 
     def fake_hdfs(scheme, config):
         built["hdfs", scheme.name] += 1

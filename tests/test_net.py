@@ -16,6 +16,7 @@ from repro.net import (Frame, FlowTable, HEADER_LEN, MTU, TCP_MSS,
                        EthernetHeader, Ipv4Header, TcpEndpoint, TcpFlow,
                        TcpHeader, Wire, build_frame, check_frame, checksum16,
                        parse_frame, segment_payload, wire_bytes)
+from repro.net.packet import RX_FIELDS, RX_FIELDS_OFFSET, flow_key
 from repro.sim import Simulator
 from repro.units import SEC, gbps
 
@@ -401,35 +402,64 @@ class TestSegmentation:
             segment_payload(ETH, A.ip, B.ip, tcp, b"x", mss=0)
 
 
+def receive(table, frame):
+    """``FlowTable.receive`` as the receivers call it: the frame's
+    headers and its TCP payload."""
+    return table.receive(frame, frame[HEADER_LEN:])
+
+
 class TestTcpFlow:
+    """TCP flows and the one receive-side check, ``FlowTable.receive``,
+    fed the raw frames a NIC completes."""
+
     def test_send_receive_in_order(self):
         sender = TcpFlow(local=A, remote=B)
         receiver = sender.reverse()
+        table = FlowTable()
+        table.add(receiver)
         for chunk in (b"first", b"second", b"third"):
             tcp = sender.next_header(len(chunk))
-            frame = parse_frame(build_frame(sender.eth_header(), A.ip, B.ip,
-                                            tcp, chunk))
-            assert receiver.accept(frame) == chunk
+            frame = build_frame(sender.eth_header(), A.ip, B.ip, tcp, chunk)
+            expected = receiver.rcv_nxt + len(chunk)
+            assert receive(table, frame) is receiver
+            assert frame[HEADER_LEN:] == chunk
+            assert receiver.rcv_nxt == expected
+        assert table.discarded == 0
 
     def test_gap_detected(self):
         sender = TcpFlow(local=A, remote=B)
         receiver = sender.reverse()
+        table = FlowTable()
+        table.add(receiver)
         sender.next_header(10)  # segment lost
         tcp = sender.next_header(5)
-        frame = parse_frame(build_frame(sender.eth_header(), A.ip, B.ip,
-                                        tcp, b"xxxxx"))
-        with pytest.raises(ProtocolError, match="out-of-order"):
-            receiver.accept(frame)
+        frame = build_frame(sender.eth_header(), A.ip, B.ip, tcp, b"xxxxx")
+        rcv_nxt = receiver.rcv_nxt
+        assert receive(table, frame) is None
+        assert table.discarded == 1
+        assert receiver.rcv_nxt == rcv_nxt   # every later frame discarded
 
     def test_wrong_flow_rejected(self):
         sender = TcpFlow(local=A, remote=B)
         other_local = TcpEndpoint(mac=B.mac, ip=B.ip, port=7777)
-        receiver = TcpFlow(local=other_local, remote=A)
+        table = FlowTable()
+        table.add(TcpFlow(local=other_local, remote=A))
         tcp = sender.next_header(3)
-        frame = parse_frame(build_frame(sender.eth_header(), A.ip, B.ip,
-                                        tcp, b"abc"))
-        with pytest.raises(ProtocolError):
-            receiver.accept(frame)
+        frame = build_frame(sender.eth_header(), A.ip, B.ip, tcp, b"abc")
+        with pytest.raises(ProtocolError, match="unknown flow"):
+            receive(table, frame)
+        assert table.discarded == 0
+
+    def test_wrong_destination_address_discarded(self):
+        sender = TcpFlow(local=A, remote=B)
+        receiver = sender.reverse()
+        table = FlowTable()
+        table.add(receiver)
+        tcp = sender.next_header(3)
+        frame = build_frame(sender.eth_header(), A.ip, "10.0.0.9", tcp,
+                            b"abc")
+        assert receive(table, frame) is None
+        assert table.discarded == 1
 
     def test_flow_table_lookup(self):
         sender = TcpFlow(local=A, remote=B)
@@ -437,11 +467,32 @@ class TestTcpFlow:
         table = FlowTable()
         table.add(receiver)
         tcp = sender.next_header(2)
-        frame = parse_frame(build_frame(sender.eth_header(), A.ip, B.ip,
-                                        tcp, b"ok"))
-        assert table.lookup(frame) is receiver
+        frame = build_frame(sender.eth_header(), A.ip, B.ip, tcp, b"ok")
+        assert receive(table, frame) is receiver
         table.remove(receiver)
-        assert table.lookup(frame) is None
+        with pytest.raises(ProtocolError, match="unknown flow"):
+            receive(table, frame)
+
+    def test_split_header_and_payload(self):
+        """The engine's header-split buffers: 54 header bytes and the
+        payload apart give what the whole frame gives."""
+        sender = TcpFlow(local=A, remote=B)
+        receiver = sender.reverse()
+        table = FlowTable()
+        table.add(receiver)
+        tcp = sender.next_header(4)
+        frame = build_frame(sender.eth_header(), A.ip, B.ip, tcp, b"data")
+        assert table.receive(frame[:HEADER_LEN], b"data") is receiver
+        assert receiver.rcv_nxt == sender.snd_nxt
+
+    def test_steering_key_is_the_decoded_key(self):
+        """``flow_key`` and ``RX_FIELDS`` agree on a frame's flow."""
+        frame = make_frame()
+        src, dst, src_port, dst_port, seq = RX_FIELDS.unpack_from(
+            frame, RX_FIELDS_OFFSET)
+        parsed = parse_frame(frame)
+        assert (src, src_port, dst_port) == flow_key(A.ip, A.port, B.port)
+        assert (dst, seq) == (bytes([10, 0, 0, 2]), parsed.tcp.seq)
 
 
 class TestWire:

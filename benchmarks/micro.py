@@ -15,16 +15,20 @@ observation planes on, it prints host nanoseconds per uncontended 64 B
 ``dma_write`` under a ``TraceSession`` and a ``MetricsSession``, per
 ``Tracer.begin`` + ``Span.end`` pair and per ``TimeWeightedGauge.inc``.  Each figure is
 the best of a few repeats of a fixed batch, so the run takes a few
-seconds.  Last, it prints the objects each scheme's 4 KiB ``send_file``
+seconds.  Last, per scheme, it prints the objects a 4 KiB ``send_file``
 leaves for the cyclic garbage collector (0 expected: a finished process
-is freed by reference counting).  It asserts nothing: it is a
-probe for profiling work, and CI runs it only to keep it working.
+is freed by reference counting) and the KiB a testbed warmed by one
+such send holds (``tracemalloc``: the regions' written pages, the
+allocators' chunk maps, rings and device state).  It asserts nothing:
+it is a probe for profiling work, and CI runs it only to keep it
+working.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+import tracemalloc
 from contextlib import contextmanager, nullcontext
 
 from repro.analysis import LatencyTrace
@@ -52,10 +56,9 @@ def _fabric():
     for port in ("host", "nic", "engine"):
         fabric.add_port(port, LINK_GEN2_X8)
     fabric.add_region(MemoryRegion("host-dram", base=HOST_BASE, size=MIB,
-                                   port="host", sparse=True,
-                                   access_latency=90))
+                                   port="host", access_latency=90))
     fabric.add_region(MemoryRegion("engine-ddr3", base=ENGINE_BASE,
-                                   size=MIB, port="engine", sparse=True))
+                                   size=MIB, port="engine"))
     return sim, fabric
 
 
@@ -270,6 +273,37 @@ def cyclic_garbage_per_send(scheme_cls) -> float:
         gc.enable()
 
 
+def warmed_testbed_kib(scheme_cls) -> float:
+    """KiB of Python memory a testbed holds once one 4 KiB
+    ``send_file`` has run on it (a warm-up testbed is built first, so
+    imports and process-wide caches are not counted)."""
+
+    def warmed():
+        tb = Testbed(seed=5)
+        scheme = scheme_cls(tb)
+        tb.node0.host.install_file("warm.dat", bytes(4 * KIB))
+        conn = scheme.connect()
+        tb.sim.spawn(scheme.send_file(tb.node0, conn, "warm.dat", 0,
+                                      4 * KIB))
+        tb.sim.spawn(scheme.client_recv(tb.node1, conn, 4 * KIB))
+        tb.sim.run()
+        return tb
+
+    warmed()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        tb = warmed()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    del tb  # alive until the second snapshot
+    return sum(stat.size_diff
+               for stat in after.compare_to(before, "filename")) / KIB
+
+
 def main() -> None:
     for kind in ("write", "read"):
         for size in (64, 4 * KIB):
@@ -289,9 +323,11 @@ def main() -> None:
           f"{uncontended('write', 64, planes=True):8.0f} host ns/DMA")
     print(f"Tracer.begin + Span.end:       {span_begin_end():8.0f} host ns")
     print(f"TimeWeightedGauge.inc:         {timegauge_inc():8.0f} host ns")
-    print("objects left for the cyclic collector per 4 KiB send_file:")
+    print("per scheme: objects left for the cyclic collector per 4 KiB "
+          "send_file, KiB a warmed testbed holds:")
     for name, scheme_cls in ALL_SCHEMES.items():
-        print(f"{name:10s} {cyclic_garbage_per_send(scheme_cls):8.1f}")
+        print(f"{name:10s} {cyclic_garbage_per_send(scheme_cls):8.1f} "
+              f"{warmed_testbed_kib(scheme_cls):8.0f} KiB")
 
 
 if __name__ == "__main__":

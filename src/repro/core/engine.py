@@ -77,7 +77,7 @@ class HDCEngine:
             f"{port}-bram", base=ENGINE_BRAM_BASE, size=512 * KIB, port=port))
         fabric.add_region(MemoryRegion(
             f"{port}-ddr3", base=ENGINE_DDR_BASE, size=1 * GIB, port=port,
-            sparse=True, access_latency=120))
+            access_latency=120))
         self.buffers = EngineBuffers(ENGINE_DDR_BASE)
 
         bump = Bump(ENGINE_BRAM_BASE, 512 * KIB, "engine BRAM")

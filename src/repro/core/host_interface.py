@@ -88,7 +88,7 @@ class HostInterface:
             self._wake.notify()
         elif offset >= COMMAND_QUEUE_OFFSET:
             # Command bytes landing in queue BRAM: plain storage.
-            self.bar._backing[offset:offset + len(data)] = data
+            self.bar.store(self.bar.base + offset, data)
         # other offsets: configuration registers, ignored
 
     # -- parser ------------------------------------------------------------------
@@ -121,11 +121,18 @@ class HostInterface:
             try:
                 yield from self.fabric.dma_write(self.engine_port, addr,
                                                  completion.pack())
+            except DeviceError:
+                # The record never landed: give its slot back, so the
+                # next completion fills it; the driver's D2D watchdog
+                # reports the lost command.
+                self._cpl_tail -= 1
+                self.interrupts_lost += 1
+                continue
+            try:
                 yield from self.fabric.msi(self.engine_port, vector=0)
             except DeviceError:
-                # Completion record or MSI lost to a link fault: the
-                # driver's D2D watchdog surfaces it as a timeout rather
-                # than the generator process dying.
+                # MSI lost to a link fault: the record is in the ring,
+                # and the driver reaps it with the next interrupt.
                 self.interrupts_lost += 1
                 continue
             self.interrupts_raised += 1

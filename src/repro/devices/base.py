@@ -31,11 +31,11 @@ class PcieDevice:
         self.dma_read = partial(fabric.dma_read, name)
         self.dma_write = partial(fabric.dma_write, name)
 
-    def add_region(self, suffix: str, base: int, size: int,
-                   sparse: bool = False) -> MemoryRegion:
+    def add_region(self, suffix: str, base: int,
+                   size: int) -> MemoryRegion:
         """Register an addressable window owned by this device."""
         region = MemoryRegion(f"{self.name}-{suffix}", base=base, size=size,
-                              port=self.name, sparse=sparse)
+                              port=self.name)
         return self.fabric.add_region(region)
 
     # -- MMIO and interrupt wrappers (generators; drive with ``yield from``)

@@ -70,8 +70,7 @@ class Gpu(PcieDevice):
         super().__init__(sim, fabric, name, config.link)
         self.config = config
         # The GPUDirect-exposed device memory window: peers may DMA here.
-        self.dram = self.add_region("dram", bar_base, config.memory_bytes,
-                                    sparse=True)
+        self.dram = self.add_region("dram", bar_base, config.memory_bytes)
         self._copy_engines = Lanes(sim, config.copy_engines)
         self._exec_engine = Lanes(sim)
         self.kernels_launched = 0

@@ -328,7 +328,8 @@ class NvmeSsd(PcieDevice):
                 cqe = Completion(cid=command.cid, sq_head=state.sq_head,
                                  status=status, phase=state.cq_phase,
                                  sq_id=state.qid)
-                addr = state.cq_addr + state.cq_tail * CQE_SIZE
+                tail, phase = state.cq_tail, state.cq_phase
+                addr = state.cq_addr + tail * CQE_SIZE
                 state.cq_tail += 1
                 if state.cq_tail == state.depth:
                     state.cq_tail = 0
@@ -338,6 +339,11 @@ class NvmeSsd(PcieDevice):
                 try:
                     yield from self.dma_write(addr, cqe.pack())
                 except DeviceError:
+                    # The CQE never landed: give its slot back, so the
+                    # consumer's in-order reap does not stop there.
+                    state.cq_tail, state.cq_phase = tail, phase
+                    if state.m_cq is not None:
+                        state.m_cq.set(state.cq_depth())
                     dropped = True
             finally:
                 state.post_lock.release()

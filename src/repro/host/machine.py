@@ -67,7 +67,7 @@ class Host:
         self.fabric.add_port("host", LINK_GEN2_X8)
         self.fabric.add_region(MemoryRegion(
             "host-dram", base=HOST_DRAM_BASE, size=HOST_DRAM_SIZE,
-            port="host", sparse=True, access_latency=300))
+            port="host", access_latency=300))
         self.cpu = CpuPool(sim, cores=CORES, owner=name)
         self.control = Bump(CONTROL_BASE, BUFFER_BASE - CONTROL_BASE)
         self.buffers = ChunkAllocator(BUFFER_BASE, BUFFER_SIZE, BUFFER_CHUNK)

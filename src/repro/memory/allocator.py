@@ -11,14 +11,16 @@ words) in host control memory and engine BRAM.
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import List
-
 from repro.errors import AllocationError
 
 
 class ChunkAllocator:
-    """Allocates fixed-size chunks out of an address window."""
+    """Allocates fixed-size chunks out of an address window.
+
+    One byte per chunk, non-zero while the chunk is allocated.  Every
+    allocation takes the lowest free run (first fit), so the addresses
+    handed out depend only on the sequence of calls.
+    """
 
     def __init__(self, base: int, size: int, chunk_size: int):
         if chunk_size <= 0:
@@ -29,28 +31,21 @@ class ChunkAllocator:
         self.base = base
         self.chunk_size = chunk_size
         self.total_chunks = size // chunk_size
-        # Free list kept sorted so allocation is deterministic and
-        # contiguous runs can be found.
-        self._free: List[int] = list(range(self.total_chunks))
-        self._allocated: set[int] = set()
+        self._map = bytearray(self.total_chunks)
+        self.allocated_chunks = 0
 
     @property
     def free_chunks(self) -> int:
         """Number of chunks currently free."""
-        return len(self._free)
+        return self.total_chunks - self.allocated_chunks
 
-    @property
-    def allocated_chunks(self) -> int:
-        """Number of chunks currently allocated."""
-        return len(self._allocated)
+    def free_indices(self) -> list[int]:
+        """The free chunk indices, lowest first."""
+        return [index for index, used in enumerate(self._map) if not used]
 
     def alloc(self) -> int:
         """Allocate one chunk; returns its base address."""
-        if not self._free:
-            raise AllocationError("out of chunks")
-        index = self._free.pop(0)
-        self._allocated.add(index)
-        return self.base + index * self.chunk_size
+        return self.alloc_contiguous(1)
 
     def alloc_contiguous(self, count: int) -> int:
         """Allocate ``count`` physically contiguous chunks.
@@ -61,21 +56,13 @@ class ChunkAllocator:
         """
         if count <= 0:
             raise AllocationError(f"count must be positive: {count}")
-        run_start = 0
-        run_len = 0
-        for pos, index in enumerate(self._free):
-            if run_len and index == self._free[pos - 1] + 1:
-                run_len += 1
-            else:
-                run_start, run_len = pos, 1
-            if run_len == count:
-                indices = self._free[run_start:run_start + count]
-                del self._free[run_start:run_start + count]
-                self._allocated.update(indices)
-                return self.base + indices[0] * self.chunk_size
-        raise AllocationError(
-            f"no contiguous run of {count} chunks "
-            f"({len(self._free)} free, fragmented)")
+        index = self._map.find(bytes(count))
+        if index < 0:
+            raise AllocationError(f"no free run of {count} chunk(s) "
+                                  f"({self.free_chunks} free)")
+        self._map[index:index + count] = b"\x01" * count
+        self.allocated_chunks += count
+        return self.base + index * self.chunk_size
 
     def alloc_bytes(self, size: int) -> int:
         """Allocate the contiguous chunks ``size`` bytes need; returns
@@ -87,17 +74,22 @@ class ChunkAllocator:
         self.free(addr, self.chunks_for(size))
 
     def free(self, addr: int, count: int = 1) -> None:
-        """Free ``count`` chunks starting at ``addr``."""
+        """Free ``count`` chunks starting at ``addr``; nothing is freed
+        if any of them is not allocated."""
         offset = addr - self.base
         if offset % self.chunk_size != 0:
             raise AllocationError(f"{hex(addr)} is not chunk-aligned")
         first = offset // self.chunk_size
-        for index in range(first, first + count):
-            if index not in self._allocated:
-                raise AllocationError(
-                    f"double free or bad address: chunk {index}")
-            self._allocated.remove(index)
-            insort(self._free, index)
+        end = first + count
+        if first < 0 or end > self.total_chunks:
+            raise AllocationError(
+                f"double free or bad address: chunks [{first}, {end}) "
+                f"outside the window of {self.total_chunks}")
+        bad = self._map.find(0, first, end)
+        if bad >= 0:
+            raise AllocationError(f"double free or bad address: chunk {bad}")
+        self._map[first:end] = bytes(count)
+        self.allocated_chunks -= count
 
     def chunks_for(self, size: int) -> int:
         """How many chunks a transfer of ``size`` bytes needs."""

@@ -29,7 +29,6 @@ def fabric(sim):
     fab = Fabric(sim)
     fab.add_port("host", LINK_GEN2_X8)
     fab.add_region(MemoryRegion("host-dram", base=HOST_DRAM_BASE,
-                                size=HOST_DRAM_SIZE, port="host",
-                                sparse=True))
+                                size=HOST_DRAM_SIZE, port="host"))
     fab.register_msi_handler("host", lambda src, vec: None)
     return fab

@@ -7,8 +7,8 @@ from repro.devices.nic import (RECV_CMPL_SIZE, RECV_DESC_SIZE, Nic,
                                SendDescriptor)
 from repro.devices.nic.rings import unwrap32
 from repro.errors import DeviceError, ProtocolError
-from repro.net import (HEADER_LEN, Ipv4Header, TCP_MSS, TcpEndpoint, TcpFlow,
-                       Wire, parse_frame)
+from repro.net import (HEADER_LEN, TCP_MSS, TcpEndpoint, TcpFlow, Wire,
+                       parse_frame)
 from repro.units import KIB, SEC, gbps
 
 from tests.conftest import NIC_BAR, NIC2_BAR
@@ -85,14 +85,7 @@ def _post_recv_buffers(rx, count, split=True, buf_len=64 * KIB):
 
 def _send(fabric, tx, flow, payload, lso=True):
     """Stage header+payload in memory and push one send descriptor."""
-    # LSO header template: the length/checksum fields are recomputed per
-    # segment by the NIC, so the template carries a dummy 40-byte length.
-    header = (flow.eth_header().pack()
-              + Ipv4Header(src_ip=flow.local.ip, dst_ip=flow.remote.ip,
-                           total_length=40).pack()
-              + flow.next_header(len(payload)).pack(
-                  flow.local.ip, flow.remote.ip, b""))
-    fabric.poke(HDR_BUF, header)
+    fabric.poke(HDR_BUF, flow.lso_header(len(payload)))
     if payload:
         fabric.poke(PAYLOAD_BUF, payload)
     tx.push(SendDescriptor(hdr_addr=HDR_BUF, hdr_len=HEADER_LEN,

@@ -249,6 +249,67 @@ class TestLostCompletions:
         tb.assert_no_leaks()
 
 
+class TestLostCompletionWrite:
+    """``pcie.timeout`` on a completion ring's slot write.  The producer
+    takes the slot back, so the next completion fills it and the
+    consumer's in-order reap goes on.  The tail used to move past the
+    empty slot, and every later request on the queue timed out."""
+
+    SIZE = 16 * KIB
+    LATER = 5
+
+    def _requests(self, scheme_cls, occurrence):
+        """A warm-up send, then the plan, then ``1 + LATER`` sends of
+        ``SIZE``; returns the testbed and each send's process."""
+        tb = Testbed(seed=1)
+        scheme = scheme_cls(tb)
+        data = bytes(range(256)) * (self.SIZE // 256)
+        procs = []
+        for index in range(2 + self.LATER):
+            if index == 1:
+                _plan(FaultRule("pcie.timeout", occurrences={occurrence})
+                      ).install(tb.sim, tb.rng)
+            name = f"req-{index}.dat"
+            tb.node0.host.install_file(name, data)
+            conn = scheme.connect()
+            procs.append(tb.sim.process(scheme.send_file(
+                tb.node0, conn, name, 0, self.SIZE)))
+            if not conn.offloaded:
+                tb.sim.spawn(scheme.client_recv(tb.node1, conn, self.SIZE))
+            tb.sim.run()
+        assert tb.sim.faults.injected == 1
+        return tb, procs[1:]
+
+    def test_lost_cqe_write_to_the_host_driver(self):
+        """sw-opt: occurrence 4 is the SSD's CQE write into the host
+        NVMe driver's completion queue.  The driver's deadline re-issues
+        the command, so even the faulted send succeeds."""
+        tb, procs = self._requests(SwOptScheme, 4)
+        assert tb.node0.host.ssd.cqes_dropped == 1
+        assert all(proc.ok for proc in procs)
+        tb.assert_no_leaks()
+
+    @pytest.mark.parametrize("occurrence, ring", [
+        (4, "engine NVMe completion queue"),
+        (11, "host D2D completion ring")])
+    def test_lost_completion_write_on_the_engine_path(self, occurrence, ring):
+        """dcs-ctrl: occurrence 4 is the SSD's CQE write into the
+        engine's BRAM completion queue, which the engine controller's
+        deadline recovers; occurrence 11 is the engine's D2D
+        completion write into host DRAM, whose command the driver's
+        watchdog reports as failed."""
+        tb, procs = self._requests(DcsCtrlScheme, occurrence)
+        node = tb.node0
+        if occurrence == 4:
+            assert node.host.ssd.cqes_dropped == 1
+            assert procs[0].ok
+        else:
+            assert node.engine.host_interface.interrupts_lost == 1
+            assert not procs[0].ok
+        assert all(proc.ok for proc in procs[1:]), ring
+        tb.assert_no_leaks()
+
+
 class TestAbortAndCleanup:
     def test_wire_loss_aborts_receive_chain_cleanly(self):
         """A frame lost mid-stream on an offloaded SSD->NIC->SSD pipe:

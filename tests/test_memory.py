@@ -1,4 +1,9 @@
-"""Tests for memory regions, sparse backing, DRAM timing and the allocator."""
+"""Tests for memory regions, page-on-write backing, DRAM timing, the
+allocators and what a testbed holds."""
+
+import gc
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +13,9 @@ from repro.errors import AddressError, AllocationError
 from repro.memory import (ChunkAllocator, FPGA_DDR3, HOST_DDR4, MemoryRegion,
                           SparseBytes)
 from repro.memory.allocator import Bump
-from repro.units import KIB, MIB
+from repro.schemes import ALL_SCHEMES, Testbed
+from repro.units import GIB, KIB, MIB
+from tests.test_schemes import run_send
 
 
 class TestSparseBytes:
@@ -49,6 +56,21 @@ class TestSparseBytes:
         assert store.read(offset, len(data)) == data
 
 
+def _region(resident, size, base=0x1000, name="r", port="p"):
+    """A region on the one page-on-write backing.  ``resident`` writes
+    zeroes over it first, so every access finds its page already there
+    (the dense case) instead of making it on the first write."""
+    region = MemoryRegion(name, base=base, size=size, port=port)
+    if resident:
+        region.write(base, bytes(size))
+    return region
+
+
+# Parameter ids name how much of the region is resident before a test.
+_RESIDENCY = pytest.mark.parametrize("resident", [True, False],
+                                     ids=["dense", "sparse"])
+
+
 class TestMemoryRegion:
     def test_functional_roundtrip(self):
         region = MemoryRegion("dram", base=0x1000, size=4096, port="host")
@@ -80,10 +102,9 @@ class TestMemoryRegion:
             with pytest.raises(AddressError, match="outside region r"):
                 region.write(addr, bytes(length))
 
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-    def test_read_returns_an_independent_bytes_copy(self, sparse):
-        region = MemoryRegion("r", base=0x1000, size=16 * KIB, port="p",
-                              sparse=sparse)
+    @_RESIDENCY
+    def test_read_returns_an_independent_bytes_copy(self, resident):
+        region = _region(resident, size=16 * KIB)
         region.write(0x1ffe, b"abcd")           # crosses a 4 KiB page
         got = region.read(0x1ffe, 4)
         assert type(got) is bytes
@@ -104,10 +125,9 @@ class TestMemoryRegion:
         # Data was consumed by the hook, not stored.
         assert region.read(0x10, 4) == bytes(4)
 
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-    def test_watchers_fire_after_overlapping_stores(self, sparse):
-        region = MemoryRegion("ring", base=0x1000, size=64 * KIB,
-                              port="dev", sparse=sparse)
+    @_RESIDENCY
+    def test_watchers_fire_after_overlapping_stores(self, resident):
+        region = _region(resident, size=64 * KIB, name="ring", port="dev")
         seen = []
         region.watch(0x1100, 16,
                      lambda: seen.append(("cq", region.read(0x1100, 4))))
@@ -135,8 +155,7 @@ class TestMemoryRegion:
             region.watch(0x1ff0, 32, lambda: None)
 
     def test_sparse_region(self):
-        region = MemoryRegion("flash", base=0, size=1024 * MIB, port="ssd",
-                              sparse=True)
+        region = MemoryRegion("flash", base=0, size=1024 * MIB, port="ssd")
         region.write(100 * MIB, b"deep")
         assert region.read(100 * MIB, 4) == b"deep"
 
@@ -205,6 +224,18 @@ class TestChunkAllocator:
         alloc.free(addr)
         with pytest.raises(AllocationError):
             alloc.free(addr)
+
+    def test_free_outside_the_window_or_of_a_free_chunk_frees_nothing(self):
+        chunk = 64 * KIB
+        alloc = ChunkAllocator(base=chunk, size=chunk * 4, chunk_size=chunk)
+        first = alloc.alloc_contiguous(3)
+        for addr, count in ((0, 1), (5 * chunk, 1), (first, 4),
+                            (first + 3 * chunk, 1)):
+            with pytest.raises(AllocationError, match="double free or bad"):
+                alloc.free(addr, count)
+        assert alloc.free_indices() == [3]
+        alloc.free(first, 3)
+        assert alloc.free_chunks == 4
 
     def test_unaligned_free_rejected(self):
         alloc = ChunkAllocator(base=0, size=64 * KIB * 2, chunk_size=64 * KIB)
@@ -324,14 +355,12 @@ class TestStoresAgainstFlatOracle:
         # Only pages a write touched are resident; reads allocate none.
         assert store.resident_bytes == len(_pages_touched(ops)) * PAGE
 
-    @pytest.mark.parametrize("sparse", [False, True],
-                             ids=["dense", "sparse"])
+    @_RESIDENCY
     @settings(max_examples=60, deadline=None)
     @given(ops=_ops)
-    def test_memory_region(self, sparse, ops):
+    def test_memory_region(self, resident, ops):
         base = 0x10_0000
-        region = MemoryRegion("r", base=base, size=STORE_SIZE, port="p",
-                              sparse=sparse)
+        region = _region(resident, size=STORE_SIZE, base=base)
         _replay(ops, region.read, region.write, bytearray(STORE_SIZE),
                 base=base)
 
@@ -413,6 +442,66 @@ class TestChunkAllocatorAgainstOracle:
                         else alloc.alloc_contiguous(count))
                 assert addr == 0x8000 + expect[0] * chunk
                 held.append((expect[0], len(expect)))
-            assert alloc._free == oracle.free
+            assert alloc.free_indices() == oracle.free
             assert alloc.free_chunks == len(oracle.free)
             assert alloc.allocated_chunks == total - len(oracle.free)
+
+    def test_engine_sized_window_hands_out_the_sorted_list_addresses(self):
+        """The engine's 16,384 DDR3 chunks under a fixed mix like its
+        own: a carved receive pool, then contiguous intermediate buffers
+        and single chunks freed out of order."""
+        total, chunk = 1 * GIB // (64 * KIB), 64 * KIB
+        alloc = ChunkAllocator(base=0x1_0000_0000, size=total * chunk,
+                               chunk_size=chunk)
+        oracle = _AllocatorOracle(total)
+        rng = random.Random(7)
+        held = []
+        for _ in range(512):
+            assert alloc.alloc() == 0x1_0000_0000 + oracle.alloc()[0] * chunk
+        for _ in range(3_000):
+            if held and rng.random() < 0.45:
+                first, n = held.pop(rng.randrange(len(held)))
+                alloc.free(0x1_0000_0000 + first * chunk, n)
+                oracle.release(list(range(first, first + n)))
+                continue
+            count = rng.choice((1, 1, 2, 3, 4, 8))
+            run = oracle.alloc_contiguous(count)
+            addr = (alloc.alloc() if count == 1
+                    else alloc.alloc_contiguous(count))
+            assert addr == 0x1_0000_0000 + run[0] * chunk
+            held.append((run[0], count))
+        assert alloc.free_indices() == oracle.free
+        assert alloc.allocated_chunks == total - len(oracle.free)
+
+
+class TestTestbedFootprint:
+    """A testbed holds memory in proportion to what its run writes: a
+    page per written page of each region and a byte per chunk of each
+    allocator, not a dense copy of every register window and a Python
+    int per free chunk (about 4 MiB per testbed)."""
+
+    LIMIT = 1.5 * MIB
+
+    @staticmethod
+    def _warmed(scheme_cls):
+        tb = Testbed(seed=1)
+        run_send(tb, scheme_cls(tb), bytes(4 * KIB), "warm.dat")
+        return tb
+
+    @pytest.mark.parametrize("name", sorted(ALL_SCHEMES))
+    def test_warmed_testbed_holds_at_most_the_limit(self, name):
+        scheme_cls = ALL_SCHEMES[name]
+        self._warmed(scheme_cls)    # imports and process-wide caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            tb = self._warmed(scheme_cls)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(stat.size_diff
+                   for stat in after.compare_to(before, "filename"))
+        assert tb.sim.now > 0
+        assert held <= self.LIMIT, f"{name}: {held / KIB:.0f} KiB"

@@ -53,7 +53,7 @@ class LoggedRegion(MemoryRegion):
 
 def _regions(sim, log):
     return [LoggedRegion(sim, log, name=f"{port}-mem", base=BASES[port],
-                         size=WINDOW, port=port, sparse=True,
+                         size=WINDOW, port=port,
                          access_latency=ACCESS_LATENCY[port])
             for port in PORTS]
 

@@ -85,12 +85,45 @@ compare:         ## outputs byte-identical to another checkout: PARENT=<dir>
 	            -e '/^\[metrics:/d' $$out/$$run.out > $$out/$$run.txt; \
 	    done; \
 	done
-	@for file in fig11.jsonl fig11.csv fig11.txt fig3.jsonl fig3.txt \
-	        faults.txt fig12a.csv fig12a.txt; do \
-	    cmp compare/here/$$file compare/parent/$$file \
-	        || { echo "compare: $$file differs from $(PARENT)"; exit 1; }; \
-	    echo "compare OK: $$file identical"; \
-	done
+	@status=0; for file in fig11.jsonl fig11.csv fig11.txt fig3.jsonl \
+	        fig3.txt faults.txt fig12a.csv fig12a.txt; do \
+	    if cmp -s compare/here/$$file compare/parent/$$file; then \
+	        echo "compare OK: $$file identical"; continue; fi; \
+	    echo "compare: $$file differs from $(PARENT)"; status=1; \
+	    case $$file in *.jsonl) $(PYTHON) -c "$$JSONL_WITHOUT_IDS" \
+	        compare/here/$$file compare/parent/$$file;; esac; \
+	done; exit $$status
+
+# For a differing trace, `make compare` also reports whether the two
+# files match once span ids (`id`, `parent_id`) are stripped, and if
+# not, how many lines each side has left over (the first ten shown).
+define JSONL_WITHOUT_IDS
+import json, sys
+from collections import Counter
+
+def spans(path):
+    with open(path) as lines:
+        return [json.dumps({key: value
+                            for key, value in json.loads(line).items()
+                            if key not in ("id", "parent_id")},
+                           sort_keys=True) for line in lines]
+
+name = sys.argv[1].rsplit("/", 1)[-1]
+here, parent = spans(sys.argv[1]), spans(sys.argv[2])
+if here == parent:
+    print(f"compare: {name} matches with span ids stripped")
+else:
+    print(f"compare: {name} differs with span ids stripped too")
+    for side, extra in (("here", Counter(here) - Counter(parent)),
+                        ("parent", Counter(parent) - Counter(here))):
+        lines = sorted(extra.elements())
+        print(f"  {len(lines)} line(s) only {side}")
+        for line in lines[:10]:
+            print(f"    {line}")
+    if Counter(here) == Counter(parent):
+        print("  the same lines, in another order")
+endef
+export JSONL_WITHOUT_IDS
 
 docs-check:      ## catalogs <-> docs/{tracing,metrics,lint}.md lock-step check
 	$(PYTHON) -m pytest -q tests/test_docs_contract.py

@@ -27,7 +27,6 @@ class EngineBuffers:
         # bursty intermediate-buffer use can't starve the NIC.
         self._recv_pool = [self._alloc.alloc()
                            for _ in range(recv_pool_chunks)]
-        self.recv_pool_size = recv_pool_chunks
 
     # -- intermediate buffers ---------------------------------------------
 

@@ -45,7 +45,7 @@ class HdcDriver:
         self.completion_ring_addr = completion_ring_addr
         self._next_d2d_id = 1
         self._cmd_tail = 0
-        self._cpl_head = 0
+        self.cpl_head = 0       # next D2D completion to reap (free-running)
         self._written: set[int] = set()
         self._announced = 0
         # Flow control (at most depth-1 D2D commands in flight) and the
@@ -231,14 +231,14 @@ class HdcDriver:
         yield from self.host.cpu.run(
             costs.interrupt_entry + costs.hdc_complete, CAT.COMPLETION)
         while True:
-            slot = self._cpl_head % COMMAND_QUEUE_DEPTH
+            slot = self.cpl_head % COMMAND_QUEUE_DEPTH
             addr = self.completion_ring_addr + slot * COMPLETION_SIZE
             raw = self.host.fabric.address_map.read(addr, COMPLETION_SIZE)
             completion = D2DCompletion.unpack(raw)
             if completion.d2d_id == 0:
                 break
             self.host.fabric.address_map.write(addr, bytes(COMPLETION_SIZE))
-            self._cpl_head += 1
+            self.cpl_head += 1
             self.commands.deliver(completion.d2d_id, (completion, irq_at))
 
     # -- high-level operations -------------------------------------------------------------

@@ -136,7 +136,6 @@ class HDCEngine:
             sim, self.bar, completion_ring_addr, port, fabric,
             self._on_command)
         sim.spawn(self._completion_pump())
-        self.tasks_completed = 0
         self.tasks_failed = 0
         self.task_stats: dict[int, dict[str, int]] = {}
         self._task_started: dict[int, int] = {}
@@ -292,7 +291,6 @@ class HDCEngine:
 
         def finalize(task) -> D2DCompletion:
             self.buffers.free_intermediate(buf, buf_size)
-            self.tasks_completed += 1
             self._record_stats(cmd.d2d_id, entries)
             digest = b""
             result_length = out.length

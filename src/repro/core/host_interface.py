@@ -15,11 +15,13 @@ host-DRAM ring and raises an MSI.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.core.command import (COMPLETION_SIZE, D2DCommand,
                                 D2D_COMMAND_SIZE, D2DCompletion)
-from repro.errors import DeviceError, ProtocolError
+from repro.devices.ring import CompletionRing
+from repro.errors import ProtocolError
 from repro.memory.region import MemoryRegion
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Signal, Store
@@ -43,15 +45,16 @@ class HostInterface:
         self.bar = bar
         self.fabric = fabric
         self.engine_port = engine_port
-        self.completion_ring_addr = completion_ring_addr
+        self.completion_ring = CompletionRing(
+            completion_ring_addr, COMPLETION_SIZE, COMMAND_QUEUE_DEPTH,
+            partial(fabric.dma_write, engine_port))
         self.on_command = on_command
         self._head = 0          # next command slot the parser will read
         self._tail = 0          # latest doorbell value
         self._wake = Signal(sim)
-        self._cpl_tail = 0
         self.commands_received = 0
         self.interrupts_raised = 0
-        self.interrupts_lost = 0
+        self.completions_lost = 0
         bar.on_mmio_write = self._on_bar_write
         self.outbox: Store = Store(sim)   # completions awaiting delivery
         sim.spawn(self._parser())
@@ -67,9 +70,6 @@ class HostInterface:
     @property
     def doorbell_addr(self) -> int:
         return self.bar.base + DOORBELL_OFFSET
-
-    def slots_free(self) -> int:
-        return COMMAND_QUEUE_DEPTH - (self._tail - self._head)
 
     # -- BAR dispatch ----------------------------------------------------------
 
@@ -113,26 +113,14 @@ class HostInterface:
         self.outbox.put(completion)
 
     def _interrupt_generator(self):
+        ring = self.completion_ring
         while True:
             completion = yield self.outbox.get()
-            slot = self._cpl_tail % COMMAND_QUEUE_DEPTH
-            addr = self.completion_ring_addr + slot * COMPLETION_SIZE
-            self._cpl_tail += 1
-            try:
-                yield from self.fabric.dma_write(self.engine_port, addr,
-                                                 completion.pack())
-            except DeviceError:
-                # The record never landed: give its slot back, so the
+            if not (yield from ring.write(ring.claim(), completion.pack())):
+                # The record never landed and its slot went back, so the
                 # next completion fills it; the driver's D2D watchdog
                 # reports the lost command.
-                self._cpl_tail -= 1
-                self.interrupts_lost += 1
+                self.completions_lost += 1
                 continue
-            try:
-                yield from self.fabric.msi(self.engine_port, vector=0)
-            except DeviceError:
-                # MSI lost to a link fault: the record is in the ring,
-                # and the driver reaps it with the next interrupt.
-                self.interrupts_lost += 1
-                continue
+            yield from self.fabric.msi(self.engine_port, vector=0)
             self.interrupts_raised += 1

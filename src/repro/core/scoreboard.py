@@ -55,9 +55,6 @@ class _Task:
         self.failed: Optional[BaseException] = None
         self.abort_requested = False
 
-    def done(self) -> bool:
-        return all(e.state == EntryState.DONE for e in self.entries)
-
     def settled(self) -> bool:
         """Every entry has left the pipeline (done or cancelled)."""
         return all(e.state in (EntryState.DONE, EntryState.CANCELLED)
@@ -89,7 +86,6 @@ class Scoreboard:
         self._wake = Signal(sim)
         self.completions: Store = Store(sim)
         self.entries_issued = 0
-        self.decisions = 0
         metrics = sim.metrics
         if metrics is None:
             self._m_entries = None
@@ -202,7 +198,6 @@ class Scoreboard:
             entry.state = EntryState.ISSUE
             self._busy[entry.dev] += 1
             yield self.sim.timeout(SCOREBOARD_DECISION)
-            self.decisions += 1
             self.entries_issued += 1
             self.sim.spawn(self._run_entry(task, entry, executor))
 
@@ -224,7 +219,6 @@ class Scoreboard:
                 entry.after = None
                 after()
         yield self.sim.timeout(SCOREBOARD_DECISION)  # state write-back
-        self.decisions += 1
         self._drain_completions()
         self._kick()
 

@@ -30,6 +30,7 @@ from repro.devices.nic.descriptors import (RECV_CMPL_SIZE, RECV_DESC_SIZE,
                                            SEND_DESC_SIZE, RecvCompletion,
                                            RecvDescriptor, SendDescriptor)
 from repro.devices.nic.rings import RecvRing, SendRing, unwrap32
+from repro.devices.ring import CompletionRing, ring_dma
 from repro.errors import DeviceError, DeviceTimeout, ProtocolError
 from repro.net.packet import (HEADER_LEN, MTU, RX_FIELDS, RX_FIELDS_OFFSET,
                               FlowKey, build_frame, check_frame, flow_key,
@@ -64,10 +65,6 @@ _CHANNEL_STRIDE = 0x10
 _SEND_DB = 0x00
 _RECV_DB = 0x08
 
-# A receive-ring DMA (descriptor fetch, completion write) that times out
-# moved no bytes, so it is safely done again -- at most this many times.
-_RING_DMA_RETRIES = 3
-
 
 @dataclass
 class _TxChannel:
@@ -85,13 +82,12 @@ class _TxChannel:
 @dataclass
 class _RxChannel:
     desc_addr: int
-    cmpl_addr: int
+    cmpl: CompletionRing
     depth: int
     status_addr: int
     interrupt: bool
     fetched: int = 0    # descriptors fetched from ring memory
     tail: int = 0       # latest doorbell value
-    produced: int = 0   # completions written
     fetch_busy: bool = False
     buffers: Deque[Tuple[int, RecvDescriptor]] = field(default_factory=deque)
     buffer_wake: Optional[Signal] = None
@@ -175,7 +171,9 @@ class Nic(PcieDevice):
         """Set up one receive channel; returns the submitter-side view."""
         if len(self._rx_channels) >= self.config.max_channels:
             raise DeviceError(f"{self.name} is out of RX channels")
-        channel = _RxChannel(desc_addr=desc_addr, cmpl_addr=cmpl_addr,
+        channel = _RxChannel(desc_addr=desc_addr,
+                             cmpl=CompletionRing(cmpl_addr, RECV_CMPL_SIZE,
+                                                 depth, self.dma_write),
                              depth=depth, status_addr=status_addr,
                              interrupt=interrupt,
                              buffer_wake=Signal(self.sim))
@@ -370,23 +368,18 @@ class Nic(PcieDevice):
 
         At most one fetch process per channel (doorbells that land while
         it runs are covered by re-checking the tail each pass).  A fetch
-        that times out is done again (``fetched`` has not advanced), up
-        to ``_RING_DMA_RETRIES`` times in a row; past that the fetch
-        ends and the next doorbell starts it again.
+        is a :func:`~repro.devices.ring.ring_dma`; if every attempt
+        times out the fetch ends and the next doorbell starts it again.
         """
         try:
-            timeouts = 0
             while rx.fetched < rx.tail:
                 slot = rx.fetched % rx.depth
                 try:
-                    raw = yield from self.dma_read(
-                        rx.desc_addr + slot * RECV_DESC_SIZE, RECV_DESC_SIZE)
+                    raw = yield from ring_dma(
+                        self.dma_read, rx.desc_addr + slot * RECV_DESC_SIZE,
+                        RECV_DESC_SIZE)
                 except DeviceTimeout:
-                    timeouts += 1
-                    if timeouts > _RING_DMA_RETRIES:
-                        return
-                    continue
-                timeouts = 0
+                    return
                 rx.buffers.append((rx.fetched, RecvDescriptor.unpack(raw)))
                 rx.fetched += 1
                 if rx.m_buf is not None:
@@ -474,25 +467,17 @@ class Nic(PcieDevice):
             cmpl = RecvCompletion.dropped_frame(index % rx.depth)
         if prev_done is not None and not prev_done.processed:
             yield prev_done  # keep completion order == arrival order
-        slot = rx.produced % rx.depth
-        landed = False
-        for _ in range(1 + _RING_DMA_RETRIES):
-            try:
-                yield from self.dma_write(
-                    rx.cmpl_addr + slot * RECV_CMPL_SIZE, cmpl.pack())
-            except DeviceTimeout:
-                continue  # no bytes landed: write the completion again
-            landed = True
-            rx.produced += 1
+        ring = rx.cmpl
+        landed = yield from ring.write(ring.claim(), cmpl.pack())
+        if landed:
             try:
                 yield from self.dma_write(
                     rx.status_addr,
-                    (rx.produced & 0xFFFFFFFF).to_bytes(4, "little"))
+                    (ring.produced & 0xFFFFFFFF).to_bytes(4, "little"))
             except DeviceError:
                 # Status write lost; the consumer's deadline (or the next
                 # frame's cumulative status write) recovers it.
                 pass
-            break
         # A completion that never landed loses the frame and, with it,
         # the buffer: its owner's deadline reports the stalled receive.
         if landed and not cmpl.dropped:
@@ -506,7 +491,4 @@ class Nic(PcieDevice):
         done.succeed()
         if rx.interrupt:
             channel_index = self._rx_channels.index(rx)
-            try:
-                yield from self.msi(vector=2 * channel_index + 1)
-            except DeviceError:
-                pass  # lost interrupt: the host driver's deadline recovers
+            yield from self.msi(vector=2 * channel_index + 1)

@@ -32,6 +32,7 @@ from repro.devices.nvme.commands import (CQE_SIZE, SQE_SIZE, Completion,
 from repro.devices.nvme.flash import (FlashStore, FlashTiming,
                                       INTEL_750_TIMING)
 from repro.devices.nvme.queues import QueuePair
+from repro.devices.ring import CompletionRing
 from repro.errors import DeviceError, ProtocolError
 from repro.pcie.link import LINK_GEN2_X4, LinkConfig
 from repro.pcie.switch import Fabric
@@ -70,14 +71,12 @@ class _QueueState:
 
     qid: int
     sq_addr: int
-    cq_addr: int
+    cq: CompletionRing
     depth: int
     interrupt: bool
     sq_head: int = 0
     sq_tail: int = 0            # latest tail written through the doorbell
     cq_head: int = 0            # latest CQ head doorbell from the consumer
-    cq_tail: int = 0
-    cq_phase: int = 1
     wake: Optional[Signal] = None  # notified when the doorbell moves
     inflight: int = 0
     completed: int = 0
@@ -91,7 +90,7 @@ class _QueueState:
         return (self.sq_tail - self.sq_head) % self.depth
 
     def cq_depth(self) -> int:
-        return (self.cq_tail - self.cq_head) % self.depth
+        return (self.cq.produced - self.cq_head) % self.depth
 
 
 class NvmeSsd(PcieDevice):
@@ -135,8 +134,10 @@ class NvmeSsd(PcieDevice):
             raise DeviceError(f"queue {qid} already exists on {self.name}")
         if qid <= 0:
             raise DeviceError("I/O queue ids start at 1")
-        state = _QueueState(qid=qid, sq_addr=sq_addr, cq_addr=cq_addr,
-                            depth=depth, interrupt=interrupt)
+        state = _QueueState(
+            qid=qid, sq_addr=sq_addr,
+            cq=CompletionRing(cq_addr, CQE_SIZE, depth, self.dma_write),
+            depth=depth, interrupt=interrupt)
         state.post_lock = Lanes(self.sim)
         state.wake = Signal(self.sim)
         metrics = self.sim.metrics
@@ -312,7 +313,7 @@ class NvmeSsd(PcieDevice):
     def _post_completion(self, state: _QueueState, command: NvmeCommand,
                          status: int):
         # The completion message can be lost on its way out — injected
-        # (nvme.cqe_drop) or because a link fault ate the CQE write.
+        # (nvme.cqe_drop) or because link faults ate every CQE write.
         # Either way the data moved but no CQE/MSI reaches the
         # submitter, whose watchdog must act.
         faults = self.sim.faults
@@ -321,30 +322,19 @@ class NvmeSsd(PcieDevice):
                    and faults.fires("nvme.cqe_drop", device=self.name,
                                     qid=state.qid, cid=command.cid))
         if not dropped:
-            # CQE posting serializes per queue to keep tail/phase
-            # coherent.
+            # CQE posting serializes per queue: one claim in flight.
             yield from state.post_lock.acquire()
             try:
+                cq = state.cq
                 cqe = Completion(cid=command.cid, sq_head=state.sq_head,
-                                 status=status, phase=state.cq_phase,
+                                 status=status, phase=cq.phase,
                                  sq_id=state.qid)
-                tail, phase = state.cq_tail, state.cq_phase
-                addr = state.cq_addr + tail * CQE_SIZE
-                state.cq_tail += 1
-                if state.cq_tail == state.depth:
-                    state.cq_tail = 0
-                    state.cq_phase ^= 1
+                addr = cq.claim()
                 if state.m_cq is not None:
                     state.m_cq.set(state.cq_depth())
-                try:
-                    yield from self.dma_write(addr, cqe.pack())
-                except DeviceError:
-                    # The CQE never landed: give its slot back, so the
-                    # consumer's in-order reap does not stop there.
-                    state.cq_tail, state.cq_phase = tail, phase
-                    if state.m_cq is not None:
-                        state.m_cq.set(state.cq_depth())
-                    dropped = True
+                dropped = not (yield from cq.write(addr, cqe.pack()))
+                if dropped and state.m_cq is not None:
+                    state.m_cq.set(state.cq_depth())
             finally:
                 state.post_lock.release()
         if not dropped:
@@ -360,9 +350,5 @@ class NvmeSsd(PcieDevice):
         self.commands_processed += 1
         if dropped:
             self.cqes_dropped += 1
-            return
-        if state.interrupt:
-            try:
-                yield from self.msi(vector=state.qid)
-            except DeviceError:
-                pass  # lost interrupt: the host driver's deadline recovers
+        elif state.interrupt:
+            yield from self.msi(vector=state.qid)

@@ -156,8 +156,40 @@ class Testbed:
                     problems.append(
                         f"node{index}: {nvme.client.label} still waits on "
                         f"cids {sorted(nvme.client.waiters)}")
+            for label, produced, consumed in self._rings(node):
+                if produced != consumed:
+                    problems.append(
+                        f"node{index}: {label} produced {produced} but its "
+                        f"consumer is at {consumed}")
         if problems:
             raise AssertionError("resource leaks: " + "; ".join(problems))
+
+    @staticmethod
+    def _rings(node: Node):
+        """(label, producer count, consumer head) of every completion
+        ring on ``node``; after a drain each pair is equal, or a
+        consumer stopped at a slot that was never written."""
+        host = node.host
+        nvme_consumers = [*zip(host.ssds, host.nvme_drivers)]
+        if node.engine is not None:
+            nvme_consumers += zip(host.ssds, node.engine.nvme_ctrls)
+        for ssd, nvme in nvme_consumers:
+            qp = nvme.client.qp
+            ring = ssd._queues[qp.qid].cq
+            yield (f"{ssd.name} CQ {qp.qid}", ring.produced % ring.depth,
+                   qp.cq_head)
+        nics = [host.nic_driver]
+        if node.engine is not None:
+            nics.append(node.engine.nic_ctrl)
+        for nic in nics:
+            recv = nic.client.recv_ring
+            yield (f"nic RX channel {recv.channel}",
+                   host.nic._rx_channels[recv.channel].cmpl.produced,
+                   recv.cmpl_head)
+        if node.engine is not None:
+            yield ("D2D completion ring",
+                   node.engine.host_interface.completion_ring.produced,
+                   node.driver.cpl_head)
 
     @property
     def nodes(self) -> tuple[Node, Node]:

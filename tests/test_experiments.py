@@ -11,8 +11,10 @@ from repro.experiments import (run_fig11, run_fig12_hdfs, run_fig12_swift,
                                run_fig13, run_fig3, run_fig8, run_headline,
                                run_sweep, run_table1, run_table3, run_table4)
 from repro.experiments import __main__ as cli
-from repro.experiments import common, fig12
+from repro.experiments import common, faults, fig12
 from repro.experiments.result import ExperimentResult
+from repro.faults import FaultRule
+from repro.schemes import SwOptScheme
 from repro.sim.session import installed
 
 
@@ -67,6 +69,17 @@ class TestMicrobenchFigures:
 
 def _planes_off():
     return installed("tracer") is None and installed("metrics") is None
+
+
+class TestFaultCell:
+    def test_a_receive_that_never_returns_counts_as_an_error(self):
+        """sw-opt with 1 % ``pcie.timeout``: every send succeeds, but
+        four frames lost on the receive side leave their socket
+        receives blocked for good (a host receive has no deadline)."""
+        cell = faults._run_cell(SwOptScheme,
+                                FaultRule("pcie.timeout", probability=0.01))
+        assert cell["errors"] == 4
+        assert len(cell["latencies"]) == faults.REQUESTS - 4
 
 
 class TestCli:

@@ -11,10 +11,12 @@ and all of it byte-reproducible for a given seed.
 import pytest
 
 from repro.core.command import D2DKind, D2DStatus
+from repro.devices.ring import RING_DMA_RETRIES
 from repro.errors import ConfigurationError, DeviceError
 from repro.faults import (FAULT_SITES, FaultPlan, FaultRule, RetryPolicy,
                           active_faults, watchdog)
 from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
+from repro.pcie.transaction import COMPLETION_TIMEOUT_NS
 from repro.trace import TraceSession, jsonl_lines
 from repro.units import KIB, SEC, usec
 from tests.test_schemes import run_send
@@ -250,24 +252,39 @@ class TestLostCompletions:
 
 
 class TestLostCompletionWrite:
-    """``pcie.timeout`` on a completion ring's slot write.  The producer
-    takes the slot back, so the next completion fills it and the
-    consumer's in-order reap goes on.  The tail used to move past the
-    empty slot, and every later request on the queue timed out."""
+    """``pcie.timeout`` on a completion ring's slot write.  A lost
+    attempt moved no bytes and is written again, up to
+    ``RING_DMA_RETRIES`` times; a record that never lands gives its slot
+    back, so the next completion fills it and the consumer's in-order
+    reap goes on.  The SSD's and the engine's rings used to give the
+    slot back after one lost attempt, and before that to move past it,
+    after which every later request on the queue timed out."""
 
     SIZE = 16 * KIB
     LATER = 5
+    # Occurrences of the 1 + RING_DMA_RETRIES attempts at each ring's
+    # write after one warm-up send (read off a spy on
+    # ActiveFaults.fires); between a lost D2D completion write and its
+    # retry, node1's NIC receives frames.
+    ATTEMPTS = {
+        "host NVMe completion queue": (SwOptScheme, (4, 5, 6, 7)),
+        "engine NVMe completion queue": (DcsCtrlScheme, (4, 5, 6, 7)),
+        "host D2D completion ring": (DcsCtrlScheme, (11, 71, 72, 73)),
+    }
 
-    def _requests(self, scheme_cls, occurrence):
-        """A warm-up send, then the plan, then ``1 + LATER`` sends of
+    def _requests(self, ring, lost):
+        """A warm-up send, then a plan that times out the first ``lost``
+        attempts at ``ring``'s write, then ``1 + LATER`` sends of
         ``SIZE``; returns the testbed and each send's process."""
+        scheme_cls, attempts = self.ATTEMPTS[ring]
         tb = Testbed(seed=1)
         scheme = scheme_cls(tb)
         data = bytes(range(256)) * (self.SIZE // 256)
         procs = []
         for index in range(2 + self.LATER):
             if index == 1:
-                _plan(FaultRule("pcie.timeout", occurrences={occurrence})
+                _plan(FaultRule("pcie.timeout",
+                                occurrences=attempts[:lost])
                       ).install(tb.sim, tb.rng)
             name = f"req-{index}.dat"
             tb.node0.host.install_file(name, data)
@@ -277,36 +294,72 @@ class TestLostCompletionWrite:
             if not conn.offloaded:
                 tb.sim.spawn(scheme.client_recv(tb.node1, conn, self.SIZE))
             tb.sim.run()
-        assert tb.sim.faults.injected == 1
+        assert tb.sim.faults.injected == lost
+        assert all(proc.ok for proc in procs[2:]), ring
+        tb.assert_no_leaks()
         return tb, procs[1:]
 
+    @staticmethod
+    def _lost(tb, ring):
+        """The completions ``ring``'s producer counted as lost."""
+        node = tb.node0
+        if ring == "host D2D completion ring":
+            return node.engine.host_interface.completions_lost
+        return node.host.ssd.cqes_dropped
+
+    def _one_lost_attempt(self, ring):
+        """The faulted request succeeds and only waits out the one TLP
+        completion timeout: no deadline expires, nothing is lost."""
+        tb, procs = self._requests(ring, lost=1)
+        faulted, clean = procs[0].value, procs[-1].value
+        assert (faulted.latency_us - clean.latency_us) * 1000 < (
+            2 * COMPLETION_TIMEOUT_NS)
+        assert self._lost(tb, ring) == 0
+
     def test_lost_cqe_write_to_the_host_driver(self):
-        """sw-opt: occurrence 4 is the SSD's CQE write into the host
-        NVMe driver's completion queue.  The driver's deadline re-issues
-        the command, so even the faulted send succeeds."""
-        tb, procs = self._requests(SwOptScheme, 4)
-        assert tb.node0.host.ssd.cqes_dropped == 1
-        assert all(proc.ok for proc in procs)
-        tb.assert_no_leaks()
+        """sw-opt: the SSD's CQE write into the host NVMe driver's CQ."""
+        self._one_lost_attempt("host NVMe completion queue")
 
     @pytest.mark.parametrize("occurrence, ring", [
         (4, "engine NVMe completion queue"),
         (11, "host D2D completion ring")])
     def test_lost_completion_write_on_the_engine_path(self, occurrence, ring):
-        """dcs-ctrl: occurrence 4 is the SSD's CQE write into the
-        engine's BRAM completion queue, which the engine controller's
-        deadline recovers; occurrence 11 is the engine's D2D
-        completion write into host DRAM, whose command the driver's
-        watchdog reports as failed."""
-        tb, procs = self._requests(DcsCtrlScheme, occurrence)
-        node = tb.node0
-        if occurrence == 4:
-            assert node.host.ssd.cqes_dropped == 1
-            assert procs[0].ok
-        else:
-            assert node.engine.host_interface.interrupts_lost == 1
-            assert not procs[0].ok
-        assert all(proc.ok for proc in procs[1:]), ring
+        """dcs-ctrl: the SSD's CQE write into the engine's BRAM CQ
+        (occurrence 4), and the engine's D2D completion write into host
+        DRAM (occurrence 11)."""
+        assert self.ATTEMPTS[ring][1][0] == occurrence
+        self._one_lost_attempt(ring)
+
+    @pytest.mark.parametrize("ring", sorted(ATTEMPTS))
+    def test_write_lost_past_the_retry_cap_gives_its_slot_back(self, ring):
+        """Every attempt lost: the producer counts one loss and gives
+        the slot back.  The NVMe submitters' deadlines re-issue their
+        command, so the send still succeeds; the driver's D2D watchdog
+        reports the lost D2D command.  Every later request succeeds."""
+        assert len(self.ATTEMPTS[ring][1]) == 1 + RING_DMA_RETRIES
+        tb, procs = self._requests(ring, lost=1 + RING_DMA_RETRIES)
+        assert self._lost(tb, ring) == 1
+        assert procs[0].ok == (ring != "host D2D completion ring")
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_one_percent_link_faults_lose_no_d2d_completion(self, seed):
+        """The 1 % ``pcie.timeout`` probe: a warm-up and 24 sends of
+        16 KiB on dcs-ctrl.  With one lost attempt per completion write
+        given back, each of these seeds lost one D2D completion."""
+        tb = Testbed(seed=seed, faults=_plan(
+            FaultRule("pcie.timeout", probability=0.01)))
+        scheme = DcsCtrlScheme(tb)
+        data = bytes(range(256)) * (self.SIZE // 256)
+        procs = []
+        for index in range(25):
+            name = f"req-{index}.dat"
+            tb.node0.host.install_file(name, data)
+            procs.append(tb.sim.process(scheme.send_file(
+                tb.node0, scheme.connect(), name, 0, self.SIZE)))
+            tb.sim.run()
+        assert tb.sim.faults.injected > 0
+        assert all(proc.ok for proc in procs)
+        assert tb.node0.engine.host_interface.completions_lost == 0
         tb.assert_no_leaks()
 
 
@@ -405,6 +458,28 @@ class TestAbortAndCleanup:
             tb.assert_no_leaks()
         tb.sim.run()
         tb.assert_no_leaks()
+
+    @pytest.mark.parametrize("label", [
+        "ssd CQ 1", "ssd CQ 2", "nic RX channel 0", "nic RX channel 1",
+        "D2D completion ring"])
+    def test_leak_check_reports_a_wedged_completion_ring(self, label):
+        """A producer advanced past a slot it never wrote: the in-order
+        consumer stops there for good, which the check reports."""
+        tb = Testbed(seed=31)
+        host = tb.node1.host
+        ring = {
+            "ssd CQ 1": lambda: host.ssd._queues[1].cq,
+            "ssd CQ 2": lambda: host.ssd._queues[2].cq,
+            "nic RX channel 0": lambda: host.nic._rx_channels[0].cmpl,
+            "nic RX channel 1": lambda: host.nic._rx_channels[1].cmpl,
+            "D2D completion ring":
+                lambda: tb.node1.engine.host_interface.completion_ring,
+        }[label]()
+        tb.assert_no_leaks()
+        ring.claim()
+        with pytest.raises(AssertionError, match=(
+                rf"node1: {label} produced \d+ but its consumer is at \d+")):
+            tb.assert_no_leaks()
 
 
 class TestNicReceiveUnderLinkFaults:

@@ -134,8 +134,7 @@ class HDCEngine:
 
         self.host_interface = HostInterface(
             sim, self.bar, completion_ring_addr, port, fabric,
-            self._on_command)
-        sim.spawn(self._completion_pump())
+            self._on_command, self.scoreboard.completions)
         self.tasks_failed = 0
         self.task_stats: dict[int, dict[str, int]] = {}
         self._task_started: dict[int, int] = {}
@@ -183,7 +182,7 @@ class HDCEngine:
             # A malformed command (bad volume, unsupported kind, no
             # buffer space) must fail its completion, not hang the
             # submitter.
-            self.host_interface.post_completion(
+            self.scoreboard.completions.put(
                 D2DCompletion(d2d_id=command.d2d_id,
                               status=int(D2DStatus.BAD_COMMAND)))
             return
@@ -322,10 +321,3 @@ class HDCEngine:
                     buf + result.output_length, result.digest)
                 out.length += len(result.digest)
         return hook
-
-    # -- completion pump -----------------------------------------------------------
-
-    def _completion_pump(self):
-        while True:
-            completion = yield self.scoreboard.completions.get()
-            self.host_interface.post_completion(completion)

@@ -18,8 +18,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from repro.core.command import (COMPLETION_SIZE, D2DCommand,
-                                D2D_COMMAND_SIZE, D2DCompletion)
+from repro.core.command import COMPLETION_SIZE, D2DCommand, D2D_COMMAND_SIZE
 from repro.devices.ring import CompletionRing
 from repro.errors import ProtocolError
 from repro.memory.region import MemoryRegion
@@ -40,7 +39,8 @@ class HostInterface:
 
     def __init__(self, sim: Simulator, bar: MemoryRegion,
                  completion_ring_addr: int, engine_port: str,
-                 fabric, on_command: Callable[[D2DCommand], None]):
+                 fabric, on_command: Callable[[D2DCommand], None],
+                 completions: Store):
         self.sim = sim
         self.bar = bar
         self.fabric = fabric
@@ -56,7 +56,7 @@ class HostInterface:
         self.interrupts_raised = 0
         self.completions_lost = 0
         bar.on_mmio_write = self._on_bar_write
-        self.outbox: Store = Store(sim)   # completions awaiting delivery
+        self.completions = completions    # D2D completions to deliver
         sim.spawn(self._parser())
         sim.spawn(self._interrupt_generator())
 
@@ -108,14 +108,10 @@ class HostInterface:
 
     # -- interrupt generator -------------------------------------------------------
 
-    def post_completion(self, completion: D2DCompletion) -> None:
-        """Queue a completion for delivery to the host."""
-        self.outbox.put(completion)
-
     def _interrupt_generator(self):
         ring = self.completion_ring
         while True:
-            completion = yield self.outbox.get()
+            completion = yield self.completions.get()
             if not (yield from ring.write(ring.claim(), completion.pack())):
                 # The record never landed and its slot went back, so the
                 # next completion fills it; the driver's D2D watchdog

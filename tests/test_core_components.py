@@ -11,6 +11,7 @@ from repro.memory import MemoryRegion
 from repro.pcie import Fabric, LINK_GEN2_X8
 from repro.schemes import Testbed
 from repro.sim import Simulator
+from repro.sim.resources import Store
 from repro.units import GIB, KIB, MIB
 
 
@@ -60,7 +61,8 @@ class TestHostInterface:
         received = []
         iface = HostInterface(sim, bar, completion_ring_addr=0x1000,
                               engine_port="engine", fabric=fabric,
-                              on_command=received.append)
+                              on_command=received.append,
+                              completions=Store(sim))
         return fabric, iface, received
 
     def test_command_parses_after_doorbell(self):
@@ -85,7 +87,7 @@ class TestHostInterface:
         fabric, iface, _ = self._build(sim)
         hits = []
         fabric._msi_handlers["host"] = lambda src, vec: hits.append(src)
-        iface.post_completion(D2DCompletion(d2d_id=9, status=0))
+        iface.completions.put(D2DCompletion(d2d_id=9, status=0))
         sim.run()
         raw = fabric.peek(0x1000, COMPLETION_SIZE)
         assert D2DCompletion.unpack(raw).d2d_id == 9

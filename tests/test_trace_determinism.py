@@ -14,17 +14,17 @@ from repro.units import KIB
 # versions; a change that moves any span, instant or argument fails here.
 GOLDEN_JSONL_SHA256 = {
     "dcs-ctrl-md5": (
-        "b57f54fc1eb287628760cc0f320bdf7ae3165e4772bc72789d54bb6188a3ac32"),
+        "865e95c2aa8c3c337afa812eff4f9fa32eb1aef3ea035ef35d58513e30ee907f"),
     "sw-opt": (
-        "75ad0e44e80b7c51119a7f52b311fde166f63b916c308af46ecd4209b79efc86"),
+        "e0c2eea312a423aba66fc2812f58ac0f9da625f690c55fb485c5aaf727709ef1"),
     "nvme-retries": (
-        "c8982eee148d137a07af3234e126eefda75d7fea7b5a93a558929a0656846b24"),
+        "ca223c23e5758f7cf069a783633b31baadecc7848c6cb932455b2b4bf1ee77a7"),
     "sw-p2p-md5": (
-        "dadcd717e3527a4fb2981ca4189e41836ad65d3d9a4a4029be4324522c9c6c17"),
+        "4671240f5680190dc32c9c71795d09530fc9ac0fe3c9a83e9d0e62ab6c46f1f6"),
     "interleaved-dcs-ctrl": (
-        "a07ee47f152151503d84dea986f3ec285de2aa9c351b0e3c9fe1c6767a02649f"),
+        "462cf126e84dbe2fbd46ac91202bf9d7b77cc663fe996b787075d5a9b4b6b129"),
     "interleaved-sw-opt": (
-        "f73e829843513e09427964c20d70ce00c5f75da513d960f9f8c7c5827d307cb0"),
+        "389efb82f70da444463505397236921ac43e1f9fd6cdfbc42cad18be0f6a5630"),
 }
 
 

@@ -73,9 +73,9 @@ def _planes_off():
 
 class TestFaultCell:
     def test_a_receive_that_never_returns_counts_as_an_error(self):
-        """sw-opt with 1 % ``pcie.timeout``: every send succeeds, but
-        four frames lost on the receive side leave their socket
-        receives blocked for good (a host receive has no deadline)."""
+        """sw-opt with 1 % ``pcie.timeout``: four requests lose a frame
+        to a link fault, and their socket receives stay blocked for good
+        (a host receive has no deadline)."""
         cell = faults._run_cell(SwOptScheme,
                                 FaultRule("pcie.timeout", probability=0.01))
         assert cell["errors"] == 4

@@ -256,9 +256,7 @@ class TestLostCompletionWrite:
     attempt moved no bytes and is written again, up to
     ``RING_DMA_RETRIES`` times; a record that never lands gives its slot
     back, so the next completion fills it and the consumer's in-order
-    reap goes on.  The SSD's and the engine's rings used to give the
-    slot back after one lost attempt, and before that to move past it,
-    after which every later request on the queue timed out."""
+    reap goes on instead of stopping at an unwritten slot for good."""
 
     SIZE = 16 * KIB
     LATER = 5
@@ -344,8 +342,8 @@ class TestLostCompletionWrite:
     @pytest.mark.parametrize("seed", [1, 3])
     def test_one_percent_link_faults_lose_no_d2d_completion(self, seed):
         """The 1 % ``pcie.timeout`` probe: a warm-up and 24 sends of
-        16 KiB on dcs-ctrl.  With one lost attempt per completion write
-        given back, each of these seeds lost one D2D completion."""
+        16 KiB on dcs-ctrl.  Each of these seeds times out one attempt
+        at a D2D completion write."""
         tb = Testbed(seed=seed, faults=_plan(
             FaultRule("pcie.timeout", probability=0.01)))
         scheme = DcsCtrlScheme(tb)
